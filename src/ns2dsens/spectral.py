@@ -7,15 +7,23 @@ c = fft2(values) / n**2 and values = n**2 * ifft2(c).  With that normalization
 Parseval gives the L2 norm directly as the root sum of squared coefficient
 magnitudes, the H1 norm weights each mode by 4*pi**2*|k|**2, and the H2 norm by
 the square of that factor.  The mean mode k = 0 is pinned to zero everywhere;
-the Poincare constant of the mean-zero space is lambda_1 = 4*pi**2.
+the Poincare constant of the mean-zero space is lambda_1 = 4*pi**2.  Values
+are real, so transforms to and from the grid run on the half spectrum ky >= 0
+(`rfft2`/`irfft2`) and the negative-ky half follows by conjugate symmetry.
 
-Nonlinear products are evaluated pointwise on the grid and truncated to the
-band |k_i| <= n // 3, which makes the pseudo-spectral advective product
-identical to the spectral Galerkin truncation of u . grad v.
+Nonlinear products are evaluated pointwise on a grid where no alias reaches
+the band |k_i| <= n // 3 (zero-padded when n is divisible by 3) and truncated
+to that band, which makes the pseudo-spectral advective product identical to
+the spectral Galerkin truncation of u . grad v.  The advective kernel works in
+divergence form: for solenoidal u, u . grad v = div(v u^T), and a projected
+planar field is fixed by its component along k_perp, so one product costs two
+real inverse transforms per operand field and one real forward transform.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -84,6 +92,24 @@ class GridSpec:
         return _read_only(mask)
 
     @cached_property
+    def product_n(self) -> int:
+        """Size of the grid advective products are formed on (see `bilinear`)."""
+        return self.n if self.n % 3 else self.n + 2
+
+    @cached_property
+    def advective_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-mode factors (q, r) of `bilinear` on the ky >= 0 half spectrum.
+
+        q = (kx ky, kx^2, -ky^2) weighs the products (Tyy - Txx, Tyx, Txy)
+        into k_perp . w / (2 pi i); r = 2 pi i k_perp / |k|^2, zero at k = 0,
+        turns that into the projected result.  Shapes (3 or 2, n, n // 2 + 1).
+        """
+        kx, ky = self.k[..., : self.n // 2 + 1]
+        q = np.stack([kx * ky, kx**2, -(ky**2)]).astype(np.float64)
+        r = 2j * np.pi * np.stack([-ky, kx]) * self.inv_k_sq[:, : self.n // 2 + 1]
+        return _read_only(q), _read_only(r)
+
+    @cached_property
     def points(self) -> np.ndarray:
         """Grid coordinates, shape (2, n, n): points[0] = x, points[1] = y."""
         x = np.arange(self.n) / self.n
@@ -139,13 +165,13 @@ class SpectralField:
             raise ValueError(
                 f"expected values of shape (2, {grid.n}, {grid.n}), got {values.shape}"
             )
-        c = np.fft.fft2(values, axes=(-2, -1)) / grid.n**2
+        c = _full_spectrum(_to_spectrum(values))
         c[:, 0, 0] = 0.0
         return cls(grid, _read_only(c))
 
     def physical(self) -> np.ndarray:
         """Real grid values, shape (2, n, n)."""
-        return self.grid.n**2 * np.fft.ifft2(self.coeffs, axes=(-2, -1)).real
+        return _to_grid(self.coeffs[..., : self.grid.n // 2 + 1], self.grid.n)
 
     def band_limited(self) -> "SpectralField":
         """Truncate to the dealiased band max(|kx|, |ky|) <= n // 3."""
@@ -227,68 +253,94 @@ def stokes_apply(field: SpectralField) -> SpectralField:
     return SpectralField(field.grid, _read_only(field.coeffs * field.grid.eigenvalues))
 
 
-def _band_corners(n: int, K: int) -> list[tuple[slice, slice]]:
-    """Index blocks covering max(|kx|, |ky|) <= K in FFT order on an n-grid."""
-    pos = slice(0, K + 1)
-    neg = slice(n - K, n)
-    return [(pos, pos), (pos, neg), (neg, pos), (neg, neg)]
+def _to_grid(half: np.ndarray, m: int) -> np.ndarray:
+    """Real values on the m-grid from a half spectrum of shape (..., m, m // 2 + 1)."""
+    return np.fft.irfft2(half, s=(m, m), norm="forward")
 
 
-def _band_transfer(src: np.ndarray, n_src: int, n_dst: int, K: int) -> np.ndarray:
-    """Copy the K-band of an FFT-ordered array onto a (possibly larger) grid."""
-    dst = np.zeros(src.shape[:-2] + (n_dst, n_dst), dtype=src.dtype)
-    for (rs, cs), (rd, cd) in zip(_band_corners(n_src, K), _band_corners(n_dst, K)):
-        dst[..., rd, cd] = src[..., rs, cs]
-    return dst
+def _to_spectrum(values: np.ndarray) -> np.ndarray:
+    """Half spectrum, shape (..., m, m // 2 + 1), of real values on an m-grid."""
+    return np.fft.rfft2(values, norm="forward")
+
+
+def _full_spectrum(half: np.ndarray) -> np.ndarray:
+    """Complete a half spectrum (..., n, n // 2 + 1) to (..., n, n) by c(-k) = conj(c(k))."""
+    n = half.shape[-2]
+    h = n // 2 + 1
+    full = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
+    full[..., :h] = half
+    # Row kx = 0 pairs with itself, rows 1..n-1 with rows n-1..1.
+    np.conj(half[..., :1, h - 2 : 0 : -1], out=full[..., :1, h:])
+    np.conj(half[..., :0:-1, h - 2 : 0 : -1], out=full[..., 1:, h:])
+    return full
+
+
+def _band_half(c: np.ndarray, K: int, m: int) -> np.ndarray:
+    """Half spectrum on an m-grid holding the K-band (ky >= 0) of an FFT-ordered array."""
+    half = np.zeros(c.shape[:-2] + (m, m // 2 + 1), dtype=np.complex128)
+    half[..., : K + 1, : K + 1] = c[..., : K + 1, : K + 1]
+    half[..., -K:, : K + 1] = c[..., -K:, : K + 1]
+    return half
+
+
+# Operand grid values by field identity, set only inside shared_transforms().
+_SHARED: ContextVar[dict] = ContextVar("shared_transforms")
+
+
+@contextmanager
+def shared_transforms():
+    """Inside the block `bilinear` transforms each operand field once; nothing outlives it."""
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _product_values(field: SpectralField, memo: dict) -> np.ndarray:
+    """Band-limited values of a field on its product grid, shape (2, m, m), memoized."""
+    if id(field) not in memo:  # the stored field keeps its id from being reused
+        m = field.grid.product_n
+        memo[id(field)] = field, _to_grid(_band_half(field.coeffs, field.grid.cutoff, m), m)
+    return memo[id(field)][1]
 
 
 def bilinear(u: SpectralField, v: SpectralField) -> SpectralField:
-    """Galerkin-truncated advective term B(u, v) = P_sigma(u . grad v).
+    """Galerkin-truncated advective term B(u, v) = P_sigma(u . grad v), in divergence form.
 
-    Both arguments are truncated to the dealiased band, the product is formed
-    pointwise on a grid large enough that no aliased mode lands back inside
-    the band, and the result is truncated, Leray-projected and mean-pinned.
-    On grids where 3 * cutoff < n the product grid is the native one; when n
-    is divisible by 3 the operands are zero-padded so the truncation stays an
-    exact Galerkin projection.
+    Precondition: u is divergence-free.  The kernel evaluates
+    P_sigma(div(v u^T)), which is P_sigma(u . grad v) + P_sigma(v div u).
 
-    Args:
-        u: advecting field (divergence-free for the usual identities).
-        v: advected field.
+    Both arguments are truncated to the band |k_i| <= K = cutoff, so their
+    products reach |k_i| <= 2K.  On the product grid, of size
+    m = `GridSpec.product_n` > 3K, no alias k - m of those modes reaches the
+    band, so truncating the grid product is an exact Galerkin projection.
+    m = n unless n is divisible by 3; then the operands are zero-padded.
+
+    A divergence-free planar field w is k_perp (k_perp . w) / |k|^2 with
+    k_perp = (-ky, kx).  For w = div(T), T = v u^T,
+    k_perp . w = 2 pi i [kx ky (Tyy - Txx) + kx^2 Tyx - ky^2 Txy], so only
+    these three products are formed; two when v is u, since then Tyx = Txy.
+
+    Transforms per call: one real inverse (two planes) per operand not yet
+    transformed inside `shared_transforms`, one real forward of the products.
 
     Returns:
-        Band-limited divergence-free field on the common grid.
+        Band-limited, divergence-free, mean-free field on the common grid.
     """
     u._check_grid(v)
     g = u.grid
-    n = g.n
-    K = g.cutoff
-    if 3 * K < n:
-        m = n
-        cu = u.coeffs * g.band_mask
-        cv = v.coeffs * g.band_mask
-        km = g.k
+    memo = _SHARED.get({})
+    uu, vv = _product_values(u, memo), _product_values(v, memo)
+    if v is u:
+        prods = np.stack([uu[1] * uu[1] - uu[0] * uu[0], uu[0] * uu[1]])
     else:
-        m = 2 * (3 * K // 2 + 1)
-        cu = _band_transfer(u.coeffs, n, m, K)
-        cv = _band_transfer(v.coeffs, n, m, K)
-        freqs = np.rint(np.fft.fftfreq(m, d=1.0 / m)).astype(np.int64)
-        kxm, kym = np.meshgrid(freqs, freqs, indexing="ij")
-        km = np.stack([kxm, kym])
-
-    u_vals = m**2 * np.fft.ifft2(cu, axes=(-2, -1)).real
-    # grad[i, j] holds d v_i / d x_j; derivative factor 2*pi*i*k_j.
-    deriv = 2j * np.pi * km[np.newaxis, :, :, :] * cv[:, np.newaxis, :, :]
-    grad = m**2 * np.fft.ifft2(deriv, axes=(-2, -1)).real
-    w_vals = np.einsum("jab,ijab->iab", u_vals, grad)
-    w = np.fft.fft2(w_vals, axes=(-2, -1)) / m**2
-
-    if m != n:
-        w = _band_transfer(w, m, n, K)
-    else:
-        w = w * g.band_mask
-    out = leray_project(SpectralField(g, _read_only(w)))
-    return out
+        prods = np.stack([vv[1] * uu[1] - vv[0] * uu[0], vv[1] * uu[0], vv[0] * uu[1]])
+    t = _band_half(_to_spectrum(prods), g.cutoff, g.n)
+    q, r = g.advective_factors
+    # With two planes t[-1] is Tyx, equal to Txy when v is u.
+    w = _full_spectrum(r * (q[0] * t[0] + q[1] * t[1] + q[2] * t[-1]))
+    return SpectralField(g, _read_only(w))
 
 
 def inner(u: SpectralField, v: SpectralField, kind: str = "l2") -> float:

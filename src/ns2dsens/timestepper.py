@@ -17,7 +17,9 @@ violation; blow-up (non-finite norms, or growth beyond 1e6 times the initial
 scale) raises BlowupError carrying the norm history.  All coupled fields
 advance simultaneously from the same time level, every step re-applies the
 divergence-free projection to suppress rounding drift, and identical inputs
-produce bit-identical trajectories.
+produce bit-identical trajectories.  Each right-hand-side round (the step, and
+the Heun midpoint) runs inside `shared_transforms`, so every field goes to the
+product grid once per round however many advective products use it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from .dynamics import PhysicsParams, SystemSpec, with_viscosity2
 from .interpolants import admissibility
-from .spectral import GridSpec, NormTriple, SpectralField, leray_project, norms
+from .spectral import GridSpec, NormTriple, SpectralField, leray_project, norms, shared_transforms
 
 SCHEMES = ("imex_cnab2",)
 
@@ -290,7 +292,8 @@ def integrate(
     for step in range(cfg.n_steps):
         t = step * dt
         pp = params_at(step)
-        n_curr = {name: system.explicit_rhs(name, state, pp, t) for name in names}
+        with shared_transforms():
+            n_curr = {name: system.explicit_rhs(name, state, pp, t) for name in names}
 
         if n_prev is None:
             # Heun bootstrap: one explicit second-order step.
@@ -302,7 +305,8 @@ def integrate(
                 name: SpectralField(grid, state[name].coeffs + dt * f0[name])
                 for name in names
             }
-            n_mid = {name: system.explicit_rhs(name, mid, pp, t + dt) for name in names}
+            with shared_transforms():
+                n_mid = {name: system.explicit_rhs(name, mid, pp, t + dt) for name in names}
             new_coeffs = {}
             for name in names:
                 f1 = n_mid[name].coeffs - system.viscosity(name, pp) * lam * mid[name].coeffs

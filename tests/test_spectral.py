@@ -43,6 +43,44 @@ def leray_oracle(field):
     return SpectralField(g, out)
 
 
+def band_transfer(src, n_src, n_dst, K):
+    """Copy the K-band of an FFT-ordered array onto a grid of another size."""
+    dst = np.zeros(src.shape[:-2] + (n_dst, n_dst), dtype=src.dtype)
+    # (source, destination) index ranges of the nonnegative and negative wavenumbers.
+    halves = [
+        (slice(0, K + 1), slice(0, K + 1)),
+        (slice(n_src - K, n_src), slice(n_dst - K, n_dst)),
+    ]
+    for rows_src, rows_dst in halves:
+        for cols_src, cols_dst in halves:
+            dst[..., rows_dst, cols_dst] = src[..., rows_src, cols_src]
+    return dst
+
+
+def bilinear_reference(u, v):
+    """Advective-form kernel with complex transforms: P(u . grad v) from u and grad v on the grid.
+
+    Eight complex planes per call (u, the four components of grad v, the
+    product), on the native grid when 3 * cutoff < n and zero-padded to
+    2 * (3K // 2 + 1) otherwise, then truncated and Leray-projected.
+    """
+    g = u.grid
+    n = g.n
+    K = g.cutoff
+    m = n if 3 * K < n else 2 * (3 * K // 2 + 1)
+    cu = band_transfer(u.coeffs, n, m, K)
+    cv = band_transfer(v.coeffs, n, m, K)
+    freqs = np.rint(np.fft.fftfreq(m, d=1.0 / m)).astype(np.int64)
+    km = np.stack(np.meshgrid(freqs, freqs, indexing="ij"))
+    u_vals = m**2 * np.fft.ifft2(cu, axes=(-2, -1)).real
+    # grad[i, j] holds d v_i / d x_j; derivative factor 2*pi*i*k_j.
+    deriv = 2j * np.pi * km[np.newaxis, :, :, :] * cv[:, np.newaxis, :, :]
+    grad = m**2 * np.fft.ifft2(deriv, axes=(-2, -1)).real
+    w_vals = np.einsum("jab,ijab->iab", u_vals, grad)
+    w = band_transfer(np.fft.fft2(w_vals, axes=(-2, -1)) / m**2, m, n, K)
+    return leray_project(SpectralField(g, w))
+
+
 def bilinear_oracle(u, v):
     """Direct convolution sum over band modes, O(K^4), then per-mode projection."""
     g = u.grid
@@ -84,6 +122,13 @@ class TestGridSpec:
         assert list(g.k[0][:, 0]) == [0, 1, 2, 3, -4, -3, -2, -1]
         assert g.k_sq[0, 0] == 0
         assert g.k_sq[1, 1] == 2
+
+    @pytest.mark.parametrize("n", [8, 12, 18, 30, 32, 48, 64, 96])
+    def test_product_grid_is_smallest_even_size_beyond_three_cutoffs(self, n):
+        g = GridSpec(n)
+        m = g.product_n
+        assert m % 2 == 0 and m - 2 <= 3 * g.cutoff < m
+        assert (m == n) == (n % 3 != 0)
 
     def test_eigenvalues_match_poincare_scale(self):
         g = GridSpec(8)
@@ -253,9 +298,9 @@ class TestStokes:
 
 
 class TestBilinear:
-    @pytest.mark.parametrize("n", [8, 12])
+    @pytest.mark.parametrize("n", [8, 12, 18])
     def test_matches_convolution_oracle(self, n):
-        # n = 12 exercises the padded path where 3 * cutoff == n.
+        # n = 12 and 18 exercise the padded path where 3 * cutoff == n.
         g = GridSpec(n)
         rng = np.random.default_rng(100 + n)
         for _ in range(3):
@@ -265,6 +310,18 @@ class TestBilinear:
             want = bilinear_oracle(u, v)
             scale = max(np.abs(want.coeffs).max(), 1.0)
             assert np.abs(got.coeffs - want.coeffs).max() < 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [30, 32, 48, 64, 96])
+    @pytest.mark.parametrize("advected", ["self", "solenoidal", "non_solenoidal"])
+    def test_matches_advective_form_reference(self, n, advected):
+        # 30, 48 and 96 are divisible by 3 and take the padded product grid.
+        g = GridSpec(n)
+        rng = np.random.default_rng(200 + n)
+        u = random_field(g, rng)
+        v = u if advected == "self" else random_field(g, rng, solenoidal=advected == "solenoidal")
+        got = bilinear(u, v)
+        want = bilinear_reference(u, v)
+        assert np.abs(got.coeffs - want.coeffs).max() < 1e-12 * np.abs(want.coeffs).max()
 
     @pytest.mark.parametrize("n", [8, 12])
     def test_cutoff_boundary_modes(self, n):

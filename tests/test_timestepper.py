@@ -1,8 +1,11 @@
 """Integrator tests: closed-form decay, observed order, guards, reproducibility."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
+from ns2dsens import timestepper
 from ns2dsens.dynamics import PhysicsParams, SystemKind, SystemSpec, dq_field, with_viscosity2
 from ns2dsens.interpolants import SpectralProjection
 from ns2dsens.spectral import GridSpec, SpectralField, inner, norm, random_field, taylor_green
@@ -268,6 +271,29 @@ class TestDeterminism:
         b = integrate(SystemSpec(SystemKind.DQ_DIRECT), init, p, cfg)
         for name in ("u1", "u2", "d"):
             assert np.array_equal(a.final(name).coeffs, b.final(name).coeffs)
+
+
+    def test_shared_transforms_bit_identical_to_unshared(self, monkeypatch):
+        # Six fields and eight products per round, two of them self-products.
+        p = PhysicsParams(
+            nu1=0.01, nu2=0.008, mu=2.0, interp=SpectralProjection(modes=8),
+            forcing=random_field(GRID, seed=71, kmin=2, kmax=6),
+        )
+        cfg = SolverConfig(dt=1e-3, t_end=0.01, sample_every=5)
+        init = {
+            "u1": taylor_green(GRID),
+            "u2": taylor_green(GRID),
+            "v1": random_field(GRID, seed=72, kmin=1, kmax=6),
+            "v2": random_field(GRID, seed=73, kmin=1, kmax=6),
+        }
+        system = SystemSpec(SystemKind.DA_DQ_DIRECT)
+        shared = integrate(system, init, p, cfg)
+        monkeypatch.setattr(timestepper, "shared_transforms", contextlib.nullcontext)
+        unshared = integrate(system, init, p, cfg)
+        for name in system.fields:
+            assert np.array_equal(shared.series[name], unshared.series[name])
+            for a, b in zip(shared.snapshots[name], unshared.snapshots[name]):
+                assert np.array_equal(a.coeffs, b.coeffs)
 
 
 class TestViscositySwitch:
