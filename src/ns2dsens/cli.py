@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 import yaml
@@ -62,6 +63,7 @@ def _require_kind(cfg: RunConfig, required: SystemKind) -> None:
 
 def _single_run(cfg: RunConfig, kind: SystemKind, name: str,
                 out_dir: Path) -> ExperimentReport:
+    start = time.perf_counter()
     _require_kind(cfg, kind)
     system = SystemSpec(kind, linear_only=cfg.linear_only)
     init = {"u": cfg.initial}
@@ -95,7 +97,7 @@ def _single_run(cfg: RunConfig, kind: SystemKind, name: str,
         verdicts={"apriori_bounds": all(c.passed for c in checks)},
         data=data,
         checks=checks,
-        runtime_seconds=0.0,
+        runtime_seconds=time.perf_counter() - start,
         artifacts={"trajectory": traj},
     )
     _write_run_artifacts(traj, out_dir)

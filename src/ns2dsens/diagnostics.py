@@ -252,12 +252,13 @@ def _sup_check(name: str, lhs_series: np.ndarray, rhs_series: np.ndarray) -> Bou
 def check_apriori(traj, p: PhysicsParams | None = None, label: str = "") -> list[BoundCheck]:
     """A-priori bound checks for every flow and assimilated field of a run.
 
-    Flow fields (u, u1, u2) are checked against the three viscous bounds;
-    assimilated fields (v, v1, v2) against the nudged variants whose
-    admissibility precondition holds, with the nudging source folded into the
-    effective forcing.  `p` overrides the trajectory's stored parameters, which
-    matters for windows of a run whose viscosity was switched mid-flight;
-    `label` prefixes check names.
+    Flow rows of the system table are checked against the three viscous
+    bounds; assimilated rows against the nudged variants whose admissibility
+    precondition holds, with the nudging source toward the row's target folded
+    into the effective forcing.  Derivative rows are not checked.  `p`
+    overrides the trajectory's stored parameters, which matters for windows
+    of a run whose viscosity was switched mid-flight; `label` prefixes check
+    names.
     """
     p = traj.params if p is None else p
     system = traj.system
@@ -314,14 +315,12 @@ def check_apriori(traj, p: PhysicsParams | None = None, label: str = "") -> list
                 )
             )
 
-    nudged = system.nudged_fields
-    for field in system.fields:
-        if field in ("u", "u1", "u2"):
-            flow_checks(field, system.viscosity(field, p), f_l2)
-        elif field in ("v", "v1", "v2"):
-            nu = system.viscosity(field, p)
-            if p.mu > 0:
-                assimilated_checks(field, nudged[field], nu)
-            else:
-                flow_checks(field, nu, f_l2)
+    for field, row in system.rows.items():
+        if row.role == "derivative":
+            continue
+        nu = system.viscosity(field, p)
+        if row.role == "assimilated" and p.mu > 0:
+            assimilated_checks(field, row.nudge_to, nu)
+        else:
+            flow_checks(field, nu, f_l2)
     return checks

@@ -17,12 +17,19 @@ quotient fields are the exact evolution of (u1 - u2) / (nu1 - nu2) and its
 assimilated counterpart.  Nudging differences are interpolated once
 (I_h is linear), truncated to the dealiased band and Leray-projected, so every
 right-hand side stays divergence-free, mean-free and band-limited.
+
+One table, `_SYSTEMS`, is the single source of this wiring: per system, one
+row per field giving its role (flow, assimilated or derivative), its
+viscosity slot, a derivative's advective products and Stokes source, and a
+nudged field's target.  `SystemSpec` derives everything else from the rows
+and assembles every right-hand side with one generic loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import Callable, Mapping, Union
 
 from .interpolants import InterpolantSpec, interpolate
@@ -119,47 +126,75 @@ class SystemKind(str, Enum):
     DA_DQ_DIRECT = "da_dq_direct"
 
 
-_FIELDS: dict[SystemKind, tuple[str, ...]] = {
-    SystemKind.NSE: ("u",),
-    SystemKind.DA: ("u", "v"),
-    SystemKind.NSE_SENS: ("u", "ut"),
-    SystemKind.DA_SENS: ("u", "ut", "v", "vt"),
-    SystemKind.DQ_DIRECT: ("u1", "u2", "d"),
-    SystemKind.DA_DQ_DIRECT: ("u1", "u2", "d", "v1", "v2", "dp"),
-}
+@dataclass(frozen=True)
+class FieldRow:
+    """Wiring of one evolved field; see the module docstring for the equations.
 
-# Fields that start from zero unless the caller supplies initial data.
-_ZERO_DEFAULT = frozenset({"ut", "vt", "d", "dp"})
+    role is "flow", "assimilated" or "derivative".  nu names the viscosity
+    slot of PhysicsParams ("nu1" or "nu2").  Derivative rows list their
+    advective products as ordered (a, b) pairs and the field whose Stokes
+    term couples into them; flow and assimilated rows advect only themselves.
+    nudge_to names the field a nudged row is pulled toward.
+    """
 
-# Fields evolved with nu2; everything else uses nu1.  Assimilated sensitivity
-# runs keep v and vt at nu1, the viscosity the derivative is taken at.
-_NU2_FIELDS: dict[SystemKind, frozenset[str]] = {
-    SystemKind.NSE: frozenset(),
-    SystemKind.DA: frozenset({"v"}),
-    SystemKind.NSE_SENS: frozenset(),
-    SystemKind.DA_SENS: frozenset(),
-    SystemKind.DQ_DIRECT: frozenset({"u2", "d"}),
-    SystemKind.DA_DQ_DIRECT: frozenset({"u2", "v2", "d", "dp"}),
-}
+    role: str
+    nu: str = "nu1"
+    products: tuple[tuple[str, str], ...] = ()
+    source: str | None = None
+    nudge_to: str | None = None
 
-_NUDGED: dict[SystemKind, dict[str, str]] = {
-    SystemKind.NSE: {},
-    SystemKind.DA: {"v": "u"},
-    SystemKind.NSE_SENS: {},
-    SystemKind.DA_SENS: {"v": "u", "vt": "ut"},
-    SystemKind.DQ_DIRECT: {},
-    SystemKind.DA_DQ_DIRECT: {"v1": "u1", "v2": "u2", "dp": "d"},
+
+# The single source of field wiring.  Row order is intra-step evaluation
+# order: reference flows first, then quotient and sensitivity fields, then
+# assimilating copies.  Assimilated sensitivity runs keep v and vt at nu1,
+# the viscosity the derivative is taken at.
+_SYSTEMS: dict[SystemKind, dict[str, FieldRow]] = {
+    SystemKind.NSE: {"u": FieldRow("flow")},
+    SystemKind.DA: {
+        "u": FieldRow("flow"),
+        "v": FieldRow("assimilated", "nu2", nudge_to="u"),
+    },
+    SystemKind.NSE_SENS: {
+        "u": FieldRow("flow"),
+        "ut": FieldRow("derivative", products=(("ut", "u"), ("u", "ut")), source="u"),
+    },
+    SystemKind.DA_SENS: {
+        "u": FieldRow("flow"),
+        "ut": FieldRow("derivative", products=(("ut", "u"), ("u", "ut")), source="u"),
+        "v": FieldRow("assimilated", nudge_to="u"),
+        "vt": FieldRow(
+            "derivative", products=(("vt", "v"), ("v", "vt")), source="v", nudge_to="ut"
+        ),
+    },
+    SystemKind.DQ_DIRECT: {
+        "u1": FieldRow("flow"),
+        "u2": FieldRow("flow", "nu2"),
+        "d": FieldRow("derivative", "nu2", products=(("u2", "d"), ("d", "u1")), source="u1"),
+    },
+    SystemKind.DA_DQ_DIRECT: {
+        "u1": FieldRow("flow"),
+        "u2": FieldRow("flow", "nu2"),
+        "d": FieldRow("derivative", "nu2", products=(("u2", "d"), ("d", "u1")), source="u1"),
+        "v1": FieldRow("assimilated", nudge_to="u1"),
+        "v2": FieldRow("assimilated", "nu2", nudge_to="u2"),
+        "dp": FieldRow(
+            "derivative", "nu2", products=(("v2", "dp"), ("dp", "v1")), source="v1", nudge_to="d"
+        ),
+    },
 }
 
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """Which coupled stack to integrate, and its per-field wiring.
+    """Which coupled stack to integrate; its wiring is read from one table.
 
-    Fields are listed in intra-step evaluation order: reference flows first,
-    then quotient and sensitivity fields, then assimilating copies.
-    linear_only disables the advective products, a diagnostic mode that turns
-    every equation into a forced Stokes flow.
+    Every per-field property derives from the system's rows: `fields` is row
+    order, `zero_default_fields` (zero initial data unless supplied) are the
+    derivative rows, `advecting_fields` (whose speeds drive the CFL estimate)
+    are the others, `nudged_fields` maps nudged rows to their targets, and
+    `viscosity` reads the row's slot.  linear_only disables the advective
+    products, a diagnostic mode that turns every equation into a forced
+    Stokes flow.
     """
 
     kind: SystemKind
@@ -170,162 +205,70 @@ class SystemSpec:
             object.__setattr__(self, "kind", SystemKind(self.kind))
 
     @property
+    def rows(self) -> Mapping[str, FieldRow]:
+        return MappingProxyType(_SYSTEMS[self.kind])
+
+    @property
     def fields(self) -> tuple[str, ...]:
-        return _FIELDS[self.kind]
+        return tuple(_SYSTEMS[self.kind])
 
     @property
     def zero_default_fields(self) -> frozenset:
-        return _ZERO_DEFAULT & frozenset(self.fields)
+        return frozenset(n for n, r in self.rows.items() if r.role == "derivative")
+
+    @property
+    def advecting_fields(self) -> tuple[str, ...]:
+        return tuple(n for n, r in self.rows.items() if r.role != "derivative")
 
     @property
     def nudged_fields(self) -> dict[str, str]:
-        return _NUDGED[self.kind]
+        return {n: r.nudge_to for n, r in self.rows.items() if r.nudge_to is not None}
 
     def uses_nudging(self, p: PhysicsParams) -> bool:
         return bool(self.nudged_fields) and p.mu > 0
 
-    def viscosity(self, name: str, p: PhysicsParams) -> float:
-        if name not in self.fields:
+    def _row(self, name: str) -> FieldRow:
+        row = _SYSTEMS[self.kind].get(name)
+        if row is None:
             raise ValueError(f"system {self.kind.value} has no field {name!r}")
-        return p.nu2 if name in _NU2_FIELDS[self.kind] else p.nu1
+        return row
+
+    def viscosity(self, name: str, p: PhysicsParams) -> float:
+        return getattr(p, self._row(name).nu)
 
     def explicit_rhs(
         self, name: str, state: Mapping[str, SpectralField], p: PhysicsParams, t: float
     ) -> SpectralField:
-        """Everything in the field's right-hand side except its own -nu A term."""
-        if name not in self.fields:
-            raise ValueError(f"system {self.kind.value} has no field {name!r}")
+        """Everything in the field's right-hand side except its own -nu A term.
+
+        Starts from the forcing, or for a derivative row from its negated
+        first product; subtracts the remaining advective products in row
+        order and the Stokes source; adds nudging toward the target when
+        mu > 0.
+        """
+        row = self._row(name)
         lin = self.linear_only
-        if name in ("u", "u1", "u2"):
-            return _exp_flow(state[name], p, t, lin)
-        if name == "v":
-            return _exp_assimilated(state["v"], state["u"], p, t, lin)
-        if name == "v1":
-            return _exp_assimilated(state["v1"], state["u1"], p, t, lin)
-        if name == "v2":
-            return _exp_assimilated(state["v2"], state["u2"], p, t, lin)
-        if name == "ut":
-            return _exp_sensitivity(state["ut"], state["u"], lin)
-        if name == "vt":
-            out = _exp_sensitivity(state["vt"], state["v"], lin)
-            if p.mu > 0:
-                out = out + _nudge(p, state["ut"], state["vt"])
-            return out
-        if name == "d":
-            return _exp_quotient(state["d"], state["u1"], state["u2"], lin)
-        if name == "dp":
-            out = _exp_quotient(state["dp"], state["v1"], state["v2"], lin)
-            if p.mu > 0:
-                out = out + _nudge(p, state["d"], state["dp"])
-            return out
-        raise ValueError(f"no right-hand side wired for field {name!r}")
+        if row.role == "derivative":
+            (a, b), *rest = row.products
+            out = -_advect(state[a], state[b], lin)
+        else:
+            out = forcing_at(p, state[name].grid, t)
+            rest = [(name, name)]
+        for a, b in rest:
+            out = out - _advect(state[a], state[b], lin)
+        if row.source is not None:
+            out = out - stokes_apply(state[row.source])
+        if row.nudge_to is not None and p.mu > 0:
+            out = out + _nudge(p, state[row.nudge_to], state[name])
+        return out
+
+    def rhs(
+        self, name: str, state: Mapping[str, SpectralField], p: PhysicsParams, t: float = 0.0
+    ) -> SpectralField:
+        """Full tendency of one field: explicit_rhs minus its own nu A term."""
+        nu = self.viscosity(name, p)
+        return self.explicit_rhs(name, state, p, t) - nu * stokes_apply(state[name])
 
 
 def _advect(a: SpectralField, b: SpectralField, linear_only: bool) -> SpectralField:
     return SpectralField.zero(a.grid) if linear_only else bilinear(a, b)
-
-
-def _exp_flow(x: SpectralField, p: PhysicsParams, t: float, lin: bool) -> SpectralField:
-    return forcing_at(p, x.grid, t) - _advect(x, x, lin)
-
-
-def _exp_assimilated(
-    v: SpectralField, u_ref: SpectralField, p: PhysicsParams, t: float, lin: bool
-) -> SpectralField:
-    out = _exp_flow(v, p, t, lin)
-    if p.mu > 0:
-        out = out + _nudge(p, u_ref, v)
-    return out
-
-
-def _exp_sensitivity(xt: SpectralField, x: SpectralField, lin: bool) -> SpectralField:
-    return -_advect(xt, x, lin) - _advect(x, xt, lin) - stokes_apply(x)
-
-
-def _exp_quotient(
-    d: SpectralField, a1: SpectralField, a2: SpectralField, lin: bool
-) -> SpectralField:
-    return -_advect(a2, d, lin) - _advect(d, a1, lin) - stokes_apply(a1)
-
-
-def rhs_nse(
-    u: SpectralField,
-    p: PhysicsParams,
-    t: float = 0.0,
-    nu: float | None = None,
-    linear_only: bool = False,
-) -> SpectralField:
-    """Flow tendency f - nu A u - B(u, u); nu defaults to p.nu1."""
-    nu = p.nu1 if nu is None else nu
-    return _exp_flow(u, p, t, linear_only) - nu * stokes_apply(u)
-
-
-def rhs_da(
-    v: SpectralField,
-    u_ref: SpectralField,
-    p: PhysicsParams,
-    t: float = 0.0,
-    nu: float | None = None,
-    linear_only: bool = False,
-) -> SpectralField:
-    """Assimilated tendency rhs_nse(v) + mu P_sigma(I_h(u_ref - v)); nu defaults to p.nu2."""
-    nu = p.nu2 if nu is None else nu
-    return _exp_assimilated(v, u_ref, p, t, linear_only) - nu * stokes_apply(v)
-
-
-def rhs_sens(
-    ut: SpectralField,
-    u: SpectralField,
-    p: PhysicsParams,
-    nu: float | None = None,
-    linear_only: bool = False,
-) -> SpectralField:
-    """Viscosity-sensitivity tendency -B(ut, u) - B(u, ut) - nu A ut - A u."""
-    nu = p.nu1 if nu is None else nu
-    return _exp_sensitivity(ut, u, linear_only) - nu * stokes_apply(ut)
-
-
-def rhs_da_sens(
-    vt: SpectralField,
-    v: SpectralField,
-    ut: SpectralField,
-    p: PhysicsParams,
-    nu: float | None = None,
-    linear_only: bool = False,
-) -> SpectralField:
-    """Assimilated sensitivity tendency: rhs_sens in v plus nudging toward ut."""
-    nu = p.nu1 if nu is None else nu
-    out = _exp_sensitivity(vt, v, linear_only)
-    if p.mu > 0:
-        out = out + _nudge(p, ut, vt)
-    return out - nu * stokes_apply(vt)
-
-
-def rhs_dq(
-    d: SpectralField,
-    u1: SpectralField,
-    u2: SpectralField,
-    p: PhysicsParams,
-    nu: float | None = None,
-    linear_only: bool = False,
-) -> SpectralField:
-    """Quotient tendency -B(d, u1) - B(u2, d) - nu A d - A u1; nu defaults to p.nu2."""
-    nu = p.nu2 if nu is None else nu
-    return _exp_quotient(d, u1, u2, linear_only) - nu * stokes_apply(d)
-
-
-def rhs_da_dq(
-    dp: SpectralField,
-    v1: SpectralField,
-    v2: SpectralField,
-    d: SpectralField,
-    p: PhysicsParams,
-    nu: float | None = None,
-    linear_only: bool = False,
-) -> SpectralField:
-    """Assimilated quotient tendency: rhs_dq in (v1, v2) plus nudging toward d."""
-    nu = p.nu2 if nu is None else nu
-    out = _exp_quotient(dp, v1, v2, linear_only)
-    if p.mu > 0:
-        out = out + _nudge(p, d, dp)
-    return out - nu * stokes_apply(dp)

@@ -35,6 +35,7 @@ from .dynamics import (
     SystemKind,
     SystemSpec,
     dq_field,
+    forcing_at,
     with_viscosity2,
 )
 from .interpolants import admissibility
@@ -196,9 +197,36 @@ def _jsonify(obj):
     return str(obj)
 
 
-def _digest(payload: dict) -> str:
-    text = json.dumps(_jsonify(payload), sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+def _config_digest(
+    name: str,
+    p: PhysicsParams,
+    cfg: SolverConfig,
+    fields: dict[str, SpectralField],
+    **extra,
+) -> str:
+    """Content hash of an experiment's inputs; timings never enter it.
+
+    Hashes the coefficient bytes of every initial field and of the forcing
+    (a callable is evaluated at t = 0), the interpolant, the viscosities, the
+    gain, the solver config and the runner-specific extras.
+    """
+    grid = next(iter(fields.values())).grid
+    payload = {
+        "name": name,
+        "grid": grid.n,
+        "nu1": p.nu1,
+        "nu2": p.nu2,
+        "mu": p.mu,
+        "interp": repr(p.interp),
+        "solver": dataclasses.asdict(cfg),
+        **extra,
+    }
+    h = hashlib.sha256(json.dumps(_jsonify(payload), sort_keys=True).encode())
+    for key in sorted(fields):
+        h.update(key.encode())
+        h.update(fields[key].coeffs.tobytes())
+    h.update(forcing_at(p, grid, 0.0).coeffs.tobytes())
+    return h.hexdigest()[:16]
 
 
 @dataclass
@@ -403,21 +431,12 @@ def _run_quotient_sweep(
             "grid_n": grid.n,
         }
     )
-    digest = _digest(
-        {
-            "name": name,
-            "nu1": spec.nu1,
-            "deltas": spec.deltas,
-            "norm": spec.norm,
-            "grid": grid.n,
-            "dt": cfg.dt,
-            "t_end": cfg.t_end,
-            "sample_every": cfg.sample_every,
-            "mu": p.mu,
-            "interp": repr(p.interp),
-            "forcing_l2": 0.0 if p.forcing is None else norm(p.forcing),
-            "initial_l2": norm(spec.initial),
-        }
+    initial = {"initial": spec.initial}
+    if assimilated:
+        initial["v0"] = v0
+    digest = _config_digest(
+        name, p, cfg, initial,
+        deltas=spec.deltas, norm=spec.norm, ratio_window=ratio_window,
     )
     return ExperimentReport(
         name=name,
@@ -549,22 +568,11 @@ def run_da_sync(
         verdicts["apriori_bounds"] = all(c.passed for c in checks)
         artifacts["control"] = control
 
-    digest = _digest(
-        {
-            "name": "da_sync",
-            "grid": u0.grid.n,
-            "dt": cfg.dt,
-            "t_end": cfg.t_end,
-            "sample_every": cfg.sample_every,
-            "nu1": p.nu1,
-            "nu2": p.nu2,
-            "mu": p.mu,
-            "interp": repr(p.interp),
-            "forcing_l2": 0.0 if p.forcing is None else norm(p.forcing),
-            "u0_l2": norm(u0),
-            "v0_l2": norm(v0),
-            "with_control": with_control,
-        }
+    digest = _config_digest(
+        "da_sync", p, cfg, {"u0": u0, "v0": v0},
+        decay_threshold=decay_threshold,
+        with_control=with_control,
+        control_floor=control_floor,
     )
     return ExperimentReport(
         name="da_sync",
@@ -609,23 +617,8 @@ def run_reynolds_switch(
         v0 = SpectralField.zero(grid)
     notes: list[str] = []
     system = SystemSpec(SystemKind.DA)
-    digest = _digest(
-        {
-            "name": "reynolds_switch",
-            "grid": grid.n,
-            "dt": cfg.dt,
-            "t_end": cfg.t_end,
-            "sample_every": cfg.sample_every,
-            "nu1": p.nu1,
-            "nu2": p.nu2,
-            "nu_new": nu_new,
-            "t_switch": t_switch,
-            "mu": p.mu,
-            "interp": repr(p.interp),
-            "forcing_l2": 0.0 if p.forcing is None else norm(p.forcing),
-            "u0_l2": norm(u0),
-            "v0_l2": norm(v0),
-        }
+    digest = _config_digest(
+        "reynolds_switch", p, cfg, {"u0": u0, "v0": v0}, nu_new=nu_new, t_switch=t_switch
     )
     try:
         traj = _integrate_noted(
@@ -784,16 +777,12 @@ def run_taylor_green_suite(
         "timings": timings,
         "warnings": notes,
     }
-    digest = _digest(
-        {
-            "name": "taylor_green_suite",
-            "grid": grid.n,
-            "dt": cfg.dt,
-            "t_end": cfg.t_end,
-            "sample_every": cfg.sample_every,
-            "nu": nu,
-            "deltas": deltas,
-        }
+    digest = _config_digest(
+        "taylor_green_suite", p, cfg, {"u0": u0},
+        deltas=deltas,
+        flow_tol=flow_tol,
+        sensitivity_tol=sensitivity_tol,
+        ratio_window=ratio_window,
     )
     return ExperimentReport(
         name="taylor_green_suite",

@@ -36,9 +36,6 @@ from .spectral import GridSpec, NormTriple, SpectralField, leray_project, norms,
 
 SCHEMES = ("imex_cnab2",)
 
-# Fields that transport others; their speeds drive the CFL estimate.
-_ADVECTING = ("u", "v", "u1", "u2", "v1", "v2")
-
 _BLOWUP_FACTOR = 1e6
 _CFL_LIMIT = 0.5
 
@@ -258,7 +255,7 @@ def integrate(
     dt = cfg.dt
     lam = grid.eigenvalues
     names = system.fields
-    advecting = [n for n in names if n in _ADVECTING]
+    advecting = system.advecting_fields
 
     ref_l2 = {}
     init_norms = {name: norms(state[name]) for name in names}

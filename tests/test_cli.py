@@ -32,6 +32,7 @@ class TestSimulate:
         report = json.loads((out / "report.json").read_text())
         assert report["passed"] is True
         assert report["verdicts"]["apriori_bounds"] is True
+        assert report["runtime_seconds"] > 0
         csv_lines = (out / "diagnostics.csv").read_text().splitlines()
         assert csv_lines[0] == "t,field,l2,h1,h2"
         field, t = read_snapshot(out / "snapshot_u.bin", grid=GridSpec(16))

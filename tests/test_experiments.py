@@ -181,6 +181,19 @@ class TestDQConvergence:
         assert a.config_digest != c.config_digest
         assert a.data["errors"] == b.data["errors"]
 
+    def test_digest_hashes_initial_field_content(self):
+        # Seeds 0 and 3 draw different fields of equal L2 norm.
+        cfg = SolverConfig(dt=2e-3, t_end=0.02, sample_every=5)
+        digests = {
+            run_dq_convergence(
+                DQSweepSpec(NU, (NU / 4,), random_field(GRID, seed=seed, l2_norm=1.0)),
+                PhysicsParams(NU, NU),
+                cfg,
+            ).config_digest
+            for seed in (0, 3)
+        }
+        assert len(digests) == 2
+
 
 class TestDADQConvergence:
     INTERP = SpectralProjection(modes=4)
