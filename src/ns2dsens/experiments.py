@@ -379,12 +379,7 @@ def _run_quotient_sweep(
 
     # Integrator tolerance: trajectory-norm distance of the evolved quotient
     # between the working step and a halved step at the finest delta.
-    cfg_half = SolverConfig(
-        dt=0.5 * cfg.dt,
-        t_end=cfg.t_end,
-        sample_every=2 * cfg.sample_every,
-        scheme=cfg.scheme,
-    )
+    cfg_half = dataclasses.replace(cfg, dt=0.5 * cfg.dt, sample_every=2 * cfg.sample_every)
     p_fine = with_viscosity2(p, spec.nu1 + spec.deltas[-1])
     half_run = _integrate_noted(sweep_system, sweep_init, p_fine, cfg_half, notes)
     integrator_tol = trajectory_distance(
@@ -492,6 +487,11 @@ def run_da_dq_convergence(
     )
 
 
+def _sync_gap(traj: Trajectory) -> np.ndarray:
+    """L2 norm of u - v at every sample, one sample at a time to bound memory."""
+    return np.array([norm(u - v) for u, v in zip(traj.snapshots["u"], traj.snapshots["v"])])
+
+
 def run_da_sync(
     p: PhysicsParams,
     cfg: SolverConfig,
@@ -516,12 +516,7 @@ def run_da_sync(
     traj = _integrate_noted(
         system, init, p, cfg, notes, enforce_admissibility=False
     )
-    diff = np.array(
-        [
-            norm(traj.snapshot("u", i) - traj.snapshot("v", i))
-            for i in range(traj.n_samples)
-        ]
-    )
+    diff = _sync_gap(traj)
     initial_gap = float(diff[0])
     decay_factor = float(diff[-1] / diff[0]) if initial_gap > 0 else 0.0
     mask = diff > 1e-12
@@ -555,12 +550,7 @@ def run_da_sync(
             nu1=p.nu1, nu2=p.nu2, mu=0.0, forcing=p.forcing, interp=None
         )
         control = _integrate_noted(system, init, p_control, cfg, notes)
-        cdiff = np.array(
-            [
-                norm(control.snapshot("u", i) - control.snapshot("v", i))
-                for i in range(control.n_samples)
-            ]
-        )
+        cdiff = _sync_gap(control)
         control_factor = float(cdiff[-1] / cdiff[0]) if cdiff[0] > 0 else 0.0
         data["control_decay_factor"] = control_factor
         verdicts["control_no_comparable_decay"] = control_factor > control_floor

@@ -5,7 +5,7 @@ A config file holds nested blocks mirroring the in-memory types:
     grid:            n
     physics:         nu1, nu2 (default nu1), mu, interpolant, forcing,
                      allow_inadmissible
-    solver:          dt, t_end, sample_every, scheme
+    solver:          dt, t_end, sample_every
     system:          kind, linear_only
     initial:         kind (taylor_green | random_solenoidal | zero),
                      seed, kmin, kmax, l2_norm
@@ -45,7 +45,7 @@ from .interpolants import (
     admissibility,
 )
 from .spectral import GridSpec, SpectralField, random_field, taylor_green
-from .timestepper import SCHEMES, SolverConfig
+from .timestepper import SolverConfig
 
 
 class ConfigError(ValueError):
@@ -57,7 +57,7 @@ _TOP_KEYS = {
     "assimilated_initial", "experiment", "seed", "output_dir",
 }
 _PHYSICS_KEYS = {"nu1", "nu2", "mu", "interpolant", "forcing", "allow_inadmissible"}
-_SOLVER_KEYS = {"dt", "t_end", "sample_every", "scheme"}
+_SOLVER_KEYS = {"dt", "t_end", "sample_every"}
 _SYSTEM_KEYS = {"kind", "linear_only"}
 _FIELD_KEYS = {"kind", "seed", "kmin", "kmax", "l2_norm"}
 _FORCING_KEYS = {"kind", "seed", "kmin", "kmax", "l2_norm", "grashof"}
@@ -309,7 +309,6 @@ def load_config_data(data: dict, seed_override: int | None = None) -> RunConfig:
             t_end=_as_float(solver_raw["t_end"], "solver.t_end"),
             sample_every=_as_int(solver_raw.get("sample_every", 1),
                                  "solver.sample_every"),
-            scheme=solver_raw.get("scheme", SCHEMES[0]),
         )
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
@@ -372,7 +371,6 @@ def load_config_data(data: dict, seed_override: int | None = None) -> RunConfig:
             "dt": solver.dt,
             "t_end": solver.t_end,
             "sample_every": solver.sample_every,
-            "scheme": solver.scheme,
         },
         "system": {
             "kind": None if system_kind is None else system_kind.value,

@@ -239,13 +239,16 @@ def leray_project(field: SpectralField) -> SpectralField:
     Diagonal per mode, idempotent and self-adjoint in L2.  The 2*pi factors of
     the true gradient cancel between numerator and denominator.
     """
-    g = field.grid
-    c = field.coeffs
-    k = g.k
-    parallel = (k[0] * c[0] + k[1] * c[1]) * g.inv_k_sq
-    out = c - k * parallel
-    out[:, 0, 0] = 0.0
-    return SpectralField(g, _read_only(out))
+    return SpectralField(field.grid, project_coeffs(field.coeffs, field.grid))
+
+
+def project_coeffs(c: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """`leray_project` of coefficient arrays shaped (..., 2, n, n), as a new read-only array."""
+    k = grid.k
+    parallel = (k[0] * c[..., 0, :, :] + k[1] * c[..., 1, :, :]) * grid.inv_k_sq
+    out = c - k * parallel[..., None, :, :]
+    out[..., 0, 0] = 0.0
+    return _read_only(out)
 
 
 def stokes_apply(field: SpectralField) -> SpectralField:

@@ -1,25 +1,28 @@
 """Semi-implicit time integration of the coupled spectral systems.
 
-One scheme: Crank-Nicolson on each field's own viscous term, which is diagonal
-per mode, combined with second-order Adams-Bashforth extrapolation of
-everything else (advection, forcing, nudging, coupling terms).  The first step
-is bootstrapped with a single explicit Heun step, preserving second order
-overall.  The extrapolated part carries no viscosity factor, so the history
-stays valid across a mid-run viscosity switch; switching is a pure change of
-the implicit denominators from the switch step on, and a switch to the same
-value reproduces the unswitched run bit for bit.
+One scheme, imex_cnab2: Crank-Nicolson on each field's own viscous term,
+which is diagonal per mode, and second-order Adams-Bashforth extrapolation
+of everything else (advection, forcing, nudging, coupling terms), started by
+one explicit second-order Heun step.  The extrapolated part carries no
+viscosity factor, so a mid-run viscosity switch only changes the implicit
+denominators; a switch to the same value reproduces the unswitched run bit
+for bit.
+
+All coupled fields advance together from one time level as one read-only
+stack of shape (F, 2, n, n) in `system.fields` order: each step is one
+whole-stack update with per-row viscosities, then one divergence-free
+re-projection that suppresses rounding drift.  `SpectralField`s are only
+read-only views of the rows, made once per state and shared by the
+right-hand-side round (inside `shared_transforms`, so each field goes to the
+product grid once per round), the norms, the CFL check and the `Trajectory`.
 
 Guards: the nudging stability condition dt * mu <= 1 and the admissibility
 condition mu * c0 * h**2 <= nu are checked before marching (the latter can be
 demoted to a warning for deliberately inadmissible studies); an advective CFL
 estimate dt * n * max|u| <= 0.5 is checked at sample times with a warning on
 violation; blow-up (non-finite norms, or growth beyond 1e6 times the initial
-scale) raises BlowupError carrying the norm history.  All coupled fields
-advance simultaneously from the same time level, every step re-applies the
-divergence-free projection to suppress rounding drift, and identical inputs
-produce bit-identical trajectories.  Each right-hand-side round (the step, and
-the Heun midpoint) runs inside `shared_transforms`, so every field goes to the
-product grid once per round however many advective products use it.
+scale) raises BlowupError carrying the norm history.  Identical inputs
+produce bit-identical trajectories.
 """
 
 from __future__ import annotations
@@ -32,9 +35,15 @@ import numpy as np
 
 from .dynamics import PhysicsParams, SystemSpec, with_viscosity2
 from .interpolants import admissibility
-from .spectral import GridSpec, NormTriple, SpectralField, leray_project, norms, shared_transforms
-
-SCHEMES = ("imex_cnab2",)
+from .spectral import (
+    GridSpec,
+    SpectralField,
+    leray_project,
+    norm,
+    norms,
+    project_coeffs,
+    shared_transforms,
+)
 
 _BLOWUP_FACTOR = 1e6
 _CFL_LIMIT = 0.5
@@ -67,7 +76,7 @@ class BlowupError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Step size, horizon, sampling cadence and scheme selector.
+    """Step size, horizon and sampling cadence.
 
     t_end must be an integer number of steps and sample_every must divide the
     step count so the final time is always a sample.
@@ -76,7 +85,6 @@ class SolverConfig:
     dt: float
     t_end: float
     sample_every: int = 1
-    scheme: str = "imex_cnab2"
 
     def __post_init__(self) -> None:
         if self.dt <= 0:
@@ -96,8 +104,6 @@ class SolverConfig:
             raise ValueError(
                 f"sample_every = {self.sample_every} does not divide {self.n_steps} steps"
             )
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}, available: {SCHEMES}")
 
     @property
     def n_steps(self) -> int:
@@ -110,8 +116,9 @@ class Trajectory:
 
     times starts at 0 and ends at t_end.  series maps each field name to an
     (n_samples, 3) array with columns (L2, H1, H2); snapshots holds the full
-    sampled fields.  max_projection_drift is the largest per-step change the
-    divergence-free re-projection made, a rounding-level health figure.
+    sampled fields, read-only views of one stacked state per sample.
+    max_projection_drift is the largest per-step change the divergence-free
+    re-projection made, a rounding-level health figure.
     """
 
     system: SystemSpec
@@ -161,25 +168,48 @@ class Trajectory:
 
 def _prepare_state(
     system: SystemSpec, init: Mapping[str, SpectralField], grid: GridSpec
-) -> dict[str, SpectralField]:
+) -> np.ndarray:
+    """Stacked (F, 2, n, n) initial state in `system.fields` order, read-only."""
     unknown = set(init) - set(system.fields)
     if unknown:
         raise ValueError(
             f"initial data for unknown fields {sorted(unknown)}; "
             f"system {system.kind.value} evolves {list(system.fields)}"
         )
-    state = {}
-    for name in system.fields:
+    state = np.zeros((len(system.fields), 2, grid.n, grid.n), dtype=np.complex128)
+    for row, name in zip(state, system.fields):
         if name in init:
             f = init[name]
             if f.grid.n != grid.n:
                 raise ValueError(f"field {name!r} is on grid {f.grid.n}, expected {grid.n}")
-            state[name] = leray_project(f.band_limited())
-        elif name in system.zero_default_fields:
-            state[name] = SpectralField.zero(grid)
-        else:
+            row[...] = leray_project(f.band_limited()).coeffs
+        elif name not in system.zero_default_fields:
             raise ValueError(f"missing initial data for field {name!r}")
+    state.setflags(write=False)
     return state
+
+
+def _views(names: tuple[str, ...], grid: GridSpec, stack: np.ndarray) -> dict[str, SpectralField]:
+    """Read-only fields viewing the rows of a stacked state; freezes the stack."""
+    stack.setflags(write=False)
+    return {name: SpectralField(grid, row) for name, row in zip(names, stack)}
+
+
+def _norm_rows(views: dict[str, SpectralField]) -> np.ndarray:
+    """(F, 3) array of each field's (L2, H1, H2) norms."""
+    return np.array([(r.l2, r.h1, r.h2) for r in map(norms, views.values())])
+
+
+def _tendencies(
+    system: SystemSpec, views: dict[str, SpectralField], p: PhysicsParams, t: float
+) -> np.ndarray:
+    """Explicit right-hand sides of every field as one stack, in one shared round."""
+    shape = (len(views),) + next(iter(views.values())).coeffs.shape
+    out = np.empty(shape, dtype=np.complex128)
+    with shared_transforms():
+        for row, name in zip(out, views):
+            row[...] = system.explicit_rhs(name, views, p, t).coeffs
+    return out
 
 
 def _check_gates(
@@ -234,7 +264,7 @@ def integrate(
     grid = next(iter(init.values())).grid
     state = _prepare_state(system, init, grid)
 
-    switch_step = None
+    switch_step = cfg.n_steps
     p_after = p
     if nu2_switch is not None:
         t_switch, nu_new = nu2_switch
@@ -248,110 +278,89 @@ def integrate(
 
     _check_gates(
         system, p, cfg,
-        nu_extra=p_after.nu2 if switch_step is not None else None,
+        nu_extra=None if nu2_switch is None else p_after.nu2,
         enforce_admissibility=enforce_admissibility,
     )
 
     dt = cfg.dt
     lam = grid.eigenvalues
     names = system.fields
-    advecting = system.advecting_fields
+    advecting = () if system.linear_only else system.advecting_fields
 
-    ref_l2 = {}
-    init_norms = {name: norms(state[name]) for name in names}
-    fallback = max([t.l2 for t in init_norms.values()] + [1.0])
-    for name in names:
-        ref_l2[name] = init_norms[name].l2 if init_norms[name].l2 > 0 else fallback
+    # Per-row viscosities, shape (F, 1, 1, 1), before and after the switch.
+    nu_before, nu_after = (
+        np.array([system.viscosity(name, q) for name in names]).reshape(-1, 1, 1, 1)
+        for q in (p, p_after)
+    )
 
-    times = [0.0]
-    snaps: dict[str, list[SpectralField]] = {n: [state[n]] for n in names}
-    rows: dict[str, list[NormTriple]] = {n: [init_norms[n]] for n in names}
+    times = np.arange(0, cfg.n_steps + 1, cfg.sample_every) * dt
+    series = np.empty((len(names), len(times), 3))
+    views = _views(names, grid, state)
+    series[:, 0] = _norm_rows(views)
+    l2_0 = series[:, 0, 0]
+    ref_l2 = np.where(l2_0 > 0, l2_0, max(l2_0.max(), 1.0))
+    samples = [views]
     drift_max = 0.0
 
-    def params_at(step: int) -> PhysicsParams:
-        if switch_step is not None and step >= switch_step:
-            return p_after
-        return p
-
-    def check_cfl(step_end: int) -> None:
-        if system.linear_only or not advecting:
-            return
-        speed = max(state[n].max_speed() for n in advecting)
-        cfl = dt * grid.n * speed
-        if cfl > _CFL_LIMIT:
-            warnings.warn(
-                f"advective CFL estimate {cfl:.3g} exceeds {_CFL_LIMIT} "
-                f"at t = {step_end * dt:.6g}",
-                CFLWarning,
-            )
-
-    n_prev: dict[str, SpectralField] | None = None
+    n_prev = None
     for step in range(cfg.n_steps):
         t = step * dt
-        pp = params_at(step)
-        with shared_transforms():
-            n_curr = {name: system.explicit_rhs(name, state, pp, t) for name in names}
+        pp, nu = (p, nu_before) if step < switch_step else (p_after, nu_after)
+        n_curr = _tendencies(system, views, pp, t)
 
+        # Whole-stack updates, in place on one fresh buffer to bound peak
+        # memory.  Each keeps the per-field operation order up to swapped
+        # operands of + and *, which is exact, so results are bit-identical.
         if n_prev is None:
             # Heun bootstrap: one explicit second-order step.
-            f0 = {
-                name: n_curr[name].coeffs - system.viscosity(name, pp) * lam * state[name].coeffs
-                for name in names
-            }
-            mid = {
-                name: SpectralField(grid, state[name].coeffs + dt * f0[name])
-                for name in names
-            }
-            with shared_transforms():
-                n_mid = {name: system.explicit_rhs(name, mid, pp, t + dt) for name in names}
-            new_coeffs = {}
-            for name in names:
-                f1 = n_mid[name].coeffs - system.viscosity(name, pp) * lam * mid[name].coeffs
-                new_coeffs[name] = state[name].coeffs + 0.5 * dt * (f0[name] + f1)
+            f0 = n_curr - nu * lam * state
+            mid = state + dt * f0
+            new = _tendencies(system, _views(names, grid, mid), pp, t + dt)
+            new -= nu * lam * mid
+            new += f0
+            new *= 0.5 * dt
+            new += state
         else:
-            new_coeffs = {}
-            for name in names:
-                a = 0.5 * dt * system.viscosity(name, pp) * lam
-                new_coeffs[name] = (
-                    (1.0 - a) * state[name].coeffs
-                    + dt * (1.5 * n_curr[name].coeffs - 0.5 * n_prev[name].coeffs)
-                ) / (1.0 + a)
-
-        for name in names:
-            raw = SpectralField(grid, new_coeffs[name])
-            projected = leray_project(raw)
-            drift = float(np.abs(projected.coeffs - raw.coeffs).max())
-            drift_max = max(drift_max, drift)
-            state[name] = projected
+            a = 0.5 * dt * nu * lam
+            new = 1.5 * n_curr
+            new -= 0.5 * n_prev
+            new *= dt
+            new += (1.0 - a) * state
+            new /= 1.0 + a
         n_prev = n_curr
 
+        state = project_coeffs(new, grid)
+        for projected, raw in zip(state, new):
+            drift_max = max(drift_max, float(np.abs(projected - raw).max()))
+        views = _views(names, grid, state)
+
         t_next = (step + 1) * dt
-        step_norms = {name: norms(state[name]) for name in names}
-        for name in names:
-            l2 = step_norms[name].l2
-            if not np.isfinite(l2) or l2 > _BLOWUP_FACTOR * ref_l2[name]:
-                history = {
-                    "times": np.asarray(times),
-                    "l2": {n: np.asarray([r.l2 for r in rows[n]]) for n in names},
-                }
-                raise BlowupError(name, t_next, l2, history)
+        step_norms = _norm_rows(views)
+        l2 = step_norms[:, 0]
+        blown = ~np.isfinite(l2) | (l2 > _BLOWUP_FACTOR * ref_l2)
+        if blown.any():
+            i = int(np.argmax(blown))
+            done = len(samples)
+            history = {"times": times[:done], "l2": dict(zip(names, series[:, :done, 0]))}
+            raise BlowupError(names[i], t_next, float(l2[i]), history)
 
         if (step + 1) % cfg.sample_every == 0:
-            check_cfl(step + 1)
-            times.append(t_next)
-            for name in names:
-                snaps[name].append(state[name])
-                rows[name].append(step_norms[name])
+            cfl = dt * grid.n * max((views[n].max_speed() for n in advecting), default=0.0)
+            if cfl > _CFL_LIMIT:
+                warnings.warn(
+                    f"advective CFL estimate {cfl:.3g} exceeds {_CFL_LIMIT} at t = {t_next:.6g}",
+                    CFLWarning,
+                )
+            series[:, len(samples)] = step_norms
+            samples.append(views)
 
     return Trajectory(
         system=system,
         params=p,
         config=cfg,
-        times=np.asarray(times),
-        snapshots={n: tuple(v) for n, v in snaps.items()},
-        series={
-            n: np.asarray([[r.l2, r.h1, r.h2] for r in rows[n]]) for n in names
-        },
+        times=times,
+        snapshots={name: tuple(sample[name] for sample in samples) for name in names},
+        series=dict(zip(names, series)),
         nu2_switch=nu2_switch,
         max_projection_drift=drift_max,
     )
@@ -400,10 +409,8 @@ def step_convergence_order(
     reference = exact(cfg.t_end) if exact is not None else run(reference_refinement)
     dts = []
     errors = []
-    from .spectral import norm as _norm
-
     for r in refinements:
-        err = _norm(run(r) - reference, norm_kind)
+        err = norm(run(r) - reference, norm_kind)
         if err <= 0.0:
             raise ValueError(f"refinement {r} hit the rounding floor, cannot fit an order")
         dts.append(cfg.dt / r)

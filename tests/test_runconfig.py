@@ -65,6 +65,13 @@ class TestStrictKeys:
         with pytest.raises(ConfigError, match="unknown key 'cadence'"):
             load_config_data(_minimal(experiment={"cadence": 2}))
 
+    def test_unknown_solver_key(self):
+        # imex_cnab2 is the only scheme, so there is no scheme key to set.
+        data = _minimal()
+        data["solver"]["scheme"] = "imex_cnab2"
+        with pytest.raises(ConfigError, match="unknown key 'scheme'"):
+            load_config_data(data)
+
 
 class TestMirroredValidation:
     def test_odd_grid_rejected(self):

@@ -41,10 +41,6 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="does not divide"):
             SolverConfig(dt=0.1, t_end=1.0, sample_every=3)
 
-    def test_rejects_unknown_scheme(self):
-        with pytest.raises(ValueError, match="unknown scheme"):
-            SolverConfig(dt=0.1, t_end=1.0, scheme="rk4")
-
     def test_rejects_dt_beyond_horizon(self):
         with pytest.raises(ValueError, match="exceeds"):
             SolverConfig(dt=2.0, t_end=1.0)
@@ -294,6 +290,40 @@ class TestDeterminism:
             assert np.array_equal(shared.series[name], unshared.series[name])
             for a, b in zip(shared.snapshots[name], unshared.snapshots[name]):
                 assert np.array_equal(a.coeffs, b.coeffs)
+
+
+class TestSharedRows:
+    @pytest.mark.parametrize("n", [24, 32])
+    def test_rows_with_one_equation_agree_across_systems(self, n):
+        # A field whose equation and inputs two systems share advances bit for
+        # bit alike in both stacks, whatever its row index (n = 24 pads).
+        grid = GridSpec(n)
+        p = PhysicsParams(
+            nu1=0.01, nu2=0.007, mu=2.0, interp=SpectralProjection(modes=4),
+            forcing=random_field(grid, seed=90, kmin=2, kmax=6),
+        )
+        cfg = SolverConfig(dt=1e-3, t_end=6e-3, sample_every=2)
+        u0 = random_field(grid, seed=91, kmin=1, kmax=6)
+        v0 = random_field(grid, seed=92, kmin=1, kmax=6, l2_norm=0.5)
+        init = {"u": u0, "u1": u0, "u2": u0, "v": v0, "v1": v0, "v2": v0}
+        runs = {}
+        for kind in SystemKind:
+            system = SystemSpec(kind)
+            fields = {k: f for k, f in init.items() if k in system.fields}
+            runs[kind] = integrate(system, fields, p, cfg)
+        K = SystemKind
+        groups = (
+            ((K.NSE, "u"), (K.NSE_SENS, "u"), (K.DQ_DIRECT, "u1"), (K.DA_DQ_DIRECT, "u1")),
+            ((K.DA_SENS, "v"), (K.DA_DQ_DIRECT, "v1")),
+            ((K.NSE_SENS, "ut"), (K.DA_SENS, "ut")),
+        )
+        for (kind0, name0), *rest in groups:
+            want = runs[kind0]
+            for kind, name in rest:
+                got = runs[kind]
+                assert np.array_equal(got.series[name], want.series[name0])
+                for a, b in zip(got.snapshots[name], want.snapshots[name0], strict=True):
+                    assert np.array_equal(a.coeffs, b.coeffs)
 
 
 class TestViscositySwitch:
