@@ -10,6 +10,9 @@ the square of that factor.  The mean mode k = 0 is pinned to zero everywhere;
 the Poincare constant of the mean-zero space is lambda_1 = 4*pi**2.  Values
 are real, so transforms to and from the grid run on the half spectrum ky >= 0
 (`rfft2`/`irfft2`) and the negative-ky half follows by conjugate symmetry.
+A band-limited field is therefore fixed by its band half, the ky >= 0 modes
+inside the band (`band_half`, `band_full`); the advective kernel and the time
+stepper do their per-mode arithmetic there.
 
 Nonlinear products are evaluated pointwise on a grid where no alias reaches
 the band |k_i| <= n // 3 (zero-padded when n is divisible by 3) and truncated
@@ -85,6 +88,17 @@ class GridSpec:
         return _read_only(inv)
 
     @cached_property
+    def eigenvalues_sq(self) -> np.ndarray:
+        """Squared Stokes eigenvalues, the H2 weight, shape (n, n)."""
+        return _read_only(self.eigenvalues**2)
+
+    @cached_property
+    def band_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`k`, `inv_k_sq` and `eigenvalues` on the band half (see `band_half`)."""
+        tables = (self.k, self.inv_k_sq, self.eigenvalues)
+        return tuple(_read_only(band_half(t, self.cutoff)) for t in tables)
+
+    @cached_property
     def band_mask(self) -> np.ndarray:
         """Boolean mask of the dealiased band, shape (n, n)."""
         K = self.cutoff
@@ -98,15 +112,15 @@ class GridSpec:
 
     @cached_property
     def advective_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-mode factors (q, r) of `bilinear` on the ky >= 0 half spectrum.
+        """Per-mode factors (q, r) of `bilinear` on the band half.
 
         q = (kx ky, kx^2, -ky^2) weighs the products (Tyy - Txx, Tyx, Txy)
         into k_perp . w / (2 pi i); r = 2 pi i k_perp / |k|^2, zero at k = 0,
-        turns that into the projected result.  Shapes (3 or 2, n, n // 2 + 1).
+        turns that into the projected result.  Shapes (3 or 2, 2K + 1, K + 1).
         """
-        kx, ky = self.k[..., : self.n // 2 + 1]
+        (kx, ky), inv_k_sq, _ = self.band_tables
         q = np.stack([kx * ky, kx**2, -(ky**2)]).astype(np.float64)
-        r = 2j * np.pi * np.stack([-ky, kx]) * self.inv_k_sq[:, : self.n // 2 + 1]
+        r = 2j * np.pi * np.stack([-ky, kx]) * inv_k_sq
         return _read_only(q), _read_only(r)
 
     @cached_property
@@ -239,13 +253,18 @@ def leray_project(field: SpectralField) -> SpectralField:
     Diagonal per mode, idempotent and self-adjoint in L2.  The 2*pi factors of
     the true gradient cancel between numerator and denominator.
     """
-    return SpectralField(field.grid, project_coeffs(field.coeffs, field.grid))
+    g = field.grid
+    return SpectralField(g, project_coeffs(field.coeffs, g.k, g.inv_k_sq))
 
 
-def project_coeffs(c: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """`leray_project` of coefficient arrays shaped (..., 2, n, n), as a new read-only array."""
-    k = grid.k
-    parallel = (k[0] * c[..., 0, :, :] + k[1] * c[..., 1, :, :]) * grid.inv_k_sq
+def project_coeffs(c: np.ndarray, k: np.ndarray, inv_k_sq: np.ndarray) -> np.ndarray:
+    """`leray_project` of coefficients shaped (..., 2, rows, cols), as a new read-only array.
+
+    k (shape (2, rows, cols)) and inv_k_sq are the mode tables of the layout,
+    full (`GridSpec.k`, `GridSpec.inv_k_sq`) or band half (`GridSpec.band_tables`);
+    both put k = 0 at [0, 0].
+    """
+    parallel = (k[0] * c[..., 0, :, :] + k[1] * c[..., 1, :, :]) * inv_k_sq
     out = c - k * parallel[..., None, :, :]
     out[..., 0, 0] = 0.0
     return _read_only(out)
@@ -278,7 +297,26 @@ def _full_spectrum(half: np.ndarray) -> np.ndarray:
     return full
 
 
-def _band_half(c: np.ndarray, K: int, m: int) -> np.ndarray:
+def band_half(c: np.ndarray, K: int) -> np.ndarray:
+    """Band half of an FFT-ordered full or half spectrum, shape (..., 2K + 1, K + 1).
+
+    Rows are kx = 0..K, -K..-1 and columns ky = 0..K: all a band-limited real
+    field holds, the rest being zero or, for ky < 0, fixed by conjugate
+    symmetry (see `band_full`).
+    """
+    return np.concatenate([c[..., : K + 1, : K + 1], c[..., -K:, : K + 1]], axis=-2)
+
+
+def band_full(b: np.ndarray, n: int) -> np.ndarray:
+    """FFT-ordered (..., n, n) spectrum of a band half, zero outside the band.
+
+    A band half is FFT-ordered along its rows, so it is placed like any other
+    array and the columns ky < 0 follow from c(-k) = conj(c(k)).
+    """
+    return _full_spectrum(_padded_half(b, b.shape[-1] - 1, n))
+
+
+def _padded_half(c: np.ndarray, K: int, m: int) -> np.ndarray:
     """Half spectrum on an m-grid holding the K-band (ky >= 0) of an FFT-ordered array."""
     half = np.zeros(c.shape[:-2] + (m, m // 2 + 1), dtype=np.complex128)
     half[..., : K + 1, : K + 1] = c[..., : K + 1, : K + 1]
@@ -304,7 +342,7 @@ def _product_values(field: SpectralField, memo: dict) -> np.ndarray:
     """Band-limited values of a field on its product grid, shape (2, m, m), memoized."""
     if id(field) not in memo:  # the stored field keeps its id from being reused
         m = field.grid.product_n
-        memo[id(field)] = field, _to_grid(_band_half(field.coeffs, field.grid.cutoff, m), m)
+        memo[id(field)] = field, _to_grid(_padded_half(field.coeffs, field.grid.cutoff, m), m)
     return memo[id(field)][1]
 
 
@@ -327,6 +365,8 @@ def bilinear(u: SpectralField, v: SpectralField) -> SpectralField:
 
     Transforms per call: one real inverse (two planes) per operand not yet
     transformed inside `shared_transforms`, one real forward of the products.
+    The per-mode factors apply on the products' band half, which is expanded
+    to the full result once.
 
     Returns:
         Band-limited, divergence-free, mean-free field on the common grid.
@@ -339,10 +379,10 @@ def bilinear(u: SpectralField, v: SpectralField) -> SpectralField:
         prods = np.stack([uu[1] * uu[1] - uu[0] * uu[0], uu[0] * uu[1]])
     else:
         prods = np.stack([vv[1] * uu[1] - vv[0] * uu[0], vv[1] * uu[0], vv[0] * uu[1]])
-    t = _band_half(_to_spectrum(prods), g.cutoff, g.n)
+    t = band_half(_to_spectrum(prods), g.cutoff)
     q, r = g.advective_factors
     # With two planes t[-1] is Tyx, equal to Txy when v is u.
-    w = _full_spectrum(r * (q[0] * t[0] + q[1] * t[1] + q[2] * t[-1]))
+    w = band_full(r * (q[0] * t[0] + q[1] * t[1] + q[2] * t[-1]), g.n)
     return SpectralField(g, _read_only(w))
 
 
@@ -360,24 +400,24 @@ def norm(field: SpectralField, kind: str = "l2") -> float:
     return float(np.sqrt(np.sum(w * power.sum(axis=0))))
 
 
-def _norm_weights(grid: GridSpec, kind: str) -> np.ndarray:
+def _norm_weights(grid: GridSpec, kind: str) -> float | np.ndarray:
     if kind == "l2":
-        return np.ones_like(grid.eigenvalues)
+        return 1.0
     if kind == "h1":
         return grid.eigenvalues
     if kind == "h2":
-        return grid.eigenvalues**2
+        return grid.eigenvalues_sq
     raise ValueError(f"unknown norm kind {kind!r}, expected one of {NORM_KINDS}")
 
 
 def norms(field: SpectralField) -> NormTriple:
     """All three norms in one pass over the coefficients."""
     power = (np.abs(field.coeffs) ** 2).sum(axis=0)
-    lam = field.grid.eigenvalues
+    g = field.grid
     return NormTriple(
         l2=float(np.sqrt(power.sum())),
-        h1=float(np.sqrt((lam * power).sum())),
-        h2=float(np.sqrt((lam**2 * power).sum())),
+        h1=float(np.sqrt((g.eigenvalues * power).sum())),
+        h2=float(np.sqrt((g.eigenvalues_sq * power).sum())),
     )
 
 

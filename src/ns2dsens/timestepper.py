@@ -9,12 +9,18 @@ denominators; a switch to the same value reproduces the unswitched run bit
 for bit.
 
 All coupled fields advance together from one time level as one read-only
-stack of shape (F, 2, n, n) in `system.fields` order: each step is one
-whole-stack update with per-row viscosities, then one divergence-free
-re-projection that suppresses rounding drift.  `SpectralField`s are only
-read-only views of the rows, made once per state and shared by the
-right-hand-side round (inside `shared_transforms`, so each field goes to the
-product grid once per round), the norms, the CFL check and the `Trajectory`.
+band-half stack of shape (F, 2, 2K + 1, K + 1) in `system.fields` order
+(see `spectral.band_half`): state, tendencies, forcing, Stokes and nudging
+terms all vanish outside the dealiased band, and the ky < 0 modes are
+conjugates, so nothing else is kept.  Each step is one whole-stack update
+with per-row viscosities, then one divergence-free re-projection that
+suppresses rounding drift, both on the band half.  Each new state is
+expanded once into a read-only (F, 2, n, n) stack; `SpectralField`s are only
+read-only views of its rows, shared by the right-hand-side round (inside
+`shared_transforms`, so each field goes to the product grid once per round),
+the norms, the CFL check and the `Trajectory`.  Every per-mode operation is
+the one the full stack would do on the same mode, so the values are those of
+a full-stack step.
 
 Guards: the nudging stability condition dt * mu <= 1 and the admissibility
 condition mu * c0 * h**2 <= nu are checked before marching (the latter can be
@@ -38,6 +44,8 @@ from .interpolants import admissibility
 from .spectral import (
     GridSpec,
     SpectralField,
+    band_full,
+    band_half,
     leray_project,
     norm,
     norms,
@@ -116,7 +124,8 @@ class Trajectory:
 
     times starts at 0 and ends at t_end.  series maps each field name to an
     (n_samples, 3) array with columns (L2, H1, H2); snapshots holds the full
-    sampled fields, read-only views of one stacked state per sample.
+    sampled fields, read-only row views of one expanded (F, 2, n, n) stack
+    per sample.
     max_projection_drift is the largest per-step change the divergence-free
     re-projection made, a rounding-level health figure.
     """
@@ -169,28 +178,30 @@ class Trajectory:
 def _prepare_state(
     system: SystemSpec, init: Mapping[str, SpectralField], grid: GridSpec
 ) -> np.ndarray:
-    """Stacked (F, 2, n, n) initial state in `system.fields` order, read-only."""
+    """Band-half initial state (F, 2, 2K + 1, K + 1) in `system.fields` order, read-only."""
     unknown = set(init) - set(system.fields)
     if unknown:
         raise ValueError(
             f"initial data for unknown fields {sorted(unknown)}; "
             f"system {system.kind.value} evolves {list(system.fields)}"
         )
-    state = np.zeros((len(system.fields), 2, grid.n, grid.n), dtype=np.complex128)
+    K = grid.cutoff
+    state = np.zeros((len(system.fields), 2, 2 * K + 1, K + 1), dtype=np.complex128)
     for row, name in zip(state, system.fields):
         if name in init:
             f = init[name]
             if f.grid.n != grid.n:
                 raise ValueError(f"field {name!r} is on grid {f.grid.n}, expected {grid.n}")
-            row[...] = leray_project(f.band_limited()).coeffs
+            row[...] = band_half(leray_project(f.band_limited()).coeffs, K)
         elif name not in system.zero_default_fields:
             raise ValueError(f"missing initial data for field {name!r}")
     state.setflags(write=False)
     return state
 
 
-def _views(names: tuple[str, ...], grid: GridSpec, stack: np.ndarray) -> dict[str, SpectralField]:
-    """Read-only fields viewing the rows of a stacked state; freezes the stack."""
+def _views(names: tuple[str, ...], grid: GridSpec, state: np.ndarray) -> dict[str, SpectralField]:
+    """Read-only fields viewing the rows of a band-half state expanded once to (F, 2, n, n)."""
+    stack = band_full(state, grid.n)
     stack.setflags(write=False)
     return {name: SpectralField(grid, row) for name, row in zip(names, stack)}
 
@@ -203,13 +214,11 @@ def _norm_rows(views: dict[str, SpectralField]) -> np.ndarray:
 def _tendencies(
     system: SystemSpec, views: dict[str, SpectralField], p: PhysicsParams, t: float
 ) -> np.ndarray:
-    """Explicit right-hand sides of every field as one stack, in one shared round."""
-    shape = (len(views),) + next(iter(views.values())).coeffs.shape
-    out = np.empty(shape, dtype=np.complex128)
+    """Band halves of every field's explicit right-hand side as one stack, in one shared round."""
+    K = next(iter(views.values())).grid.cutoff
     with shared_transforms():
-        for row, name in zip(out, views):
-            row[...] = system.explicit_rhs(name, views, p, t).coeffs
-    return out
+        rows = [band_half(system.explicit_rhs(name, views, p, t).coeffs, K) for name in views]
+    return np.stack(rows)
 
 
 def _check_gates(
@@ -283,15 +292,17 @@ def integrate(
     )
 
     dt = cfg.dt
-    lam = grid.eigenvalues
+    k, inv_k_sq, lam = grid.band_tables
     names = system.fields
     advecting = () if system.linear_only else system.advecting_fields
 
-    # Per-row viscosities, shape (F, 1, 1, 1), before and after the switch.
-    nu_before, nu_after = (
-        np.array([system.viscosity(name, q) for name in names]).reshape(-1, 1, 1, 1)
-        for q in (p, p_after)
-    )
+    def phase(q: PhysicsParams) -> tuple:
+        """Params and per-row factors (nu lam, 1 - a, 1 + a), a = dt nu lam / 2."""
+        nu = np.array([system.viscosity(name, q) for name in names]).reshape(-1, 1, 1, 1)
+        a = 0.5 * dt * nu * lam
+        return q, nu * lam, 1.0 - a, 1.0 + a
+
+    before, after = phase(p), phase(p_after)
 
     times = np.arange(0, cfg.n_steps + 1, cfg.sample_every) * dt
     series = np.empty((len(names), len(times), 3))
@@ -305,7 +316,7 @@ def integrate(
     n_prev = None
     for step in range(cfg.n_steps):
         t = step * dt
-        pp, nu = (p, nu_before) if step < switch_step else (p_after, nu_after)
+        pp, nu_lam, damp, denom = before if step < switch_step else after
         n_curr = _tendencies(system, views, pp, t)
 
         # Whole-stack updates, in place on one fresh buffer to bound peak
@@ -313,25 +324,23 @@ def integrate(
         # operands of + and *, which is exact, so results are bit-identical.
         if n_prev is None:
             # Heun bootstrap: one explicit second-order step.
-            f0 = n_curr - nu * lam * state
+            f0 = n_curr - nu_lam * state
             mid = state + dt * f0
             new = _tendencies(system, _views(names, grid, mid), pp, t + dt)
-            new -= nu * lam * mid
+            new -= nu_lam * mid
             new += f0
             new *= 0.5 * dt
             new += state
         else:
-            a = 0.5 * dt * nu * lam
             new = 1.5 * n_curr
             new -= 0.5 * n_prev
             new *= dt
-            new += (1.0 - a) * state
-            new /= 1.0 + a
+            new += damp * state
+            new /= denom
         n_prev = n_curr
 
-        state = project_coeffs(new, grid)
-        for projected, raw in zip(state, new):
-            drift_max = max(drift_max, float(np.abs(projected - raw).max()))
+        state = project_coeffs(new, k, inv_k_sq)
+        drift_max = max(drift_max, float(np.abs(state - new).max()))
         views = _views(names, grid, state)
 
         t_next = (step + 1) * dt

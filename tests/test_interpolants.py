@@ -136,6 +136,15 @@ class TestAdmissibility:
         nu = 1.0 * c0 * h2
         assert admissibility(nu=nu, mu=1.0, spec=spec, c0=c0) is True
 
+    def test_boundary_inclusive_at_representable_gain(self):
+        # mu c0 h^2 = 16 * 0.25 * 0.25**2 = 0.25 exactly, 1.0 with the strict factor 4.
+        spec = BoxAverage(boxes=4)
+        kw = dict(mu=16.0, spec=spec, c0=0.25)
+        assert admissibility(nu=0.25, **kw) is True
+        assert admissibility(nu=float(np.nextafter(0.25, 0.0)), **kw) is False
+        assert admissibility(nu=1.0, strict=True, **kw) is True
+        assert admissibility(nu=float(np.nextafter(1.0, 0.0)), strict=True, **kw) is False
+
     def test_invalid_parameters(self):
         spec = BoxAverage(boxes=8)
         with pytest.raises(ValueError, match="viscosity"):

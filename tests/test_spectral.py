@@ -7,6 +7,8 @@ from ns2dsens.spectral import (
     LAMBDA_1,
     GridSpec,
     SpectralField,
+    band_full,
+    band_half,
     bilinear,
     inner,
     leray_project,
@@ -134,6 +136,19 @@ class TestGridSpec:
         g = GridSpec(8)
         assert g.eigenvalues[1, 0] == pytest.approx(LAMBDA_1)
         assert g.eigenvalues[1, 1] == pytest.approx(2 * LAMBDA_1)
+
+
+class TestBandHalf:
+    @pytest.mark.parametrize("n", [8, 12, 30, 48, 64, 256])
+    def test_round_trip(self, n):
+        # Band-limited and conjugate-symmetric, with every band mode populated.
+        g = GridSpec(n)
+        K = g.cutoff
+        c = random_field(g, seed=n, solenoidal=False).coeffs
+        b = band_half(c, K)
+        assert b.shape == (2, 2 * K + 1, K + 1)
+        assert np.array_equal(band_half(c[..., : n // 2 + 1], K), b)
+        assert np.array_equal(band_full(b, n), c)
 
 
 class TestSpectralField:

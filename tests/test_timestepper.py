@@ -7,8 +7,16 @@ import pytest
 
 from ns2dsens import timestepper
 from ns2dsens.dynamics import PhysicsParams, SystemKind, SystemSpec, dq_field, with_viscosity2
-from ns2dsens.interpolants import SpectralProjection
-from ns2dsens.spectral import GridSpec, SpectralField, inner, norm, random_field, taylor_green
+from ns2dsens.interpolants import BoxAverage, SpectralProjection
+from ns2dsens.spectral import (
+    GridSpec,
+    SpectralField,
+    inner,
+    leray_project,
+    norm,
+    random_field,
+    taylor_green,
+)
 from ns2dsens.timestepper import (
     AdmissibilityError,
     AdmissibilityWarning,
@@ -26,6 +34,43 @@ TG_RATE = 8 * np.pi**2
 
 def tg_flow(grid, nu, t):
     return np.exp(-TG_RATE * nu * t) * taylor_green(grid)
+
+
+def full_stack_reference(system, init, p, dt, n_steps, switch=None):
+    """States after each step of a Heun start and CNAB2 steps on the full (F, 2, n, n) stack.
+
+    The scheme as `integrate` defines it, written out mode by mode on whole
+    spectra: tendencies from `SystemSpec.explicit_rhs`, and a per-field
+    `leray_project` after every step.  switch = (step, params) changes the
+    parameters from that step on.
+    """
+    grid = next(iter(init.values())).grid
+    names = system.fields
+    lam = grid.eigenvalues
+    zero = SpectralField.zero(grid)
+
+    def rhs(stack, q, t):
+        views = {name: SpectralField(grid, row) for name, row in zip(names, stack)}
+        return np.stack([system.explicit_rhs(name, views, q, t).coeffs for name in names])
+
+    state = np.stack([leray_project(init.get(name, zero).band_limited()).coeffs for name in names])
+    states = [state]
+    n_prev = None
+    for step in range(n_steps):
+        q = p if switch is None or step < switch[0] else switch[1]
+        nu = np.array([system.viscosity(name, q) for name in names]).reshape(-1, 1, 1, 1)
+        n_curr = rhs(state, q, step * dt)
+        if n_prev is None:
+            f0 = n_curr - nu * lam * state
+            mid = state + dt * f0
+            new = (rhs(mid, q, (step + 1) * dt) - nu * lam * mid + f0) * (0.5 * dt) + state
+        else:
+            a = 0.5 * dt * nu * lam
+            new = ((1.5 * n_curr - 0.5 * n_prev) * dt + (1.0 - a) * state) / (1.0 + a)
+        n_prev = n_curr
+        state = np.stack([leray_project(SpectralField(grid, row)).coeffs for row in new])
+        states.append(state)
+    return states
 
 
 def tg_sensitivity(grid, nu, t):
@@ -181,6 +226,21 @@ class TestGuards:
         with pytest.raises(ValueError, match="dt \\* mu"):
             integrate(SystemSpec(SystemKind.DA), init, p, cfg)
 
+    def test_nudging_stability_gate_boundary(self):
+        # dt = 1/8 and mu = 8 give dt * mu = 1 exactly, which is allowed; the
+        # gate tolerates 1e-12 and fires at the next float beyond it.
+        interp = SpectralProjection(modes=8)
+        cfg = SolverConfig(dt=0.125, t_end=0.25)
+        init = {"u": 0.01 * taylor_green(GRID), "v": SpectralField.zero(GRID)}
+        traj = integrate(
+            SystemSpec(SystemKind.DA), init, PhysicsParams(0.01, 0.01, mu=8.0, interp=interp), cfg
+        )
+        assert traj.n_samples == 3
+        mu = np.nextafter(8.0 * (1.0 + 1e-12), np.inf)
+        p = PhysicsParams(nu1=0.01, nu2=0.01, mu=mu, interp=interp)
+        with pytest.raises(ValueError, match="dt \\* mu"):
+            integrate(SystemSpec(SystemKind.DA), init, p, cfg)
+
     def test_admissibility_gate_raises(self):
         # mu c0 h^2 = 50 / (4 pi^2 81) ~ 1.56e-2 > nu = 0.01.
         p = PhysicsParams(nu1=0.01, nu2=0.01, mu=50.0, interp=SpectralProjection(modes=8))
@@ -290,6 +350,37 @@ class TestDeterminism:
             assert np.array_equal(shared.series[name], unshared.series[name])
             for a, b in zip(shared.snapshots[name], unshared.snapshots[name]):
                 assert np.array_equal(a.coeffs, b.coeffs)
+
+
+class TestFullStackReference:
+    @pytest.mark.parametrize("n", [24, 32])
+    @pytest.mark.parametrize("kind", [SystemKind.NSE_SENS, SystemKind.DA])
+    @pytest.mark.parametrize("nu_new", [None, 0.012])
+    def test_band_half_steps_match_full_stack(self, n, kind, nu_new):
+        # n = 24 takes the padded product path; mu c0 h^2 = 1 / (16 pi^2) < nu.
+        grid = GridSpec(n)
+        p = PhysicsParams(
+            nu1=0.01, nu2=0.008, mu=1.0, interp=BoxAverage(4),
+            forcing=random_field(grid, seed=95, kmin=2, kmax=6),
+        )
+        init = {
+            "u": random_field(grid, seed=96, kmin=1, kmax=6),
+            "v": random_field(grid, seed=97, kmin=1, kmax=6, l2_norm=0.5),
+        }
+        system = SystemSpec(kind)
+        init = {k: f for k, f in init.items() if k in system.fields}
+        dt, n_steps = 1e-3, 4
+        switch = None if nu_new is None else (2, with_viscosity2(p, nu_new))
+        want = full_stack_reference(system, init, p, dt, n_steps, switch)
+        traj = integrate(
+            system, init, p, SolverConfig(dt=dt, t_end=n_steps * dt),
+            nu2_switch=None if nu_new is None else (2 * dt, nu_new),
+        )
+        for row, name in enumerate(system.fields):
+            got = traj.snapshots[name]
+            assert len(got) == n_steps + 1
+            for field, stack in zip(got, want):
+                assert np.array_equal(field.coeffs, stack[row])
 
 
 class TestSharedRows:
