@@ -21,8 +21,11 @@ right-hand side stays divergence-free, mean-free and band-limited.
 One table, `_SYSTEMS`, is the single source of this wiring: per system, one
 row per field giving its role (flow, assimilated or derivative), its
 viscosity slot, a derivative's advective products and Stokes source, and a
-nudged field's target.  `SystemSpec` derives everything else from the rows
-and assembles every right-hand side with one generic loop.
+nudged field's target.  `SystemSpec` derives everything else from the rows.
+`SystemSpec.explicit_rhs` assembles every field's right-hand side in one
+round on the band halves of the whole stack (`spectral.BandStack`): one
+`bilinear` call forms all advective products of the table, and one generic
+loop adds the forcing, the Stokes sources and the nudging row by row.
 """
 
 from __future__ import annotations
@@ -32,8 +35,20 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Callable, Mapping, Union
 
+import numpy as np
+
 from .interpolants import InterpolantSpec, interpolate
-from .spectral import GridSpec, SpectralField, bilinear, leray_project, stokes_apply
+from .spectral import (
+    BandStack,
+    GridSpec,
+    SpectralField,
+    band_full,
+    band_half,
+    bilinear,
+    leray_project,
+    project_coeffs,
+    stokes_apply,
+)
 
 ForcingLike = Union[None, SpectralField, Callable[[float], SpectralField]]
 
@@ -97,17 +112,6 @@ def forcing_at(p: PhysicsParams, grid: GridSpec, t: float) -> SpectralField:
     if field.grid.n != grid.n:
         raise ValueError(f"forcing grid {field.grid.n} does not match state grid {grid.n}")
     return field
-
-
-def _nudge(p: PhysicsParams, target: SpectralField, current: SpectralField) -> SpectralField:
-    """mu * P_sigma(I_h(target - current)), truncated to the dealiased band.
-
-    The difference is interpolated once; with a linear interpolant this equals
-    I_h(target) - I_h(current) and vanishes exactly when the fields coincide.
-    """
-    assert p.interp is not None
-    diff = interpolate(target - current, p.interp)
-    return p.mu * leray_project(diff.band_limited())
 
 
 def dq_field(a: SpectralField, b: SpectralField, nu_a: float, nu_b: float) -> SpectralField:
@@ -236,39 +240,51 @@ class SystemSpec:
     def viscosity(self, name: str, p: PhysicsParams) -> float:
         return getattr(p, self._row(name).nu)
 
-    def explicit_rhs(
-        self, name: str, state: Mapping[str, SpectralField], p: PhysicsParams, t: float
-    ) -> SpectralField:
-        """Everything in the field's right-hand side except its own -nu A term.
+    def explicit_rhs(self, state: BandStack, p: PhysicsParams, t: float) -> np.ndarray:
+        """Every field's right-hand side except its own -nu A term, as band halves in row order.
 
-        Starts from the forcing, or for a derivative row from its negated
-        first product; subtracts the remaining advective products in row
-        order and the Stokes source; adds nudging toward the target when
-        mu > 0.
+        state holds the band halves of `fields`, in order.  One `bilinear`
+        call forms every advective product of the table (none when
+        linear_only).  Each row starts from the forcing, or for a derivative
+        row from its negated first product; subtracts the remaining advective
+        products in row order and the Stokes source; adds nudging toward the
+        target when mu > 0, interpolating the difference once.
         """
-        row = self._row(name)
-        lin = self.linear_only
-        if row.role == "derivative":
-            (a, b), *rest = row.products
-            out = -_advect(state[a], state[b], lin)
+        g, c = state.grid, state.coeffs
+        at = {name: i for i, name in enumerate(self.fields)}
+        pairs_of = {name: row.products or ((name, name),) for name, row in self.rows.items()}
+        pairs = [(at[a], at[b]) for row_pairs in pairs_of.values() for a, b in row_pairs]
+        if self.linear_only:
+            products = np.zeros((len(pairs),) + c.shape[1:], dtype=np.complex128)
         else:
-            out = forcing_at(p, state[name].grid, t)
-            rest = [(name, name)]
-        for a, b in rest:
-            out = out - _advect(state[a], state[b], lin)
-        if row.source is not None:
-            out = out - stokes_apply(state[row.source])
-        if row.nudge_to is not None and p.mu > 0:
-            out = out + _nudge(p, state[row.nudge_to], state[name])
-        return out
+            products = bilinear(state, pairs).coeffs
+        k, inv_k_sq, lam = g.band_tables
+        f = band_half(forcing_at(p, g, t).coeffs, g.cutoff)
+        terms = iter(products)
+        out = []
+        for i, (name, row) in enumerate(self.rows.items()):
+            acc = None if row.role == "derivative" else f
+            for term in (next(terms) for _ in pairs_of[name]):
+                acc = -term if acc is None else acc - term
+            if row.source is not None:
+                acc = acc - c[at[row.source]] * lam
+            if row.nudge_to is not None and p.mu > 0:
+                diff = SpectralField(g, band_full(c[at[row.nudge_to]] - c[i], g.n))
+                seen = band_half(interpolate(diff, p.interp).coeffs, g.cutoff)
+                acc = acc + p.mu * project_coeffs(seen, k, inv_k_sq)
+            out.append(acc)
+        return np.stack(out)
 
     def rhs(
         self, name: str, state: Mapping[str, SpectralField], p: PhysicsParams, t: float = 0.0
     ) -> SpectralField:
-        """Full tendency of one field: explicit_rhs minus its own nu A term."""
+        """Full tendency of one field: its row of explicit_rhs minus its own nu A term.
+
+        Fields of the system missing from state count as zero.
+        """
         nu = self.viscosity(name, p)
-        return self.explicit_rhs(name, state, p, t) - nu * stokes_apply(state[name])
-
-
-def _advect(a: SpectralField, b: SpectralField, linear_only: bool) -> SpectralField:
-    return SpectralField.zero(a.grid) if linear_only else bilinear(a, b)
+        field = state[name]
+        zero = SpectralField.zero(field.grid)
+        stack = BandStack.of([state.get(n, zero) for n in self.fields])
+        rows = BandStack(field.grid, self.explicit_rhs(stack, p, t)).fields()
+        return rows[self.fields.index(name)] - nu * stokes_apply(field)

@@ -11,24 +11,27 @@ the Poincare constant of the mean-zero space is lambda_1 = 4*pi**2.  Values
 are real, so transforms to and from the grid run on the half spectrum ky >= 0
 (`rfft2`/`irfft2`) and the negative-ky half follows by conjugate symmetry.
 A band-limited field is therefore fixed by its band half, the ky >= 0 modes
-inside the band (`band_half`, `band_full`); the advective kernel and the time
-stepper do their per-mode arithmetic there.
+inside the band (`band_half`, `band_full`, `BandStack`); the advective
+kernel, the norms and the time stepper do their per-mode arithmetic there.
 
 Nonlinear products are evaluated pointwise on a grid where no alias reaches
 the band |k_i| <= n // 3 (zero-padded when n is divisible by 3) and truncated
 to that band, which makes the pseudo-spectral advective product identical to
 the spectral Galerkin truncation of u . grad v.  The advective kernel works in
 divergence form: for solenoidal u, u . grad v = div(v u^T), and a projected
-planar field is fixed by its component along k_perp, so one product costs two
-real inverse transforms per operand field and one real forward transform.
+planar field is fixed by its component along k_perp, so a product comes back
+in three planes (two for a self-product).  `bilinear` forms any number of
+products of a `BandStack`'s rows with one inverse transform of all rows and
+one forward transform of all product planes.  Each transform skips the
+columns it knows to be zero: only the K + 1 band columns ky = 0..K take the
+kx pass.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -88,11 +91,6 @@ class GridSpec:
         return _read_only(inv)
 
     @cached_property
-    def eigenvalues_sq(self) -> np.ndarray:
-        """Squared Stokes eigenvalues, the H2 weight, shape (n, n)."""
-        return _read_only(self.eigenvalues**2)
-
-    @cached_property
     def band_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """`k`, `inv_k_sq` and `eigenvalues` on the band half (see `band_half`)."""
         tables = (self.k, self.inv_k_sq, self.eigenvalues)
@@ -129,15 +127,6 @@ class GridSpec:
         x = np.arange(self.n) / self.n
         gx, gy = np.meshgrid(x, x, indexing="ij")
         return _read_only(np.stack([gx, gy]))
-
-
-@dataclass(frozen=True)
-class NormTriple:
-    """L2, H1 and H2 norms of one field at one instant."""
-
-    l2: float
-    h1: float
-    h2: float
 
 
 @dataclass(frozen=True)
@@ -179,13 +168,14 @@ class SpectralField:
             raise ValueError(
                 f"expected values of shape (2, {grid.n}, {grid.n}), got {values.shape}"
             )
-        c = _full_spectrum(_to_spectrum(values))
+        c = _full_spectrum(np.fft.rfft2(values, norm="forward"))
         c[:, 0, 0] = 0.0
         return cls(grid, _read_only(c))
 
     def physical(self) -> np.ndarray:
         """Real grid values, shape (2, n, n)."""
-        return _to_grid(self.coeffs[..., : self.grid.n // 2 + 1], self.grid.n)
+        n = self.grid.n
+        return np.fft.irfft2(self.coeffs[..., : n // 2 + 1], s=(n, n), norm="forward")
 
     def band_limited(self) -> "SpectralField":
         """Truncate to the dealiased band max(|kx|, |ky|) <= n // 3."""
@@ -275,16 +265,6 @@ def stokes_apply(field: SpectralField) -> SpectralField:
     return SpectralField(field.grid, _read_only(field.coeffs * field.grid.eigenvalues))
 
 
-def _to_grid(half: np.ndarray, m: int) -> np.ndarray:
-    """Real values on the m-grid from a half spectrum of shape (..., m, m // 2 + 1)."""
-    return np.fft.irfft2(half, s=(m, m), norm="forward")
-
-
-def _to_spectrum(values: np.ndarray) -> np.ndarray:
-    """Half spectrum, shape (..., m, m // 2 + 1), of real values on an m-grid."""
-    return np.fft.rfft2(values, norm="forward")
-
-
 def _full_spectrum(half: np.ndarray) -> np.ndarray:
     """Complete a half spectrum (..., n, n // 2 + 1) to (..., n, n) by c(-k) = conj(c(k))."""
     n = half.shape[-2]
@@ -324,30 +304,63 @@ def _padded_half(c: np.ndarray, K: int, m: int) -> np.ndarray:
     return half
 
 
-# Operand grid values by field identity, set only inside shared_transforms().
-_SHARED: ContextVar[dict] = ContextVar("shared_transforms")
+def band_to_grid(b: np.ndarray, m: int) -> np.ndarray:
+    """Real values on the m-grid of band halves (..., 2K + 1, K + 1), m > 2K.
+
+    `irfft2` of the zero-padded half spectrum, with the kx pass run in place
+    over the K + 1 band columns only: the others are zero before and after.
+    """
+    K = b.shape[-1] - 1
+    half = _padded_half(b, K, m)
+    band = half[..., : K + 1]
+    np.fft.ifftn(band, axes=(-2,), norm="forward", out=band)
+    return np.fft.irfftn(half, s=(m,), axes=(-1,), norm="forward")
 
 
-@contextmanager
-def shared_transforms():
-    """Inside the block `bilinear` transforms each operand field once; nothing outlives it."""
-    token = _SHARED.set({})
-    try:
-        yield
-    finally:
-        _SHARED.reset(token)
+def grid_to_band(values: np.ndarray, K: int) -> np.ndarray:
+    """Band halves (..., 2K + 1, K + 1) of real values on an m-grid.
+
+    The band half of `rfft2`, with the kx pass run in place over the K + 1
+    band columns only.
+    """
+    half = np.fft.rfftn(values, axes=(-1,), norm="forward")
+    band = half[..., : K + 1]
+    np.fft.fftn(band, axes=(-2,), norm="forward", out=band)
+    return band_half(band, K)
 
 
-def _product_values(field: SpectralField, memo: dict) -> np.ndarray:
-    """Band-limited values of a field on its product grid, shape (2, m, m), memoized."""
-    if id(field) not in memo:  # the stored field keeps its id from being reused
-        m = field.grid.product_n
-        memo[id(field)] = field, _to_grid(_padded_half(field.coeffs, field.grid.cutoff, m), m)
-    return memo[id(field)][1]
+@dataclass(frozen=True)
+class BandStack:
+    """Band halves of band-limited fields on one grid, shape (..., 2, 2K + 1, K + 1).
+
+    The `band_half` layout of the stepper's state and tendencies and of
+    stacked `bilinear` products.
+    """
+
+    grid: GridSpec
+    coeffs: np.ndarray
+
+    @classmethod
+    def of(cls, fields: Sequence[SpectralField]) -> "BandStack":
+        """Band halves of the given fields, stacked in order; outside the band is dropped."""
+        grid = fields[0].grid
+        for f in fields[1:]:
+            fields[0]._check_grid(f)
+        return cls(grid, _read_only(band_half(np.stack([f.coeffs for f in fields]), grid.cutoff)))
+
+    def fields(self) -> tuple[SpectralField, ...]:
+        """Read-only fields viewing the rows of the stack, expanded once to (F, 2, n, n)."""
+        full = _read_only(band_full(self.coeffs, self.grid.n))
+        return tuple(SpectralField(self.grid, row) for row in full)
 
 
-def bilinear(u: SpectralField, v: SpectralField) -> SpectralField:
+def bilinear(u, v):
     """Galerkin-truncated advective term B(u, v) = P_sigma(u . grad v), in divergence form.
+
+    Two forms of one kernel: on SpectralFields, bilinear(u, v) returns the
+    field B(u, v); on a BandStack, bilinear(stack, pairs) returns the
+    BandStack of B(stack[a], stack[b]) for each row pair (a, b) in pairs, in
+    order.
 
     Precondition: u is divergence-free.  The kernel evaluates
     P_sigma(div(v u^T)), which is P_sigma(u . grad v) + P_sigma(v div u).
@@ -361,29 +374,48 @@ def bilinear(u: SpectralField, v: SpectralField) -> SpectralField:
     A divergence-free planar field w is k_perp (k_perp . w) / |k|^2 with
     k_perp = (-ky, kx).  For w = div(T), T = v u^T,
     k_perp . w = 2 pi i [kx ky (Tyy - Txx) + kx^2 Tyx - ky^2 Txy], so only
-    these three products are formed; two when v is u, since then Tyx = Txy.
+    these three products are formed; two when a = b, since then Tyx = Txy.
 
-    Transforms per call: one real inverse (two planes) per operand not yet
-    transformed inside `shared_transforms`, one real forward of the products.
-    The per-mode factors apply on the products' band half, which is expanded
-    to the full result once.
+    Transforms per call: one inverse (`band_to_grid`) of every row of the
+    stack, two planes each, and one forward (`grid_to_band`) of all products,
+    written in pair order into one buffer.  The per-mode factors apply on
+    the band half.
 
     Returns:
-        Band-limited, divergence-free, mean-free field on the common grid.
+        Band-limited, divergence-free, mean-free results on the common grid.
     """
+    if isinstance(u, BandStack):
+        return _advect(u, v)
     u._check_grid(v)
-    g = u.grid
-    memo = _SHARED.get({})
-    uu, vv = _product_values(u, memo), _product_values(v, memo)
-    if v is u:
-        prods = np.stack([uu[1] * uu[1] - uu[0] * uu[0], uu[0] * uu[1]])
-    else:
-        prods = np.stack([vv[1] * uu[1] - vv[0] * uu[0], vv[1] * uu[0], vv[0] * uu[1]])
-    t = band_half(_to_spectrum(prods), g.cutoff)
+    rows = (u,) if v is u else (u, v)
+    return _advect(BandStack.of(rows), [(0, len(rows) - 1)]).fields()[0]
+
+
+def _advect(stack: BandStack, pairs: Sequence[tuple[int, int]]) -> BandStack:
+    g = stack.grid
+    m = g.product_n
+    vals = band_to_grid(stack.coeffs, m)
+    # Per pair (a, b), with u = vals[a] and v = vals[b], the planes Tyy - Txx,
+    # Tyx and Txy of T = v u^T, in pair order; a self-product's Txy is its Tyx.
+    prods = np.empty((sum(2 if a == b else 3 for a, b in pairs), m, m))
+    planes = []
+    i = 0
+    for a, b in pairs:
+        (ux, uy), (vx, vy) = vals[a], vals[b]
+        np.multiply(vx, ux, out=prods[i + 1])
+        np.multiply(vy, uy, out=prods[i])
+        prods[i] -= prods[i + 1]
+        np.multiply(vy, ux, out=prods[i + 1])
+        if a != b:
+            np.multiply(vx, uy, out=prods[i + 2])
+        planes.append((i, i + 1, i + 1 if a == b else i + 2))
+        i += 2 if a == b else 3
+    del vals, ux, uy, vx, vy  # bounds the peak memory of the forward transform
+    t = grid_to_band(prods, g.cutoff)
+    d, yx, xy = np.array(planes).T
     q, r = g.advective_factors
-    # With two planes t[-1] is Tyx, equal to Txy when v is u.
-    w = band_full(r * (q[0] * t[0] + q[1] * t[1] + q[2] * t[-1]), g.n)
-    return SpectralField(g, _read_only(w))
+    w = q[0] * t[d] + q[1] * t[yx] + q[2] * t[xy]
+    return BandStack(g, _read_only(r * w[:, None]))
 
 
 def inner(u: SpectralField, v: SpectralField, kind: str = "l2") -> float:
@@ -406,19 +438,21 @@ def _norm_weights(grid: GridSpec, kind: str) -> float | np.ndarray:
     if kind == "h1":
         return grid.eigenvalues
     if kind == "h2":
-        return grid.eigenvalues_sq
+        return grid.eigenvalues**2
     raise ValueError(f"unknown norm kind {kind!r}, expected one of {NORM_KINDS}")
 
 
-def norms(field: SpectralField) -> NormTriple:
-    """All three norms in one pass over the coefficients."""
-    power = (np.abs(field.coeffs) ** 2).sum(axis=0)
-    g = field.grid
-    return NormTriple(
-        l2=float(np.sqrt(power.sum())),
-        h1=float(np.sqrt((g.eigenvalues * power).sum())),
-        h2=float(np.sqrt((g.eigenvalues_sq * power).sum())),
-    )
+def norms(stack: BandStack) -> np.ndarray:
+    """L2, H1 and H2 norms of every field of a stack, shape (..., 3).
+
+    The terms of `norm`, summed over the band half in another order: a mode
+    ky > 0 counts twice, once for its conjugate ky < 0.
+    """
+    power = (np.abs(stack.coeffs) ** 2).sum(axis=-3)
+    power[..., 1:] *= 2.0
+    lam = stack.grid.band_tables[2]
+    weights = np.stack([np.ones_like(lam), lam, lam**2])
+    return np.sqrt((power[..., None, :, :] * weights).sum(axis=(-2, -1)))
 
 
 def taylor_green(grid: GridSpec) -> SpectralField:

@@ -12,15 +12,16 @@ All coupled fields advance together from one time level as one read-only
 band-half stack of shape (F, 2, 2K + 1, K + 1) in `system.fields` order
 (see `spectral.band_half`): state, tendencies, forcing, Stokes and nudging
 terms all vanish outside the dealiased band, and the ky < 0 modes are
-conjugates, so nothing else is kept.  Each step is one whole-stack update
-with per-row viscosities, then one divergence-free re-projection that
-suppresses rounding drift, both on the band half.  Each new state is
-expanded once into a read-only (F, 2, n, n) stack; `SpectralField`s are only
-read-only views of its rows, shared by the right-hand-side round (inside
-`shared_transforms`, so each field goes to the product grid once per round),
-the norms, the CFL check and the `Trajectory`.  Every per-mode operation is
-the one the full stack would do on the same mode, so the values are those of
-a full-stack step.
+conjugates, so nothing else is kept.  Each round of right-hand sides is one
+`SystemSpec.explicit_rhs` call on the stack, with one stacked `bilinear`
+call inside.  Each step is one whole-stack update with per-row viscosities,
+then one divergence-free re-projection that suppresses rounding drift, and
+the three norms of every field, all on the band half.  Only at sample times
+is the state expanded into a read-only (F, 2, n, n) stack; its rows are the
+`SpectralField` views the CFL check and the `Trajectory` use.  Every
+per-mode operation is the one the full stack would do on the same mode, so
+the states are those of a full-stack step; the norms sum the same terms in
+another order.
 
 Guards: the nudging stability condition dt * mu <= 1 and the admissibility
 condition mu * c0 * h**2 <= nu are checked before marching (the latter can be
@@ -42,15 +43,13 @@ import numpy as np
 from .dynamics import PhysicsParams, SystemSpec, with_viscosity2
 from .interpolants import admissibility
 from .spectral import (
+    BandStack,
     GridSpec,
     SpectralField,
-    band_full,
-    band_half,
     leray_project,
     norm,
     norms,
     project_coeffs,
-    shared_transforms,
 )
 
 _BLOWUP_FACTOR = 1e6
@@ -125,7 +124,7 @@ class Trajectory:
     times starts at 0 and ends at t_end.  series maps each field name to an
     (n_samples, 3) array with columns (L2, H1, H2); snapshots holds the full
     sampled fields, read-only row views of one expanded (F, 2, n, n) stack
-    per sample.
+    per sample.  Norms are summed on the band half at every step.
     max_projection_drift is the largest per-step change the divergence-free
     re-projection made, a rounding-level health figure.
     """
@@ -185,40 +184,18 @@ def _prepare_state(
             f"initial data for unknown fields {sorted(unknown)}; "
             f"system {system.kind.value} evolves {list(system.fields)}"
         )
-    K = grid.cutoff
-    state = np.zeros((len(system.fields), 2, 2 * K + 1, K + 1), dtype=np.complex128)
-    for row, name in zip(state, system.fields):
+    fields = []
+    for name in system.fields:
         if name in init:
             f = init[name]
             if f.grid.n != grid.n:
                 raise ValueError(f"field {name!r} is on grid {f.grid.n}, expected {grid.n}")
-            row[...] = band_half(leray_project(f.band_limited()).coeffs, K)
-        elif name not in system.zero_default_fields:
+            fields.append(leray_project(f.band_limited()))
+        elif name in system.zero_default_fields:
+            fields.append(SpectralField.zero(grid))
+        else:
             raise ValueError(f"missing initial data for field {name!r}")
-    state.setflags(write=False)
-    return state
-
-
-def _views(names: tuple[str, ...], grid: GridSpec, state: np.ndarray) -> dict[str, SpectralField]:
-    """Read-only fields viewing the rows of a band-half state expanded once to (F, 2, n, n)."""
-    stack = band_full(state, grid.n)
-    stack.setflags(write=False)
-    return {name: SpectralField(grid, row) for name, row in zip(names, stack)}
-
-
-def _norm_rows(views: dict[str, SpectralField]) -> np.ndarray:
-    """(F, 3) array of each field's (L2, H1, H2) norms."""
-    return np.array([(r.l2, r.h1, r.h2) for r in map(norms, views.values())])
-
-
-def _tendencies(
-    system: SystemSpec, views: dict[str, SpectralField], p: PhysicsParams, t: float
-) -> np.ndarray:
-    """Band halves of every field's explicit right-hand side as one stack, in one shared round."""
-    K = next(iter(views.values())).grid.cutoff
-    with shared_transforms():
-        rows = [band_half(system.explicit_rhs(name, views, p, t).coeffs, K) for name in views]
-    return np.stack(rows)
+    return BandStack.of(fields).coeffs
 
 
 def _check_gates(
@@ -294,7 +271,7 @@ def integrate(
     dt = cfg.dt
     k, inv_k_sq, lam = grid.band_tables
     names = system.fields
-    advecting = () if system.linear_only else system.advecting_fields
+    advecting = () if system.linear_only else [names.index(n) for n in system.advecting_fields]
 
     def phase(q: PhysicsParams) -> tuple:
         """Params and per-row factors (nu lam, 1 - a, 1 + a), a = dt nu lam / 2."""
@@ -306,18 +283,17 @@ def integrate(
 
     times = np.arange(0, cfg.n_steps + 1, cfg.sample_every) * dt
     series = np.empty((len(names), len(times), 3))
-    views = _views(names, grid, state)
-    series[:, 0] = _norm_rows(views)
+    series[:, 0] = norms(BandStack(grid, state))
     l2_0 = series[:, 0, 0]
     ref_l2 = np.where(l2_0 > 0, l2_0, max(l2_0.max(), 1.0))
-    samples = [views]
+    samples = [BandStack(grid, state).fields()]
     drift_max = 0.0
 
     n_prev = None
     for step in range(cfg.n_steps):
         t = step * dt
         pp, nu_lam, damp, denom = before if step < switch_step else after
-        n_curr = _tendencies(system, views, pp, t)
+        n_curr = system.explicit_rhs(BandStack(grid, state), pp, t)
 
         # Whole-stack updates, in place on one fresh buffer to bound peak
         # memory.  Each keeps the per-field operation order up to swapped
@@ -326,7 +302,7 @@ def integrate(
             # Heun bootstrap: one explicit second-order step.
             f0 = n_curr - nu_lam * state
             mid = state + dt * f0
-            new = _tendencies(system, _views(names, grid, mid), pp, t + dt)
+            new = system.explicit_rhs(BandStack(grid, mid), pp, t + dt)
             new -= nu_lam * mid
             new += f0
             new *= 0.5 * dt
@@ -341,10 +317,9 @@ def integrate(
 
         state = project_coeffs(new, k, inv_k_sq)
         drift_max = max(drift_max, float(np.abs(state - new).max()))
-        views = _views(names, grid, state)
 
         t_next = (step + 1) * dt
-        step_norms = _norm_rows(views)
+        step_norms = norms(BandStack(grid, state))
         l2 = step_norms[:, 0]
         blown = ~np.isfinite(l2) | (l2 > _BLOWUP_FACTOR * ref_l2)
         if blown.any():
@@ -354,7 +329,8 @@ def integrate(
             raise BlowupError(names[i], t_next, float(l2[i]), history)
 
         if (step + 1) % cfg.sample_every == 0:
-            cfl = dt * grid.n * max((views[n].max_speed() for n in advecting), default=0.0)
+            views = BandStack(grid, state).fields()
+            cfl = dt * grid.n * max((views[i].max_speed() for i in advecting), default=0.0)
             if cfl > _CFL_LIMIT:
                 warnings.warn(
                     f"advective CFL estimate {cfl:.3g} exceeds {_CFL_LIMIT} at t = {t_next:.6g}",
@@ -368,7 +344,7 @@ def integrate(
         params=p,
         config=cfg,
         times=times,
-        snapshots={name: tuple(sample[name] for sample in samples) for name in names},
+        snapshots={name: tuple(s[i] for s in samples) for i, name in enumerate(names)},
         series=dict(zip(names, series)),
         nu2_switch=nu2_switch,
         max_projection_drift=drift_max,

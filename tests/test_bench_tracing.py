@@ -65,11 +65,16 @@ def test_sens_flow_layers_record_spans(bench):
     (row,) = tracer.per_op()
     tracing.check_expected([row], workloads.SensFlow.expected)
 
-    # Each right-hand-side round (every step plus the Heun midpoint) makes
-    # three products over u and ut: each field goes to the grid once (two
-    # planes), B(u, u) comes back in two planes and the two cross products in
-    # three each.  Each CFL check adds the two planes of u's speed.
+    # Each right-hand-side round (every step plus the Heun midpoint) is one
+    # stacked bilinear call making three products over u and ut.  A plane is
+    # one line of a single-axis transform.  The inverse takes the 2 fields x
+    # 2 components = 4 planes through the kx pass on the K + 1 band columns
+    # and the ky pass on all m rows; the 2 + 3 + 3 = 8 product planes (B(u, u)
+    # needs two) take the ky pass on m rows and the kx pass on K + 1 columns.
+    # So a round counts (4 + 8) (m + K + 1) lines, with m = n = 32 and
+    # K = 10.  Each CFL check adds the two planes of u's `irfft2`.
     rounds = steps + 1
     samples = steps // sample_every
-    assert row["spectral.bilinear"]["calls"] == 3 * rounds
-    assert row["counts"]["spectral.fft.planes"] == 12 * rounds + 2 * samples
+    m, K = grid.product_n, grid.cutoff
+    assert row["spectral.bilinear"]["calls"] == rounds
+    assert row["counts"]["spectral.fft.planes"] == 12 * (m + K + 1) * rounds + 2 * samples

@@ -5,6 +5,7 @@ import pytest
 
 from ns2dsens.spectral import (
     LAMBDA_1,
+    BandStack,
     GridSpec,
     SpectralField,
     band_full,
@@ -218,17 +219,36 @@ class TestNorms:
     def test_taylor_green_norms(self):
         g = GridSpec(32)
         u0 = taylor_green(g)
-        t = norms(u0)
-        assert t.l2 == pytest.approx(np.sqrt(0.5), rel=1e-13)
-        assert t.h1 == pytest.approx(2 * np.pi, rel=1e-13)
-        assert t.h2 == pytest.approx(8 * np.pi**2 * np.sqrt(0.5), rel=1e-13)
+        l2, h1, h2 = norms(BandStack.of([u0]))[0]
+        assert l2 == pytest.approx(np.sqrt(0.5), rel=1e-13)
+        assert h1 == pytest.approx(2 * np.pi, rel=1e-13)
+        assert h2 == pytest.approx(8 * np.pi**2 * np.sqrt(0.5), rel=1e-13)
 
     def test_norms_consistent_with_norm(self):
         f = random_field(GridSpec(16), seed=3)
-        t = norms(f)
-        assert t.l2 == pytest.approx(norm(f, "l2"), rel=1e-14)
-        assert t.h1 == pytest.approx(norm(f, "h1"), rel=1e-14)
-        assert t.h2 == pytest.approx(norm(f, "h2"), rel=1e-14)
+        l2, h1, h2 = norms(BandStack.of([f]))[0]
+        assert l2 == pytest.approx(norm(f, "l2"), rel=1e-14)
+        assert h1 == pytest.approx(norm(f, "h1"), rel=1e-14)
+        assert h2 == pytest.approx(norm(f, "h2"), rel=1e-14)
+
+    @pytest.mark.parametrize("n", [24, 32, 256])
+    def test_band_half_norms_within_rounding_budget(self, n):
+        # The band-half sums hold the terms of the full-spectrum sums (ky > 0
+        # doubled, which is exact) in another order.  Pairwise summation of
+        # at most n**2 = 65536 nonnegative terms is off by at most about
+        # log2(n**2) = 16 units of roundoff (1.8e-15) relative, and the square
+        # root halves that, so 1e-14 relative is the budget.
+        g = GridSpec(n)
+        fields = [
+            random_field(g, seed=n, l2_norm=3.0),
+            random_field(g, seed=n + 1, kmin=1, kmax=4, solenoidal=False),
+            random_field(g, seed=n + 2, kmin=g.cutoff - 2),
+        ]
+        got = norms(BandStack.of(fields))
+        assert got.shape == (3, 3)
+        for row, f in zip(got, fields):
+            want = [norm(f, kind) for kind in ("l2", "h1", "h2")]
+            assert row == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="norm kind"):
@@ -237,9 +257,9 @@ class TestNorms:
     def test_poincare_chain(self):
         for seed in range(20):
             f = random_field(GridSpec(32), seed=seed, l2_norm=1.0 + seed)
-            t = norms(f)
-            assert LAMBDA_1 * t.l2**2 <= t.h1**2 * (1 + 1e-12)
-            assert LAMBDA_1 * t.h1**2 <= t.h2**2 * (1 + 1e-12)
+            l2, h1, h2 = norms(BandStack.of([f]))[0]
+            assert LAMBDA_1 * l2**2 <= h1**2 * (1 + 1e-12)
+            assert LAMBDA_1 * h1**2 <= h2**2 * (1 + 1e-12)
 
     def test_inner_taylor_green_stokes(self):
         g = GridSpec(32)

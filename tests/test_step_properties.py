@@ -1,10 +1,13 @@
-"""Property tests of one short integration over grids, systems and interpolants.
+"""Property tests of the band-limited transforms and of one short integration.
 
-Grids include multiples of 3 (the zero-padded product path) and box averages
-whose box count divides the grid.  From full-spectrum initial data, every
-sampled field (the ingested state and the state after each step) must be
-conjugate-symmetric, mean-free, band-limited and divergence-free, and a
-repeated run must reproduce the first bit for bit.
+The transforms that skip the known zeros of a band half must give the bytes
+of the plain two-dimensional real transforms.  The integration runs over
+grids, systems and interpolants.  Grids include multiples of 3 (the
+zero-padded product path) and box averages whose box count divides the grid.
+From full-spectrum initial data, every sampled field (the ingested state and
+the state after each step) must be conjugate-symmetric, mean-free,
+band-limited and divergence-free, and a repeated run must reproduce the
+first bit for bit.
 """
 
 import warnings
@@ -17,8 +20,38 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ns2dsens.dynamics import PhysicsParams, SystemKind, SystemSpec  # noqa: E402
 from ns2dsens.interpolants import BoxAverage, SpectralProjection  # noqa: E402
-from ns2dsens.spectral import GridSpec, SpectralField, random_field  # noqa: E402
+from ns2dsens.spectral import (  # noqa: E402
+    GridSpec,
+    SpectralField,
+    band_half,
+    band_to_grid,
+    grid_to_band,
+    random_field,
+)
 from ns2dsens.timestepper import AdmissibilityWarning, SolverConfig, integrate  # noqa: E402
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(
+    n=st.integers(4, 48).map(lambda h: 2 * h),
+    lead=st.lists(st.integers(1, 3), max_size=2).map(tuple),
+    seed=st.integers(0, 2**16),
+)
+def test_band_limited_transforms_match_plain_real_transforms(n, lead, seed):
+    grid = GridSpec(n)
+    K, m = grid.cutoff, grid.product_n
+    rng = np.random.default_rng(seed)
+    shape = lead + (2, 2 * K + 1, K + 1)
+    b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    half = np.zeros(lead + (2, m, m // 2 + 1), dtype=np.complex128)
+    half[..., : K + 1, : K + 1] = b[..., : K + 1, :]
+    half[..., -K:, : K + 1] = b[..., K + 1 :, :]
+    want = np.fft.irfft2(half, s=(m, m), norm="forward")
+    assert band_to_grid(b, m).tobytes() == want.tobytes()
+
+    values = rng.standard_normal(lead + (3, m, m))
+    want = band_half(np.fft.rfft2(values, norm="forward"), K)
+    assert grid_to_band(values, K).tobytes() == want.tobytes()
 
 
 @st.composite

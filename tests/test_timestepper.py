@@ -1,16 +1,18 @@
 """Integrator tests: closed-form decay, observed order, guards, reproducibility."""
 
-import contextlib
-
 import numpy as np
 import pytest
 
-from ns2dsens import timestepper
+from ns2dsens import dynamics
 from ns2dsens.dynamics import PhysicsParams, SystemKind, SystemSpec, dq_field, with_viscosity2
 from ns2dsens.interpolants import BoxAverage, SpectralProjection
 from ns2dsens.spectral import (
+    BandStack,
     GridSpec,
     SpectralField,
+    band_full,
+    band_half,
+    bilinear,
     inner,
     leray_project,
     norm,
@@ -40,9 +42,9 @@ def full_stack_reference(system, init, p, dt, n_steps, switch=None):
     """States after each step of a Heun start and CNAB2 steps on the full (F, 2, n, n) stack.
 
     The scheme as `integrate` defines it, written out mode by mode on whole
-    spectra: tendencies from `SystemSpec.explicit_rhs`, and a per-field
-    `leray_project` after every step.  switch = (step, params) changes the
-    parameters from that step on.
+    spectra: tendencies from `SystemSpec.explicit_rhs`, expanded, and a
+    per-field `leray_project` after every step.  switch = (step, params)
+    changes the parameters from that step on.
     """
     grid = next(iter(init.values())).grid
     names = system.fields
@@ -50,8 +52,8 @@ def full_stack_reference(system, init, p, dt, n_steps, switch=None):
     zero = SpectralField.zero(grid)
 
     def rhs(stack, q, t):
-        views = {name: SpectralField(grid, row) for name, row in zip(names, stack)}
-        return np.stack([system.explicit_rhs(name, views, q, t).coeffs for name in names])
+        state = BandStack(grid, band_half(stack, grid.cutoff))
+        return band_full(system.explicit_rhs(state, q, t), grid.n)
 
     state = np.stack([leray_project(init.get(name, zero).band_limited()).coeffs for name in names])
     states = [state]
@@ -329,27 +331,50 @@ class TestDeterminism:
             assert np.array_equal(a.final(name).coeffs, b.final(name).coeffs)
 
 
-    def test_shared_transforms_bit_identical_to_unshared(self, monkeypatch):
+    def test_one_stacked_bilinear_call_per_round(self, monkeypatch):
         # Six fields and eight products per round, two of them self-products.
         p = PhysicsParams(
             nu1=0.01, nu2=0.008, mu=2.0, interp=SpectralProjection(modes=8),
             forcing=random_field(GRID, seed=71, kmin=2, kmax=6),
         )
-        cfg = SolverConfig(dt=1e-3, t_end=0.01, sample_every=5)
         init = {
             "u1": taylor_green(GRID),
-            "u2": taylor_green(GRID),
+            "u2": random_field(GRID, seed=74, kmin=1, kmax=6),
+            "d": random_field(GRID, seed=75, kmin=1, kmax=6),
             "v1": random_field(GRID, seed=72, kmin=1, kmax=6),
             "v2": random_field(GRID, seed=73, kmin=1, kmax=6),
+            "dp": random_field(GRID, seed=76, kmin=1, kmax=6),
         }
         system = SystemSpec(SystemKind.DA_DQ_DIRECT)
-        shared = integrate(system, init, p, cfg)
-        monkeypatch.setattr(timestepper, "shared_transforms", contextlib.nullcontext)
-        unshared = integrate(system, init, p, cfg)
-        for name in system.fields:
-            assert np.array_equal(shared.series[name], unshared.series[name])
-            for a, b in zip(shared.snapshots[name], unshared.snapshots[name]):
-                assert np.array_equal(a.coeffs, b.coeffs)
+        fields = [init[name] for name in system.fields]
+        state = BandStack.of(fields)
+        calls = []
+
+        def recording(*args):
+            calls.append((args, bilinear(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(dynamics, "bilinear", recording)
+        system.explicit_rhs(state, p, 0.0)
+        ((stack, pairs), products), = calls
+        assert stack is state
+        named = [(system.fields[a], system.fields[b]) for a, b in pairs]
+        assert named == [
+            ("u1", "u1"), ("u2", "u2"), ("u2", "d"), ("d", "u1"),
+            ("v1", "v1"), ("v2", "v2"), ("v2", "dp"), ("dp", "v1"),
+        ]
+        for got, (a, b) in zip(products.fields(), pairs, strict=True):
+            assert np.array_equal(got.coeffs, bilinear(fields[a], fields[b]).coeffs)
+
+        # Without advection a round transforms nothing.
+        transforms = []
+        for name in ("irfft2", "rfft2", "ifftn", "irfftn", "fftn", "rfftn"):
+            fn = getattr(np.fft, name)
+            monkeypatch.setattr(
+                np.fft, name, lambda *a, fn=fn, **k: transforms.append(fn) or fn(*a, **k)
+            )
+        SystemSpec(SystemKind.DA_DQ_DIRECT, linear_only=True).explicit_rhs(state, p, 0.0)
+        assert len(calls) == 1 and transforms == []
 
 
 class TestFullStackReference:
