@@ -98,8 +98,7 @@ def grashof(f_norm_sup: float, nu: float) -> float:
 def trajectory_grashof(traj, nu: float | None = None) -> float:
     """Grashof number of a run, taking sup |f| over its sample times."""
     p = traj.params
-    grid = next(iter(traj.snapshots.values()))[0].grid
-    sup = max(norm(forcing_at(p, grid, t)) for t in traj.times)
+    sup = max(norm(forcing_at(p, traj.grid, t)) for t in traj.times)
     return grashof(sup, p.nu1 if nu is None else nu)
 
 
@@ -262,7 +261,7 @@ def check_apriori(traj, p: PhysicsParams | None = None, label: str = "") -> list
     """
     p = traj.params if p is None else p
     system = traj.system
-    grid = next(iter(traj.snapshots.values()))[0].grid
+    grid = traj.grid
     times = traj.times
     f_l2 = np.asarray([norm(forcing_at(p, grid, t)) for t in times])
     checks: list[BoundCheck] = []

@@ -41,9 +41,11 @@ from .dynamics import (
 from .interpolants import admissibility
 from .spectral import (
     LAMBDA_1,
+    BandStack,
     GridSpec,
     SpectralField,
     norm,
+    norms,
     random_field,
     taylor_green,
 )
@@ -351,7 +353,7 @@ def _run_quotient_sweep(
     errors: list[float] = []
     gaps: list[float] = []
     cadence_devs: list[float] = []
-    finest_evolved: tuple[SpectralField, ...] | None = None
+    finest_evolved: BandStack | None = None
 
     for j, delta in enumerate(spec.deltas, start=1):
         nu2 = spec.nu1 + delta
@@ -488,8 +490,9 @@ def run_da_dq_convergence(
 
 
 def _sync_gap(traj: Trajectory) -> np.ndarray:
-    """L2 norm of u - v at every sample, one sample at a time to bound memory."""
-    return np.array([norm(u - v) for u, v in zip(traj.snapshots["u"], traj.snapshots["v"])])
+    """L2 norm of u - v at every sample, summed on the band halves of the samples."""
+    u, v = traj.snapshots["u"], traj.snapshots["v"]
+    return norms(BandStack(traj.grid, u.coeffs - v.coeffs))[:, 0]
 
 
 def run_da_sync(

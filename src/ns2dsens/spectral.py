@@ -12,7 +12,8 @@ are real, so transforms to and from the grid run on the half spectrum ky >= 0
 (`rfft2`/`irfft2`) and the negative-ky half follows by conjugate symmetry.
 A band-limited field is therefore fixed by its band half, the ky >= 0 modes
 inside the band (`band_half`, `band_full`, `BandStack`); the advective
-kernel, the norms and the time stepper do their per-mode arithmetic there.
+kernel, the norms and the time stepper do their per-mode arithmetic there,
+and trajectories keep their sampled states there.
 
 Nonlinear products are evaluated pointwise on a grid where no alias reaches
 the band |k_i| <= n // 3 (zero-padded when n is divisible by 3) and truncated
@@ -333,8 +334,11 @@ def grid_to_band(values: np.ndarray, K: int) -> np.ndarray:
 class BandStack:
     """Band halves of band-limited fields on one grid, shape (..., 2, 2K + 1, K + 1).
 
-    The `band_half` layout of the stepper's state and tendencies and of
-    stacked `bilinear` products.
+    The `band_half` layout of the stepper's state and tendencies, of stacked
+    `bilinear` products and of a trajectory's sampled states.  A stack of
+    shape (F, 2, 2K + 1, K + 1) is a read-only sequence of its F fields:
+    indexing expands one row to a `SpectralField` with `band_full` on each
+    read, and a slice is the `BandStack` of those rows.
     """
 
     grid: GridSpec
@@ -352,6 +356,17 @@ class BandStack:
         """Read-only fields viewing the rows of the stack, expanded once to (F, 2, n, n)."""
         full = _read_only(band_full(self.coeffs, self.grid.n))
         return tuple(SpectralField(self.grid, row) for row in full)
+
+    def __len__(self) -> int:
+        return len(self.coeffs)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return BandStack(self.grid, self.coeffs[i])
+        return SpectralField(self.grid, _read_only(band_full(self.coeffs[i], self.grid.n)))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 def bilinear(u, v):

@@ -16,9 +16,11 @@ conjugates, so nothing else is kept.  Each round of right-hand sides is one
 `SystemSpec.explicit_rhs` call on the stack, with one stacked `bilinear`
 call inside.  Each step is one whole-stack update with per-row viscosities,
 then one divergence-free re-projection that suppresses rounding drift, and
-the three norms of every field, all on the band half.  Only at sample times
-is the state expanded into a read-only (F, 2, n, n) stack; its rows are the
-`SpectralField` views the CFL check and the `Trajectory` use.  Every
+the three norms of every field, all on the band half.  Sampled states stay
+band halves too: each sample copies the state into one (S, F, 2, 2K + 1,
+K + 1) array, allocated once and read-only after the run, and the
+`Trajectory` expands a field to a `SpectralField` only when it is read.  At
+sample times the CFL check expands the advecting rows alone.  Every
 per-mode operation is the one the full stack would do on the same mode, so
 the states are those of a full-stack step; the norms sum the same terms in
 another order.
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -122,9 +124,10 @@ class Trajectory:
     """Sampled states and norm series of one integration.
 
     times starts at 0 and ends at t_end.  series maps each field name to an
-    (n_samples, 3) array with columns (L2, H1, H2); snapshots holds the full
-    sampled fields, read-only row views of one expanded (F, 2, n, n) stack
-    per sample.  Norms are summed on the band half at every step.
+    (n_samples, 3) array with columns (L2, H1, H2); snapshots maps it to the
+    sampled fields, a read-only `BandStack` over that field's band halves
+    in the sample array, which expands a `SpectralField` on each read.
+    Norms are summed on the band half at every step.
     max_projection_drift is the largest per-step change the divergence-free
     re-projection made, a rounding-level health figure.
     """
@@ -133,7 +136,7 @@ class Trajectory:
     params: PhysicsParams
     config: SolverConfig
     times: np.ndarray
-    snapshots: dict[str, tuple[SpectralField, ...]]
+    snapshots: dict[str, Sequence[SpectralField]]
     series: dict[str, np.ndarray]
     nu2_switch: tuple[float, float] | None = None
     max_projection_drift: float = 0.0
@@ -141,6 +144,11 @@ class Trajectory:
     @property
     def n_samples(self) -> int:
         return len(self.times)
+
+    @property
+    def grid(self) -> GridSpec:
+        """Grid of the sampled fields, read without expanding one."""
+        return next(iter(self.snapshots.values())).grid
 
     def norm_series(self, name: str, kind: str = "l2") -> np.ndarray:
         col = {"l2": 0, "h1": 1, "h2": 2}[kind]
@@ -271,7 +279,7 @@ def integrate(
     dt = cfg.dt
     k, inv_k_sq, lam = grid.band_tables
     names = system.fields
-    advecting = () if system.linear_only else [names.index(n) for n in system.advecting_fields]
+    advecting = [] if system.linear_only else [names.index(n) for n in system.advecting_fields]
 
     def phase(q: PhysicsParams) -> tuple:
         """Params and per-row factors (nu lam, 1 - a, 1 + a), a = dt nu lam / 2."""
@@ -286,7 +294,9 @@ def integrate(
     series[:, 0] = norms(BandStack(grid, state))
     l2_0 = series[:, 0, 0]
     ref_l2 = np.where(l2_0 > 0, l2_0, max(l2_0.max(), 1.0))
-    samples = [BandStack(grid, state).fields()]
+    samples = np.empty((len(times),) + state.shape, dtype=state.dtype)
+    samples[0] = state
+    taken = 1
     drift_max = 0.0
 
     n_prev = None
@@ -324,27 +334,28 @@ def integrate(
         blown = ~np.isfinite(l2) | (l2 > _BLOWUP_FACTOR * ref_l2)
         if blown.any():
             i = int(np.argmax(blown))
-            done = len(samples)
-            history = {"times": times[:done], "l2": dict(zip(names, series[:, :done, 0]))}
+            history = {"times": times[:taken], "l2": dict(zip(names, series[:, :taken, 0]))}
             raise BlowupError(names[i], t_next, float(l2[i]), history)
 
         if (step + 1) % cfg.sample_every == 0:
-            views = BandStack(grid, state).fields()
-            cfl = dt * grid.n * max((views[i].max_speed() for i in advecting), default=0.0)
+            speeds = [f.max_speed() for f in BandStack(grid, state[advecting]).fields()]
+            cfl = dt * grid.n * max(speeds, default=0.0)
             if cfl > _CFL_LIMIT:
                 warnings.warn(
                     f"advective CFL estimate {cfl:.3g} exceeds {_CFL_LIMIT} at t = {t_next:.6g}",
                     CFLWarning,
                 )
-            series[:, len(samples)] = step_norms
-            samples.append(views)
+            series[:, taken] = step_norms
+            samples[taken] = state
+            taken += 1
 
+    samples.setflags(write=False)
     return Trajectory(
         system=system,
         params=p,
         config=cfg,
         times=times,
-        snapshots={name: tuple(s[i] for s in samples) for i, name in enumerate(names)},
+        snapshots={name: BandStack(grid, samples[:, i]) for i, name in enumerate(names)},
         series=dict(zip(names, series)),
         nu2_switch=nu2_switch,
         max_projection_drift=drift_max,

@@ -78,3 +78,7 @@ def test_sens_flow_layers_record_spans(bench):
     m, K = grid.product_n, grid.cutoff
     assert row["spectral.bilinear"]["calls"] == rounds
     assert row["counts"]["spectral.fft.planes"] == 12 * (m + K + 1) * rounds + 2 * samples
+    # The CFL check runs at each of the samples after t = 0 and expands the
+    # advecting rows only: u, not its sensitivity ut.  So `physical` runs
+    # once per checked sample, and reading the trajectory calls it never.
+    assert row["spectral.physical"]["calls"] == samples

@@ -273,6 +273,30 @@ class TestDASync:
         assert rep.data["control_decay_factor"] > rep.data["decay_factor"]
         assert "control" in rep.artifacts
 
+    def test_gap_is_per_sample_norm_of_difference(self):
+        # The gap sums |u - v|^2 on the band halves of the samples: the terms
+        # of `norm` in another order, within TestNorms' 1e-14 relative budget.
+        # A ratio of two such gaps spends two budgets plus its own rounding.
+        u0 = random_field(GRID, seed=6, kmin=1, kmax=4, l2_norm=0.5)
+        v0 = random_field(GRID, seed=7, kmin=1, kmax=4, l2_norm=0.5)
+        cfg = SolverConfig(dt=2e-3, t_end=1.0, sample_every=25)
+        rep = run_da_sync(
+            self._params(20.0), cfg, u0, v0,
+            decay_threshold=0.05, with_control=True,
+        )
+        gaps = {}
+        for key in ("trajectory", "control"):
+            traj = rep.artifacts[key]
+            snaps = zip(traj.snapshots["u"], traj.snapshots["v"], strict=True)
+            gaps[key] = np.array([norm(u - v) for u, v in snaps])
+        assert rep.data["difference_l2"] == pytest.approx(gaps["trajectory"], rel=1e-14, abs=0.0)
+        want = gaps["trajectory"][-1] / gaps["trajectory"][0]
+        assert rep.data["decay_factor"] == pytest.approx(want, rel=3e-14)
+        assert rep.verdicts["synchronization_decay"] == (want <= 0.05)
+        control = gaps["control"][-1] / gaps["control"][0]
+        assert rep.data["control_decay_factor"] == pytest.approx(control, rel=3e-14)
+        assert rep.verdicts["control_no_comparable_decay"] == (control > 0.1)
+
 
 class TestReynoldsSwitch:
     def _setup(self):

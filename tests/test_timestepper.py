@@ -318,6 +318,52 @@ class TestStateHandling:
         assert np.array_equal(win.norm_series("u"), traj.norm_series("u")[1:4])
 
 
+class TestSampleStorage:
+    @pytest.fixture(scope="class")
+    def traj(self):
+        grid = GridSpec(48)
+        p = PhysicsParams(nu1=0.01, nu2=0.01, mu=10.0, interp=SpectralProjection(modes=8))
+        cfg = SolverConfig(dt=1e-3, t_end=0.01, sample_every=1)
+        init = {
+            "u": random_field(grid, seed=66, kmin=1, kmax=6),
+            "v": random_field(grid, seed=67, kmin=1, kmax=6, l2_norm=0.5),
+        }
+        return integrate(SystemSpec(SystemKind.DA), init, p, cfg)
+
+    def test_holds_one_band_half_sample_array(self, traj):
+        # S samples of F = 2 fields, each 2 components of (2K + 1)(K + 1)
+        # complex128 modes: the whole store, with no expanded spectra kept.
+        held = {id(s.coeffs.base): s.coeffs.base for s in traj.snapshots.values()}
+        (samples,) = held.values()
+        K = traj.grid.cutoff
+        assert samples.nbytes == traj.n_samples * 2 * 2 * (2 * K + 1) * (K + 1) * 16
+        assert not samples.flags.writeable
+
+    def test_snapshots_are_read_only(self, traj):
+        for name in ("u", "v"):
+            assert not traj.snapshots[name].coeffs.flags.writeable
+            field = traj.snapshot(name, 3)
+            with pytest.raises(ValueError, match="read-only"):
+                field.coeffs[0, 1, 1] = 1.0
+
+    def test_repeated_reads_are_equal(self, traj):
+        for name in ("u", "v"):
+            first, again = traj.snapshot(name, 5), traj.snapshot(name, 5)
+            assert np.array_equal(first.coeffs, again.coeffs)
+
+    def test_window_and_final_read_the_same_samples(self, traj):
+        win = traj.window(2, 6)
+        for name in ("u", "v"):
+            snaps = traj.snapshots[name]
+            assert len(win.snapshots[name]) == 5
+            for j, field in enumerate(win.snapshots[name]):
+                assert np.array_equal(field.coeffs, snaps[2 + j].coeffs)
+            assert np.array_equal(win.final(name).coeffs, snaps[6].coeffs)
+            last = snaps[traj.n_samples - 1].coeffs
+            assert np.array_equal(traj.final(name).coeffs, last)
+            assert np.array_equal(snaps[-1].coeffs, last)
+
+
 class TestDeterminism:
     def test_bit_identical_repeat(self):
         p = PhysicsParams(
