@@ -24,8 +24,11 @@ viscosity slot, a derivative's advective products and Stokes source, and a
 nudged field's target.  `SystemSpec` derives everything else from the rows.
 `SystemSpec.explicit_rhs` assembles every field's right-hand side in one
 round on the band halves of the whole stack (`spectral.BandStack`): one
-`bilinear` call forms all advective products of the table, and one generic
-loop adds the forcing, the Stokes sources and the nudging row by row.
+`bilinear` call forms all advective products of the table, one
+`interpolate` call observes the differences of all nudged rows on the band
+half (only the band half of I_h of a difference survives the truncation),
+and one generic loop adds the forcing, the Stokes sources and the nudging
+row by row.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .spectral import (
     BandStack,
     GridSpec,
     SpectralField,
-    band_full,
     band_half,
     bilinear,
     leray_project,
@@ -248,7 +250,8 @@ class SystemSpec:
         linear_only).  Each row starts from the forcing, or for a derivative
         row from its negated first product; subtracts the remaining advective
         products in row order and the Stokes source; adds nudging toward the
-        target when mu > 0, interpolating the difference once.
+        target when mu > 0.  One `interpolate` call on the band halves of
+        all nudged rows' differences forms every nudging term of the round.
         """
         g, c = state.grid, state.coeffs
         at = {name: i for i, name in enumerate(self.fields)}
@@ -260,6 +263,12 @@ class SystemSpec:
             products = bilinear(state, pairs).coeffs
         k, inv_k_sq, lam = g.band_tables
         f = band_half(forcing_at(p, g, t).coeffs, g.cutoff)
+        nudges = {}
+        if p.mu > 0 and self.nudged_fields:
+            nudged = [at[name] for name in self.nudged_fields]
+            targets = [at[target] for target in self.nudged_fields.values()]
+            seen = interpolate(BandStack(g, c[targets] - c[nudged]), p.interp).coeffs
+            nudges = dict(zip(nudged, p.mu * project_coeffs(seen, k, inv_k_sq)))
         terms = iter(products)
         out = []
         for i, (name, row) in enumerate(self.rows.items()):
@@ -268,10 +277,8 @@ class SystemSpec:
                 acc = -term if acc is None else acc - term
             if row.source is not None:
                 acc = acc - c[at[row.source]] * lam
-            if row.nudge_to is not None and p.mu > 0:
-                diff = SpectralField(g, band_full(c[at[row.nudge_to]] - c[i], g.n))
-                seen = band_half(interpolate(diff, p.interp).coeffs, g.cutoff)
-                acc = acc + p.mu * project_coeffs(seen, k, inv_k_sq)
+            if i in nudges:
+                acc = acc + nudges[i]
             out.append(acc)
         return np.stack(out)
 

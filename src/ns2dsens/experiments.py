@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import BoundCheck, check_apriori
+from .diagnostics import SAMPLE_BLOCK, BoundCheck, check_apriori
 from .dynamics import (
     PhysicsParams,
     SystemKind,
@@ -490,9 +490,10 @@ def run_da_dq_convergence(
 
 
 def _sync_gap(traj: Trajectory) -> np.ndarray:
-    """L2 norm of u - v at every sample, summed on the band halves of the samples."""
-    u, v = traj.snapshots["u"], traj.snapshots["v"]
-    return norms(BandStack(traj.grid, u.coeffs - v.coeffs))[:, 0]
+    """L2 norm of u - v at every sample, on band halves, in blocks of `SAMPLE_BLOCK` samples."""
+    u, v = traj.snapshots["u"].coeffs, traj.snapshots["v"].coeffs
+    blocks = (slice(i, i + SAMPLE_BLOCK) for i in range(0, len(u), SAMPLE_BLOCK))
+    return np.concatenate([norms(BandStack(traj.grid, u[b] - v[b]))[:, 0] for b in blocks])
 
 
 def run_da_sync(

@@ -1,19 +1,23 @@
 """Contract between the package and the benchmark's span tracer in bench/.
 
-The tracer wraps package functions by name at their import sites.  This test
-installs it as the benchmark does, on a small flow-plus-sensitivity run, so
-that a rename or a removed call site fails here rather than in a benchmark
-run.  It only reads bench/.
+The tracer wraps package functions by name at their import sites.  These
+tests install it as the benchmark does, on a small flow-plus-sensitivity run
+and on a small box-nudged run with its a-priori checks, so that a rename or a
+removed call site fails here rather than in a benchmark run.  They only read
+bench/.
 """
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
 import pytest
 
-from ns2dsens import timestepper
+from ns2dsens import experiments, timestepper
+from ns2dsens.diagnostics import SAMPLE_BLOCK
 from ns2dsens.dynamics import PhysicsParams, SystemKind, SystemSpec
+from ns2dsens.interpolants import BoxAverage
 from ns2dsens.spectral import GridSpec, random_field
 from ns2dsens.timestepper import SolverConfig
 
@@ -40,14 +44,8 @@ def bench():
     return load_bench_module("tracing"), load_bench_module("workloads")
 
 
-def test_sens_flow_layers_record_spans(bench):
-    tracing, workloads = bench
-    grid = GridSpec(32)
-    u0 = random_field(grid, seed=3, kmin=1, kmax=6, l2_norm=0.25)
-    p = PhysicsParams(nu1=0.01, nu2=0.01)
-    steps, sample_every = 4, 2
-    cfg = SolverConfig(dt=1e-3, t_end=steps * 1e-3, sample_every=sample_every)
-
+def traced_op(tracing, op):
+    """Per-op trace row of one call of op, with the tracer installed around it."""
     sites = [(modname, path) for _, modname, path in tracing.SITES]
     originals = [resolve(*site) for site in sites]
     tracer = tracing.Tracer()
@@ -56,13 +54,27 @@ def test_sens_flow_layers_record_spans(bench):
         for site, original in zip(sites, originals):
             assert resolve(*site).__wrapped__ is original, f"{site} is not wrapped"
         tracer.op_begin()
-        timestepper.integrate(SystemSpec(SystemKind.NSE_SENS), {"u": u0}, p, cfg)
+        op()
         tracer.op_end()
     finally:
         tracer.uninstall()
 
     assert [resolve(*site) for site in sites] == originals
     (row,) = tracer.per_op()
+    return row
+
+
+def test_sens_flow_layers_record_spans(bench):
+    tracing, workloads = bench
+    grid = GridSpec(32)
+    u0 = random_field(grid, seed=3, kmin=1, kmax=6, l2_norm=0.25)
+    p = PhysicsParams(nu1=0.01, nu2=0.01)
+    steps, sample_every = 4, 2
+    cfg = SolverConfig(dt=1e-3, t_end=steps * 1e-3, sample_every=sample_every)
+
+    row = traced_op(
+        tracing, lambda: timestepper.integrate(SystemSpec(SystemKind.NSE_SENS), {"u": u0}, p, cfg)
+    )
     tracing.check_expected([row], workloads.SensFlow.expected)
 
     # Each right-hand-side round (every step plus the Heun midpoint) is one
@@ -82,3 +94,39 @@ def test_sens_flow_layers_record_spans(bench):
     # advecting rows only: u, not its sensitivity ut.  So `physical` runs
     # once per checked sample, and reading the trajectory calls it never.
     assert row["spectral.physical"]["calls"] == samples
+
+
+def test_box_nudged_round_and_checks_counts(bench):
+    tracing, _ = bench
+    grid = GridSpec(24)  # divisible by 3: the padded product grid, m = 26
+    init = {
+        "u": random_field(grid, seed=4, kmin=1, kmax=6, l2_norm=0.25),
+        "v": random_field(grid, seed=5, kmin=1, kmax=6, l2_norm=0.25),
+    }
+    p = PhysicsParams(nu1=0.01, nu2=0.01, mu=1.0, interp=BoxAverage(boxes=8))
+    steps = 70
+    cfg = SolverConfig(dt=1e-3, t_end=steps * 1e-3, sample_every=1)
+
+    def op():
+        traj = timestepper.integrate(SystemSpec(SystemKind.DA), init, p, cfg)
+        experiments.check_apriori(traj)
+
+    row = traced_op(tracing, op)
+    # Each round (every step plus the Heun midpoint) nudges v toward u with
+    # one `interpolate` call on the band half of their difference, which
+    # runs no transform.  The a-priori checks form the assimilated source
+    # |f + mu P I_h(u)| from one call per block of SAMPLE_BLOCK samples.
+    rounds = steps + 1
+    samples = steps + 1
+    checked = steps  # CFL checks run at the samples after t = 0
+    m, K = grid.product_n, grid.cutoff
+    assert row["spectral.bilinear"]["calls"] == rounds
+    assert row["interpolants.interpolate"]["calls"] == rounds + math.ceil(samples / SAMPLE_BLOCK)
+    # The CFL check expands both advecting rows, u and v; nothing else,
+    # interpolation included, reaches `physical`.
+    assert row["spectral.physical"]["calls"] == checked * 2
+    # Per round, the stacked bilinear's inverse takes 2 fields x 2
+    # components = 4 planes and its forward the 2 + 2 planes of B(u, u) and
+    # B(v, v), each through (m + K + 1) single-axis lines; each CFL check
+    # adds the two planes of each advecting row's `irfft2`.
+    assert row["counts"]["spectral.fft.planes"] == 8 * (m + K + 1) * rounds + 4 * checked

@@ -5,16 +5,26 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ns2dsens import diagnostics
 from ns2dsens.diagnostics import (
+    SAMPLE_BLOCK,
     BoundCheck,
     check_apriori,
+    effective_source_l2,
     grashof,
     identity_suite,
     trajectory_grashof,
 )
-from ns2dsens.dynamics import PhysicsParams, SystemKind, SystemSpec
-from ns2dsens.interpolants import BoxAverage, SpectralProjection
-from ns2dsens.spectral import GridSpec, SpectralField, norm, random_field, taylor_green
+from ns2dsens.dynamics import PhysicsParams, SystemKind, SystemSpec, forcing_at
+from ns2dsens.interpolants import BoxAverage, SpectralProjection, interpolate
+from ns2dsens.spectral import (
+    GridSpec,
+    SpectralField,
+    leray_project,
+    norm,
+    random_field,
+    taylor_green,
+)
 from ns2dsens.timestepper import SolverConfig, integrate
 
 GRID = GridSpec(32)
@@ -161,3 +171,80 @@ class TestAprioriAssimilated:
         traj, _ = self._da_traj(mu=0.0, interp=None)
         names = {c.name for c in check_apriori(traj) if c.name.startswith("v")}
         assert names == {"v_h1_sup", "v_l2_sup", "v_dissipation_integral"}
+
+
+class TestStackedSource:
+    """The assimilated source, stacked in blocks, against the per-sample formula."""
+
+    SAMPLES = 130  # two full blocks of SAMPLE_BLOCK and a tail of two
+
+    def _run(self, interp, mu, forcing):
+        grid = GridSpec(24)
+        p = PhysicsParams(nu1=0.01, nu2=0.01, mu=mu, interp=interp, forcing=forcing)
+        cfg = SolverConfig(dt=1e-3, t_end=(self.SAMPLES - 1) * 1e-3)
+        init = {
+            "u": random_field(grid, seed=50, kmin=1, kmax=6, l2_norm=0.5),
+            "v": random_field(grid, seed=51, kmin=1, kmax=6, l2_norm=0.5),
+        }
+        return integrate(SystemSpec(SystemKind.DA), init, p, cfg), p
+
+    @staticmethod
+    def per_sample_source(traj, ref, p=None):
+        """The formula the blocks replace: one full-spectrum field per sample."""
+        p = traj.params if p is None else p
+        return np.array([
+            norm(
+                forcing_at(p, traj.grid, t)
+                + p.mu * leray_project(interpolate(traj.snapshot(ref, i), p.interp).band_limited())
+            )
+            for i, t in enumerate(traj.times)
+        ])
+
+    def cases(self):
+        grid = GridSpec(24)
+        f0 = random_field(grid, seed=52, kmin=2, kmax=6, l2_norm=2.0)
+        # Box means: strictly admissible (4 mu c0 h^2 = 6.3e-3 <= 0.01), all
+        # three checks.  Projection, with a time-dependent forcing:
+        # 4 mu c0 h^2 = 8.1e-3, also all three.
+        yield self._run(BoxAverage(boxes=8), 1.0, f0)
+        yield self._run(SpectralProjection(modes=4), 2.0, lambda t: (1.0 + t) * f0)
+
+    def test_stacked_norms_match_per_sample_formula(self):
+        assert self.SAMPLES > SAMPLE_BLOCK and self.SAMPLES % SAMPLE_BLOCK
+        for traj, p in self.cases():
+            assert traj.n_samples == self.SAMPLES
+            got = effective_source_l2(traj, "u")
+            want = self.per_sample_source(traj, "u")
+            assert np.abs(got - want).max() <= 1e-13 * want.max()
+
+    def test_verdicts_unchanged(self, monkeypatch):
+        for traj, p in self.cases():
+            stacked = check_apriori(traj)
+            with monkeypatch.context() as m:
+                m.setattr(diagnostics, "effective_source_l2", self.per_sample_source)
+                per_sample = check_apriori(traj)
+            assert [c.name for c in stacked] == [c.name for c in per_sample]
+            assert {c.name for c in stacked} >= {"v_l2_sup", "v_h1_sup", "v_dissipation_integral"}
+            for a, b in zip(stacked, per_sample):
+                assert a.passed == b.passed
+                assert abs(a.rhs - b.rhs) <= 1e-13 * abs(b.rhs)
+                assert a.lhs == b.lhs
+
+    def test_constant_forcing_measured_once(self, monkeypatch):
+        traj, p = next(self.cases())
+        calls = []
+
+        def counting(*args):
+            calls.append(args[-1])
+            return forcing_at(*args)
+
+        monkeypatch.setattr(diagnostics, "forcing_at", counting)
+        checks = check_apriori(traj)
+        grashof_number = trajectory_grashof(traj)
+        assert len(calls) <= 3  # f_l2, the source's band half, the Grashof sup
+        monkeypatch.undo()
+        # Bit-identical to measuring the forcing at every sample time.
+        per_time = np.asarray([norm(forcing_at(p, traj.grid, t)) for t in traj.times])
+        monkeypatch.setattr(diagnostics, "_forcing_l2", lambda *args: per_time)
+        assert check_apriori(traj) == checks
+        assert trajectory_grashof(traj) == grashof_number

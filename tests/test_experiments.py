@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ns2dsens.diagnostics import BoundCheck, grashof
+from ns2dsens.diagnostics import SAMPLE_BLOCK, BoundCheck, grashof
 from ns2dsens.dynamics import PhysicsParams
 from ns2dsens.experiments import (
     DQSweepSpec,
@@ -22,7 +22,15 @@ from ns2dsens.experiments import (
     trajectory_distance,
 )
 from ns2dsens.interpolants import SpectralProjection
-from ns2dsens.spectral import GridSpec, SpectralField, norm, random_field, taylor_green
+from ns2dsens.spectral import (
+    BandStack,
+    GridSpec,
+    SpectralField,
+    norm,
+    norms,
+    random_field,
+    taylor_green,
+)
 from ns2dsens.timestepper import AdmissibilityError, SolverConfig, integrate
 from ns2dsens.dynamics import SystemKind, SystemSpec
 
@@ -253,6 +261,22 @@ class TestDASync:
         assert rep.data["decay_factor"] == 0.0
         assert rep.data["log_slope"] is None
         assert max(rep.data["difference_l2"]) < 1e-12
+
+    def test_blocked_gap_equals_unblocked(self):
+        # 130 samples: two full blocks of SAMPLE_BLOCK samples and a tail.
+        u0 = random_field(GRID, seed=6, kmin=1, kmax=4, l2_norm=0.5)
+        v0 = random_field(GRID, seed=7, kmin=1, kmax=4, l2_norm=0.5)
+        cfg = SolverConfig(dt=2e-3, t_end=129 * 2e-3)
+        rep = run_da_sync(self._params(20.0), cfg, u0, v0, with_control=True)
+
+        def whole(traj):
+            assert traj.n_samples == 130 and 130 % SAMPLE_BLOCK
+            u, v = traj.snapshots["u"].coeffs, traj.snapshots["v"].coeffs
+            return norms(BandStack(GRID, u - v))[:, 0]
+
+        assert np.array_equal(rep.data["difference_l2"], whole(rep.artifacts["trajectory"]))
+        control = whole(rep.artifacts["control"])
+        assert rep.data["control_decay_factor"] == control[-1] / control[0]
 
     def test_control_run_has_no_decay_verdict(self):
         u0 = random_field(GRID, seed=6, kmin=1, kmax=4, l2_norm=0.5)

@@ -12,7 +12,14 @@ from ns2dsens.interpolants import (
     interpolate,
     verify_bound,
 )
-from ns2dsens.spectral import GridSpec, SpectralField, norm, random_field
+from ns2dsens.spectral import (
+    BandStack,
+    GridSpec,
+    SpectralField,
+    band_half,
+    norm,
+    random_field,
+)
 
 
 class TestSpectralProjection:
@@ -115,6 +122,90 @@ class TestBoxAverage:
     def test_invalid_boxes(self):
         with pytest.raises(ValueError, match="at least one box"):
             BoxAverage(boxes=0)
+
+
+# Every box-average case below must match the grid-space reference to 1e-14
+# relative to the reference's largest coefficient: grid sizes with n
+# divisible by 3, an odd box width (48 / 16 = 3), one point per box
+# (boxes = n) and one box over the whole torus (boxes = 1).  With one box
+# the reference is zero up to rounding, so the input's largest coefficient
+# is the scale there.
+BOX_CASES = [
+    (24, 8), (24, 24), (24, 1),
+    (30, 10), (30, 6), (30, 30), (30, 1),
+    (36, 12), (36, 4), (36, 36), (36, 1),
+    (48, 16), (48, 8), (48, 48), (48, 1),
+]
+BOX_TOL = 1e-14
+
+
+def box_average_reference(f, boxes):
+    """Box means of the grid values, constant on each box, back to a mean-free spectrum."""
+    n = f.grid.n
+    b = n // boxes
+    vals = f.physical()
+    means = vals.reshape(2, boxes, b, boxes, b).mean(axis=(2, 4))
+    flat = np.repeat(np.repeat(means, b, axis=1), b, axis=2)
+    half = np.fft.rfft2(flat, norm="forward")
+    half[:, 0, 0] = 0.0
+    return half
+
+
+def rough_field(grid, seed):
+    """Real field with every mode of the grid excited, not band-limited."""
+    rng = np.random.default_rng(seed)
+    return SpectralField.from_physical(grid, rng.standard_normal((2, grid.n, grid.n)))
+
+
+class TestBoxAverageOperator:
+    @pytest.mark.parametrize("n,boxes", BOX_CASES)
+    @pytest.mark.parametrize("band_limited", [True, False])
+    def test_matches_grid_reference(self, n, boxes, band_limited):
+        g = GridSpec(n)
+        f = random_field(g, seed=n + boxes) if band_limited else rough_field(g, n + boxes)
+        ref = box_average_reference(f, boxes)
+        out = interpolate(f, BoxAverage(boxes))
+        scale = np.abs(ref if boxes > 1 else f.coeffs).max()
+        assert np.abs(out.coeffs[..., : n // 2 + 1] - ref).max() <= BOX_TOL * scale
+        out.validate()
+
+    def test_one_box_is_zero_and_one_point_boxes_are_identity(self):
+        g = GridSpec(24)
+        f = random_field(g, seed=3)
+        assert not interpolate(f, BoxAverage(1)).coeffs.any()
+        assert np.array_equal(interpolate(f, BoxAverage(24)).coeffs, f.coeffs)
+
+    @pytest.mark.parametrize("n,boxes", [c for c in BOX_CASES if c[1] > 1])
+    def test_band_form_matches_full_form(self, n, boxes):
+        g = GridSpec(n)
+        spec = BoxAverage(boxes)
+        f = random_field(g, seed=n * boxes)
+        full = band_half(interpolate(f, spec).coeffs, g.cutoff)
+        band = interpolate(BandStack.of([f]), spec).coeffs[0]
+        assert np.abs(band - full).max() <= BOX_TOL * np.abs(full).max()
+
+    @pytest.mark.parametrize("n", [24, 30, 48])
+    @pytest.mark.parametrize(
+        "spec", [BoxAverage(6), SpectralProjection(3), SpectralProjection(100)], ids=repr
+    )
+    def test_stacked_rows_equal_single_row_calls(self, n, spec):
+        g = GridSpec(n)
+        fields = [random_field(g, seed=n + i) for i in range(5)]
+        stack = BandStack.of(fields)
+        out = interpolate(stack, spec)
+        assert isinstance(out, BandStack) and out.coeffs.shape == stack.coeffs.shape
+        for i, f in enumerate(fields):
+            assert np.array_equal(out.coeffs[i], interpolate(stack[i : i + 1], spec).coeffs[0])
+            full = band_half(interpolate(f, spec).coeffs, g.cutoff)
+            assert np.abs(out.coeffs[i] - full).max() <= BOX_TOL * np.abs(full).max()
+
+    def test_stack_of_stacks(self):
+        g = GridSpec(30)
+        spec = BoxAverage(10)
+        fields = [random_field(g, seed=i) for i in range(6)]
+        flat = interpolate(BandStack.of(fields), spec).coeffs
+        nested = BandStack(g, BandStack.of(fields).coeffs.reshape(3, 2, 2, 2 * 10 + 1, 11))
+        assert np.array_equal(interpolate(nested, spec).coeffs.reshape(flat.shape), flat)
 
 
 class TestAdmissibility:
