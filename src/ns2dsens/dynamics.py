@@ -33,10 +33,12 @@ row by row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -190,17 +192,37 @@ _SYSTEMS: dict[SystemKind, dict[str, FieldRow]] = {
 }
 
 
+class RoundWiring(NamedTuple):
+    """A system's rows as indices into its stack, as one right-hand-side round reads them.
+
+    pairs lists every advective product (a, b) in row order, a flow or
+    assimilated row's self-product (a, a) included.  rows gives per row
+    whether it starts from the forcing, how many of the products are its
+    own, and its Stokes source row or None.  nudged and targets pair each
+    nudged row with its target.  advecting lists the rows whose speeds drive
+    the CFL estimate, none when linear_only.
+    """
+
+    pairs: tuple[tuple[int, int], ...]
+    rows: tuple[tuple[bool, int, int | None], ...]
+    nudged: list[int]
+    targets: list[int]
+    advecting: list[int]
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """Which coupled stack to integrate; its wiring is read from one table.
 
     Every per-field property derives from the system's rows: `fields` is row
     order, `zero_default_fields` (zero initial data unless supplied) are the
-    derivative rows, `advecting_fields` (whose speeds drive the CFL estimate)
-    are the others, `nudged_fields` maps nudged rows to their targets, and
-    `viscosity` reads the row's slot.  linear_only disables the advective
-    products, a diagnostic mode that turns every equation into a forced
-    Stokes flow.
+    derivative rows, `advecting_fields` are the others, `nudged_fields` maps
+    nudged rows to their targets, `viscosity` reads the row's slot, and
+    `wiring` holds the rows as stack indices, computed once.  The CFL
+    estimate dt * n * max|u| runs over the advecting rows; each round of
+    `explicit_rhs` reads their max|u| off the self-products it forms anyway.
+    linear_only disables the advective products, a diagnostic mode that
+    turns every equation into a forced Stokes flow, with no CFL estimate.
     """
 
     kind: SystemKind
@@ -242,45 +264,66 @@ class SystemSpec:
     def viscosity(self, name: str, p: PhysicsParams) -> float:
         return getattr(p, self._row(name).nu)
 
-    def explicit_rhs(self, state: BandStack, p: PhysicsParams, t: float) -> np.ndarray:
-        """Every field's right-hand side except its own -nu A term, as band halves in row order.
+    @cached_property
+    def wiring(self) -> RoundWiring:
+        """The rows as stack indices, computed once per `SystemSpec`."""
+        at = {name: i for i, name in enumerate(self.fields)}
+        pairs_of = [row.products or ((name, name),) for name, row in self.rows.items()]
+        return RoundWiring(
+            pairs=tuple((at[a], at[b]) for row_pairs in pairs_of for a, b in row_pairs),
+            rows=tuple(
+                (row.role != "derivative", len(row_pairs),
+                 None if row.source is None else at[row.source])
+                for row, row_pairs in zip(self.rows.values(), pairs_of)
+            ),
+            nudged=[at[name] for name in self.nudged_fields],
+            targets=[at[target] for target in self.nudged_fields.values()],
+            advecting=[] if self.linear_only else [at[n] for n in self.advecting_fields],
+        )
 
-        state holds the band halves of `fields`, in order.  One `bilinear`
-        call forms every advective product of the table (none when
-        linear_only).  Each row starts from the forcing, or for a derivative
-        row from its negated first product; subtracts the remaining advective
-        products in row order and the Stokes source; adds nudging toward the
-        target when mu > 0.  One `interpolate` call on the band halves of
-        all nudged rows' differences forms every nudging term of the round.
+    def explicit_rhs(
+        self, state: BandStack, p: PhysicsParams, t: float
+    ) -> tuple[np.ndarray, float]:
+        """Every field's right-hand side except its own -nu A term, and the state's peak speed.
+
+        state holds the band halves of `fields`, in order; the right-hand
+        sides come back as band halves in row order.  One `bilinear` call
+        forms every advective product of the table (none when linear_only).
+        Each row starts from the forcing, or for a derivative row from its
+        negated first product; subtracts the remaining advective products in
+        row order and the Stokes source; adds nudging toward the target when
+        mu > 0.  One `interpolate` call on the band halves of all nudged
+        rows' differences forms every nudging term of the round.  The peak
+        speed is max|u| over the advecting rows on the product grid (see
+        `bilinear`), 0.0 when linear_only.
         """
         g, c = state.grid, state.coeffs
-        at = {name: i for i, name in enumerate(self.fields)}
-        pairs_of = {name: row.products or ((name, name),) for name, row in self.rows.items()}
-        pairs = [(at[a], at[b]) for row_pairs in pairs_of.values() for a, b in row_pairs]
+        wiring = self.wiring
         if self.linear_only:
-            products = np.zeros((len(pairs),) + c.shape[1:], dtype=np.complex128)
+            products = np.zeros((len(wiring.pairs),) + c.shape[1:], dtype=np.complex128)
+            speed = 0.0
         else:
-            products = bilinear(state, pairs).coeffs
+            advected = bilinear(state, wiring.pairs)
+            products = advected.coeffs
+            speed = math.sqrt(max(advected.peak_sq_speed[i] for i in wiring.advecting))
         k, inv_k_sq, lam = g.band_tables
         f = band_half(forcing_at(p, g, t).coeffs, g.cutoff)
         nudges = {}
-        if p.mu > 0 and self.nudged_fields:
-            nudged = [at[name] for name in self.nudged_fields]
-            targets = [at[target] for target in self.nudged_fields.values()]
-            seen = interpolate(BandStack(g, c[targets] - c[nudged]), p.interp).coeffs
-            nudges = dict(zip(nudged, p.mu * project_coeffs(seen, k, inv_k_sq)))
+        if p.mu > 0 and wiring.nudged:
+            seen = interpolate(BandStack(g, c[wiring.targets] - c[wiring.nudged]), p.interp).coeffs
+            nudges = dict(zip(wiring.nudged, p.mu * project_coeffs(seen, k, inv_k_sq)))
         terms = iter(products)
         out = []
-        for i, (name, row) in enumerate(self.rows.items()):
-            acc = None if row.role == "derivative" else f
-            for term in (next(terms) for _ in pairs_of[name]):
+        for i, (forced, n_terms, source) in enumerate(wiring.rows):
+            acc = f if forced else None
+            for term in (next(terms) for _ in range(n_terms)):
                 acc = -term if acc is None else acc - term
-            if row.source is not None:
-                acc = acc - c[at[row.source]] * lam
+            if source is not None:
+                acc = acc - c[source] * lam
             if i in nudges:
                 acc = acc + nudges[i]
             out.append(acc)
-        return np.stack(out)
+        return np.stack(out), speed
 
     def rhs(
         self, name: str, state: Mapping[str, SpectralField], p: PhysicsParams, t: float = 0.0
@@ -293,5 +336,5 @@ class SystemSpec:
         field = state[name]
         zero = SpectralField.zero(field.grid)
         stack = BandStack.of([state.get(n, zero) for n in self.fields])
-        rows = BandStack(field.grid, self.explicit_rhs(stack, p, t)).fields()
+        rows = BandStack(field.grid, self.explicit_rhs(stack, p, t)[0]).fields()
         return rows[self.fields.index(name)] - nu * stokes_apply(field)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -96,6 +96,12 @@ class GridSpec:
         """`k`, `inv_k_sq` and `eigenvalues` on the band half (see `band_half`)."""
         tables = (self.k, self.inv_k_sq, self.eigenvalues)
         return tuple(_read_only(band_half(t, self.cutoff)) for t in tables)
+
+    @cached_property
+    def band_norm_weights(self) -> np.ndarray:
+        """Weights (1, lam, lam**2) of the L2, H1 and H2 norms on the band half (see `norms`)."""
+        lam = self.band_tables[2]
+        return _read_only(np.stack([np.ones_like(lam), lam, lam**2]))
 
     @cached_property
     def band_mask(self) -> np.ndarray:
@@ -369,13 +375,26 @@ class BandStack:
         return (self[i] for i in range(len(self)))
 
 
+@dataclass(frozen=True)
+class ProductStack(BandStack):
+    """The `BandStack` of stacked `bilinear` products, with operands' peak squared speeds.
+
+    peak_sq_speed maps each row a of a self-product pair (a, a) to the
+    largest ux**2 + uy**2 of that operand over the product grid, read off the
+    planes Txx and Tyy the kernel forms anyway.
+    """
+
+    peak_sq_speed: Mapping[int, float]
+
+
 def bilinear(u, v):
     """Galerkin-truncated advective term B(u, v) = P_sigma(u . grad v), in divergence form.
 
     Two forms of one kernel: on SpectralFields, bilinear(u, v) returns the
     field B(u, v); on a BandStack, bilinear(stack, pairs) returns the
-    BandStack of B(stack[a], stack[b]) for each row pair (a, b) in pairs, in
-    order.
+    `ProductStack` of B(stack[a], stack[b]) for each row pair (a, b) in
+    pairs, in order, whose peak_sq_speed holds max |stack[a]|**2 on the
+    product grid for each self-product pair (a, a).
 
     Precondition: u is divergence-free.  The kernel evaluates
     P_sigma(div(v u^T)), which is P_sigma(u . grad v) + P_sigma(v div u).
@@ -394,7 +413,9 @@ def bilinear(u, v):
     Transforms per call: one inverse (`band_to_grid`) of every row of the
     stack, two planes each, and one forward (`grid_to_band`) of all products,
     written in pair order into one buffer.  The per-mode factors apply on
-    the band half.
+    the band half.  A self-product's Txx + Tyy is |u|**2, so its peak costs
+    an add, a max and a repeated multiply over an m x m plane, with no
+    transform and no scratch plane.
 
     Returns:
         Band-limited, divergence-free, mean-free results on the common grid.
@@ -406,19 +427,26 @@ def bilinear(u, v):
     return _advect(BandStack.of(rows), [(0, len(rows) - 1)]).fields()[0]
 
 
-def _advect(stack: BandStack, pairs: Sequence[tuple[int, int]]) -> BandStack:
+def _advect(stack: BandStack, pairs: Sequence[tuple[int, int]]) -> ProductStack:
     g = stack.grid
     m = g.product_n
     vals = band_to_grid(stack.coeffs, m)
     # Per pair (a, b), with u = vals[a] and v = vals[b], the planes Tyy - Txx,
     # Tyx and Txy of T = v u^T, in pair order; a self-product's Txy is its Tyx.
     prods = np.empty((sum(2 if a == b else 3 for a, b in pairs), m, m))
+    peaks = {}
     planes = []
     i = 0
     for a, b in pairs:
         (ux, uy), (vx, vy) = vals[a], vals[b]
         np.multiply(vx, ux, out=prods[i + 1])
         np.multiply(vy, uy, out=prods[i])
+        if a == b:
+            # |u|^2 = Txx + Tyy, summed in Txx's plane, which is then formed
+            # again, so the peak needs no scratch plane.
+            prods[i + 1] += prods[i]
+            peaks[a] = float(prods[i + 1].max())
+            np.multiply(vx, ux, out=prods[i + 1])
         prods[i] -= prods[i + 1]
         np.multiply(vy, ux, out=prods[i + 1])
         if a != b:
@@ -430,7 +458,7 @@ def _advect(stack: BandStack, pairs: Sequence[tuple[int, int]]) -> BandStack:
     d, yx, xy = np.array(planes).T
     q, r = g.advective_factors
     w = q[0] * t[d] + q[1] * t[yx] + q[2] * t[xy]
-    return BandStack(g, _read_only(r * w[:, None]))
+    return ProductStack(g, _read_only(r * w[:, None]), peaks)
 
 
 def inner(u: SpectralField, v: SpectralField, kind: str = "l2") -> float:
@@ -465,8 +493,7 @@ def norms(stack: BandStack) -> np.ndarray:
     """
     power = (np.abs(stack.coeffs) ** 2).sum(axis=-3)
     power[..., 1:] *= 2.0
-    lam = stack.grid.band_tables[2]
-    weights = np.stack([np.ones_like(lam), lam, lam**2])
+    weights = stack.grid.band_norm_weights
     return np.sqrt((power[..., None, :, :] * weights).sum(axis=(-2, -1)))
 
 

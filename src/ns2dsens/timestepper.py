@@ -19,19 +19,25 @@ then one divergence-free re-projection that suppresses rounding drift, and
 the three norms of every field, all on the band half.  Sampled states stay
 band halves too: each sample copies the state into one (S, F, 2, 2K + 1,
 K + 1) array, allocated once and read-only after the run, and the
-`Trajectory` expands a field to a `SpectralField` only when it is read.  At
-sample times the CFL check expands the advecting rows alone.  Every
-per-mode operation is the one the full stack would do on the same mode, so
-the states are those of a full-stack step; the norms sum the same terms in
-another order.
+`Trajectory` expands a field to a `SpectralField` only when it is read.
+Every per-mode operation is the one the full stack would do on the same
+mode, so the states are those of a full-stack step; the norms sum the same
+terms in another order.
 
 Guards: the nudging stability condition dt * mu <= 1 and the admissibility
 condition mu * c0 * h**2 <= nu are checked before marching (the latter can be
-demoted to a warning for deliberately inadmissible studies); an advective CFL
-estimate dt * n * max|u| <= 0.5 is checked at sample times with a warning on
-violation; blow-up (non-finite norms, or growth beyond 1e6 times the initial
-scale) raises BlowupError carrying the norm history.  Identical inputs
-produce bit-identical trajectories.
+demoted to a warning for deliberately inadmissible studies).  The advective
+CFL estimate dt * n * max|u| <= 0.5, max|u| over the advecting rows, is
+checked on every state from t = 0 to t_end.  The first round of each step
+reads it off the self-products it forms (`SystemSpec.explicit_rhs`), with
+no transform; the Heun midpoint is not a state and is not checked; the
+final state, which no round sees, is checked once through
+`SpectralField.max_speed`.  On padded grids (n divisible by 3) the rounds
+take max|u| over the m = n + 2 product grid, the final check over the
+n-grid.  The first excursion of a run warns, and `Trajectory.peak_cfl`
+records the largest estimate with its time.  Blow-up (non-finite norms, or
+growth beyond 1e6 times the initial scale) raises BlowupError carrying the
+norm history.  Identical inputs produce bit-identical trajectories.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ _CFL_LIMIT = 0.5
 
 
 class CFLWarning(UserWarning):
-    """Advective CFL estimate exceeded at a sample time."""
+    """Advective CFL estimate exceeded, raised at the first excursion of a run."""
 
 
 class AdmissibilityWarning(UserWarning):
@@ -129,7 +135,9 @@ class Trajectory:
     in the sample array, which expands a `SpectralField` on each read.
     Norms are summed on the band half at every step.
     max_projection_drift is the largest per-step change the divergence-free
-    re-projection made, a rounding-level health figure.
+    re-projection made, a rounding-level health figure.  peak_cfl is the
+    largest advective CFL estimate over every state of the run, with its
+    time, as (value, t).
     """
 
     system: SystemSpec
@@ -140,6 +148,7 @@ class Trajectory:
     series: dict[str, np.ndarray]
     nu2_switch: tuple[float, float] | None = None
     max_projection_drift: float = 0.0
+    peak_cfl: tuple[float, float] = (0.0, 0.0)
 
     @property
     def n_samples(self) -> int:
@@ -179,7 +188,18 @@ class Trajectory:
             series={k: v[i0 : i1 + 1] for k, v in self.series.items()},
             nu2_switch=self.nu2_switch,
             max_projection_drift=self.max_projection_drift,
+            peak_cfl=self.peak_cfl,
         )
+
+
+def _cfl_guard(cfl: float, t: float, peak: tuple[float, float]) -> tuple[float, float]:
+    """Warn if cfl is the run's first estimate beyond the limit; return the peak (value, t)."""
+    if cfl > _CFL_LIMIT >= peak[0]:
+        warnings.warn(
+            f"advective CFL estimate {cfl:.3g} exceeds {_CFL_LIMIT} at t = {t:.6g}",
+            CFLWarning,
+        )
+    return (cfl, t) if cfl > peak[0] else peak
 
 
 def _prepare_state(
@@ -279,7 +299,7 @@ def integrate(
     dt = cfg.dt
     k, inv_k_sq, lam = grid.band_tables
     names = system.fields
-    advecting = [] if system.linear_only else [names.index(n) for n in system.advecting_fields]
+    cfl_per_speed = dt * grid.n
 
     def phase(q: PhysicsParams) -> tuple:
         """Params and per-row factors (nu lam, 1 - a, 1 + a), a = dt nu lam / 2."""
@@ -298,12 +318,14 @@ def integrate(
     samples[0] = state
     taken = 1
     drift_max = 0.0
+    peak_cfl = (0.0, 0.0)
 
     n_prev = None
     for step in range(cfg.n_steps):
         t = step * dt
         pp, nu_lam, damp, denom = before if step < switch_step else after
-        n_curr = system.explicit_rhs(BandStack(grid, state), pp, t)
+        n_curr, speed = system.explicit_rhs(BandStack(grid, state), pp, t)
+        peak_cfl = _cfl_guard(cfl_per_speed * speed, t, peak_cfl)
 
         # Whole-stack updates, in place on one fresh buffer to bound peak
         # memory.  Each keeps the per-field operation order up to swapped
@@ -312,7 +334,7 @@ def integrate(
             # Heun bootstrap: one explicit second-order step.
             f0 = n_curr - nu_lam * state
             mid = state + dt * f0
-            new = system.explicit_rhs(BandStack(grid, mid), pp, t + dt)
+            new, _ = system.explicit_rhs(BandStack(grid, mid), pp, t + dt)
             new -= nu_lam * mid
             new += f0
             new *= 0.5 * dt
@@ -338,17 +360,13 @@ def integrate(
             raise BlowupError(names[i], t_next, float(l2[i]), history)
 
         if (step + 1) % cfg.sample_every == 0:
-            speeds = [f.max_speed() for f in BandStack(grid, state[advecting]).fields()]
-            cfl = dt * grid.n * max(speeds, default=0.0)
-            if cfl > _CFL_LIMIT:
-                warnings.warn(
-                    f"advective CFL estimate {cfl:.3g} exceeds {_CFL_LIMIT} at t = {t_next:.6g}",
-                    CFLWarning,
-                )
             series[:, taken] = step_norms
             samples[taken] = state
             taken += 1
 
+    final = BandStack(grid, state[system.wiring.advecting])
+    speeds = [f.max_speed() for f in final.fields()]
+    peak_cfl = _cfl_guard(cfl_per_speed * max(speeds, default=0.0), t_next, peak_cfl)
     samples.setflags(write=False)
     return Trajectory(
         system=system,
@@ -359,6 +377,7 @@ def integrate(
         series=dict(zip(names, series)),
         nu2_switch=nu2_switch,
         max_projection_drift=drift_max,
+        peak_cfl=peak_cfl,
     )
 
 

@@ -84,16 +84,17 @@ def test_sens_flow_layers_record_spans(bench):
     # and the ky pass on all m rows; the 2 + 3 + 3 = 8 product planes (B(u, u)
     # needs two) take the ky pass on m rows and the kx pass on K + 1 columns.
     # So a round counts (4 + 8) (m + K + 1) lines, with m = n = 32 and
-    # K = 10.  Each CFL check adds the two planes of u's `irfft2`.
+    # K = 10.  The first round of each step reads the CFL estimate of the
+    # state it advances off B(u, u)'s planes, with no transform; only the
+    # final state, which no round sees, is checked through `physical`: the
+    # two planes of u's `irfft2`, once per run.
     rounds = steps + 1
-    samples = steps // sample_every
     m, K = grid.product_n, grid.cutoff
     assert row["spectral.bilinear"]["calls"] == rounds
-    assert row["counts"]["spectral.fft.planes"] == 12 * (m + K + 1) * rounds + 2 * samples
-    # The CFL check runs at each of the samples after t = 0 and expands the
-    # advecting rows only: u, not its sensitivity ut.  So `physical` runs
-    # once per checked sample, and reading the trajectory calls it never.
-    assert row["spectral.physical"]["calls"] == samples
+    assert row["counts"]["spectral.fft.planes"] == 12 * (m + K + 1) * rounds + 2
+    # The final check expands the advecting rows only: u, not its
+    # sensitivity ut.  Reading the trajectory calls `physical` never.
+    assert row["spectral.physical"]["calls"] == 1
 
 
 def test_box_nudged_round_and_checks_counts(bench):
@@ -118,15 +119,15 @@ def test_box_nudged_round_and_checks_counts(bench):
     # |f + mu P I_h(u)| from one call per block of SAMPLE_BLOCK samples.
     rounds = steps + 1
     samples = steps + 1
-    checked = steps  # CFL checks run at the samples after t = 0
     m, K = grid.product_n, grid.cutoff
     assert row["spectral.bilinear"]["calls"] == rounds
     assert row["interpolants.interpolate"]["calls"] == rounds + math.ceil(samples / SAMPLE_BLOCK)
-    # The CFL check expands both advecting rows, u and v; nothing else,
-    # interpolation included, reaches `physical`.
-    assert row["spectral.physical"]["calls"] == checked * 2
+    # The rounds read the CFL estimate off B(u, u) and B(v, v); the final
+    # state alone is checked by expanding both advecting rows, u and v, once
+    # each.  Nothing else, interpolation included, reaches `physical`.
+    assert row["spectral.physical"]["calls"] == 2
     # Per round, the stacked bilinear's inverse takes 2 fields x 2
     # components = 4 planes and its forward the 2 + 2 planes of B(u, u) and
-    # B(v, v), each through (m + K + 1) single-axis lines; each CFL check
+    # B(v, v), each through (m + K + 1) single-axis lines; the final check
     # adds the two planes of each advecting row's `irfft2`.
-    assert row["counts"]["spectral.fft.planes"] == 8 * (m + K + 1) * rounds + 4 * checked
+    assert row["counts"]["spectral.fft.planes"] == 8 * (m + K + 1) * rounds + 4

@@ -325,7 +325,7 @@ class TestSystemSpec:
                 spec = SystemSpec(kind, linear_only=linear_only)
                 assert tuple(expected) == spec.fields, kind
                 state = BandStack.of([s[name] for name in spec.fields])
-                rows = BandStack(GRID, spec.explicit_rhs(state, p, t=0.5)).fields()
+                rows = BandStack(GRID, spec.explicit_rhs(state, p, t=0.5)[0]).fields()
                 for row, (name, (explicit, nu)) in zip(rows, expected.items()):
                     want = explicit - nu * A(s[name])
                     own = spec.viscosity(name, p) * A(s[name])

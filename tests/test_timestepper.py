@@ -1,5 +1,7 @@
 """Integrator tests: closed-form decay, observed order, guards, reproducibility."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -53,7 +55,7 @@ def full_stack_reference(system, init, p, dt, n_steps, switch=None):
 
     def rhs(stack, q, t):
         state = BandStack(grid, band_half(stack, grid.cutoff))
-        return band_full(system.explicit_rhs(state, q, t), grid.n)
+        return band_full(system.explicit_rhs(state, q, t)[0], grid.n)
 
     state = np.stack([leray_project(init.get(name, zero).band_limited()).coeffs for name in names])
     states = [state]
@@ -221,6 +223,48 @@ class TestGuards:
         with pytest.warns(CFLWarning):
             integrate(SystemSpec(SystemKind.NSE), init, p, cfg)
 
+    # A decaying run whose CFL estimate rises from 0.472 at t = 0 to 0.514 at
+    # step 17 and falls back to 0.486 at step 32, sampled at t = 0 and t_end
+    # only.  Over 32 steps every excursion lies between the samples.  Over 12
+    # steps (0.498 at step 11, 0.502 at step 12) only the final state, which
+    # no round sees, exceeds the limit.
+    @pytest.mark.parametrize("steps", [32, 12], ids=["between_samples", "final_state"])
+    def test_cfl_excursion_between_samples_warns(self, steps):
+        p = PhysicsParams(nu1=1e-3, nu2=1e-3)
+        dt = 0.0032
+        cfg = SolverConfig(dt=dt, t_end=steps * dt, sample_every=steps)
+        init = {"u": random_field(GRID, seed=0, kmin=1, kmax=4, l2_norm=2.0)}
+        with pytest.warns(CFLWarning):
+            traj = integrate(SystemSpec(SystemKind.NSE), init, p, cfg)
+        cfl = [dt * GRID.n * field.max_speed() for field in traj.snapshots["u"]]
+        value, t = traj.peak_cfl
+        assert value > 0.5
+        if steps == 32:
+            assert max(cfl) < 0.5
+            assert 0 < t < cfg.t_end
+        else:
+            assert cfl[0] < 0.5 < cfl[1]
+            assert (value, t) == (cfl[1], traj.times[1])
+
+    def test_cfl_warns_once_and_records_peak(self):
+        p = PhysicsParams(nu1=0.05, nu2=0.05)
+        dt = 0.01
+        cfg = SolverConfig(dt=dt, t_end=0.2, sample_every=1)
+        init = {"u": random_field(GRID, seed=62, kmin=1, kmax=4, l2_norm=2.0)}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            traj = integrate(SystemSpec(SystemKind.NSE), init, p, cfg)
+        cfl = np.array([dt * GRID.n * field.max_speed() for field in traj.snapshots["u"]])
+        assert (cfl > 0.5).sum() > 10
+        assert [w.category for w in caught] == [CFLWarning]
+        # Every step is a sample, so the samples hold every checked state.
+        # n = 32 is not divisible by 3, so the rounds read the n-grid values
+        # through another transform path: equal within ROUND_SPEED_RTOL.
+        value, t = traj.peak_cfl
+        assert value == pytest.approx(cfl.max(), rel=ROUND_SPEED_RTOL, abs=0)
+        assert t == traj.times[int(cfl.argmax())]
+        assert traj.window(0, 3).peak_cfl == traj.peak_cfl
+
     def test_nudging_stability_gate(self):
         p = PhysicsParams(nu1=0.01, nu2=0.01, mu=50.0, interp=SpectralProjection(modes=8))
         cfg = SolverConfig(dt=0.1, t_end=1.0)
@@ -260,6 +304,58 @@ class TestGuards:
                 SystemSpec(SystemKind.DA), init, p, cfg, enforce_admissibility=False
             )
         assert traj.n_samples == 2
+
+
+# Rounding bound for a round's peak speed against max|u| of the same grid
+# values formed by another transform path, relative to max|u|: both values
+# come from O(log m) butterfly stages of complex128 arithmetic on at most
+# 2 (2K + 1)(K + 1) band modes, so a few hundred ulp covers them.
+ROUND_SPEED_RTOL = 1e-13
+
+
+class TestRoundPeakSpeed:
+    """The peak speed an `explicit_rhs` round reads off its advective products."""
+
+    @staticmethod
+    def product_grid_speed(field, m):
+        """max|u| over the m-grid values of a band-limited field, by a complex ifft2."""
+        K = field.grid.cutoff
+        idx = np.r_[0 : K + 1, -K:0]
+        padded = np.zeros((2, m, m), dtype=np.complex128)
+        padded[:, idx[:, None], idx] = field.coeffs[:, idx[:, None], idx]
+        ux, uy = np.fft.ifft2(padded, norm="forward").real
+        return float(np.sqrt(ux**2 + uy**2).max())
+
+    @pytest.mark.parametrize("n", [24, 30, 32, 48])
+    @pytest.mark.parametrize("kind", [SystemKind.DA, SystemKind.NSE_SENS, SystemKind.DQ_DIRECT])
+    def test_matches_grid_values(self, n, kind):
+        grid = GridSpec(n)
+        system = SystemSpec(kind)
+        # Derivative rows are ten times faster, so counting one would show.
+        init = {
+            name: random_field(
+                grid, seed=80 + i, kmin=1, kmax=6,
+                l2_norm=1.0 + i if name in system.advecting_fields else 10.0,
+            )
+            for i, name in enumerate(system.fields)
+        }
+        state = BandStack.of([init[name] for name in system.fields])
+        _, speed = system.explicit_rhs(state, PhysicsParams(nu1=0.01, nu2=0.008), 0.0)
+        advecting = [init[name] for name in system.advecting_fields]
+        if n % 3:
+            # The product grid is the n-grid: the values `physical` gives.
+            ref = max(f.max_speed() for f in advecting)
+        else:
+            # The padded product grid, m = n + 2.
+            ref = max(self.product_grid_speed(f, grid.product_n) for f in advecting)
+        assert speed == pytest.approx(ref, rel=ROUND_SPEED_RTOL, abs=0)
+
+    def test_linear_only_round_reads_no_speed(self):
+        state = BandStack.of([taylor_green(GRID)])
+        _, speed = SystemSpec(SystemKind.NSE, linear_only=True).explicit_rhs(
+            state, PhysicsParams(nu1=0.01, nu2=0.01), 0.0
+        )
+        assert speed == 0.0
 
 
 class TestStateHandling:
