@@ -25,7 +25,6 @@ import yaml
 from .diagnostics import check_apriori, identity_suite, trajectory_grashof
 from .dynamics import PhysicsParams, SystemKind, SystemSpec
 from .experiments import (
-    DQSweepSpec,
     ExperimentReport,
     _jsonify,
     run_da_dq_convergence,
@@ -35,7 +34,7 @@ from .experiments import (
     run_taylor_green_suite,
 )
 from .interpolants import BoxAverage, SpectralProjection, verify_bound
-from .runconfig import ConfigError, RunConfig, load_config
+from .runconfig import ConfigError, RunConfig, load_config, sweep_spec
 from .spectral import GridSpec, SpectralField, norm
 from .storage import emit_diagnostics_csv, save_report, write_snapshot
 from .timestepper import AdmissibilityError, BlowupError, SolverConfig, integrate
@@ -116,20 +115,10 @@ def _cmd_sensitivity(cfg, args, out_dir):
     return _single_run(cfg, SystemKind.NSE_SENS, "sensitivity", out_dir)
 
 
-def _sweep_spec(cfg: RunConfig) -> DQSweepSpec:
-    exp = cfg.experiment
-    norm_key = exp.get("norm", "l2_v")
-    if "deltas" in exp:
-        return DQSweepSpec(cfg.physics.nu1, exp["deltas"], cfg.initial,
-                           norm=norm_key)
-    return DQSweepSpec.halving(cfg.physics.nu1, cfg.initial,
-                               levels=exp.get("levels", 5), norm=norm_key)
-
-
 def _cmd_dq_sweep(cfg, args, out_dir):
     _require_kind(cfg, SystemKind.DQ_DIRECT)
     return run_dq_convergence(
-        _sweep_spec(cfg), cfg.physics, cfg.solver,
+        sweep_spec(cfg), cfg.physics, cfg.solver,
         ratio_window=cfg.experiment.get("ratio_window"),
     )
 
@@ -137,7 +126,7 @@ def _cmd_dq_sweep(cfg, args, out_dir):
 def _cmd_da_dq_sweep(cfg, args, out_dir):
     _require_kind(cfg, SystemKind.DA_DQ_DIRECT)
     return run_da_dq_convergence(
-        _sweep_spec(cfg), cfg.physics, cfg.solver,
+        sweep_spec(cfg), cfg.physics, cfg.solver,
         v0=cfg.assimilated_initial,
         ratio_window=cfg.experiment.get("ratio_window"),
     )
@@ -200,7 +189,7 @@ def _cmd_verify(cfg, args, out_dir):
     identities = identity_suite(grid, trials=trials, seed=seed)
     proj = verify_bound(SpectralProjection(modes=grid.cutoff // 2), grid,
                         ensemble=ensemble, seed=seed)
-    box_count = 8 if grid.n % 8 == 0 else 4
+    box_count = next(b for b in (8, 4, 2) if grid.n % b == 0)
     box = verify_bound(BoxAverage(boxes=box_count), grid,
                        ensemble=ensemble, seed=seed)
     verdicts = {

@@ -21,7 +21,8 @@ right-hand side stays divergence-free, mean-free and band-limited.
 One table, `_SYSTEMS`, is the single source of this wiring: per system, one
 row per field giving its role (flow, assimilated or derivative), its
 viscosity slot, a derivative's advective products and Stokes source, and a
-nudged field's target.  `SystemSpec` derives everything else from the rows.
+nudged field's target.  `SystemSpec` derives everything else from the rows,
+copies of the nu2 rows per `nu2s` value included; a copy at nu1 is the sensitivity.
 `SystemSpec.explicit_rhs` assembles every field's right-hand side in one
 round on the band halves of the whole stack (`spectral.BandStack`): one
 `bilinear` call forms all advective products of the table, one
@@ -138,15 +139,16 @@ class SystemKind(str, Enum):
 class FieldRow:
     """Wiring of one evolved field; see the module docstring for the equations.
 
-    role is "flow", "assimilated" or "derivative".  nu names the viscosity
-    slot of PhysicsParams ("nu1" or "nu2").  Derivative rows list their
+    role is "flow", "assimilated" or "derivative".  nu is the row's
+    viscosity: the name of a PhysicsParams slot ("nu1" or "nu2"), or a value
+    (the rows of a `SystemSpec.nu2s` copy).  Derivative rows list their
     advective products as ordered (a, b) pairs and the field whose Stokes
     term couples into them; flow and assimilated rows advect only themselves.
     nudge_to names the field a nudged row is pulled toward.
     """
 
     role: str
-    nu: str = "nu1"
+    nu: str | float = "nu1"
     products: tuple[tuple[str, str], ...] = ()
     source: str | None = None
     nudge_to: str | None = None
@@ -214,11 +216,18 @@ class RoundWiring(NamedTuple):
 class SystemSpec:
     """Which coupled stack to integrate; its wiring is read from one table.
 
-    Every per-field property derives from the system's rows: `fields` is row
-    order, `zero_default_fields` (zero initial data unless supplied) are the
+    nu2s (empty by default) batches the stack: the kind's nu1 rows once,
+    then per value j its nu2 rows as copies `name_j` at that viscosity, with
+    references to nu2 rows renamed and to nu1 rows kept.  A copy's initial
+    field defaults to its base row's (`base`), and a nu2 switch leaves it at
+    its own viscosity.  Copy 0 at nu1 is the sensitivity: d_0 is ut and dp_0
+    is vt bit for bit, their products the sensitivity's in swapped order.
+
+    Every per-field property derives from the rows: `fields` is row order,
+    `zero_default_fields` (zero initial data unless supplied) are the
     derivative rows, `advecting_fields` are the others, `nudged_fields` maps
-    nudged rows to their targets, `viscosity` reads the row's slot, and
-    `wiring` holds the rows as stack indices, computed once.  The CFL
+    nudged rows to their targets, `viscosity` reads the row's slot or value,
+    and `wiring` holds the rows as stack indices, computed once.  The CFL
     estimate dt * n * max|u| runs over the advecting rows; each round of
     `explicit_rhs` reads their max|u| off the self-products it forms anyway.
     linear_only disables the advective products, a diagnostic mode that
@@ -227,18 +236,42 @@ class SystemSpec:
 
     kind: SystemKind
     linear_only: bool = False
+    nu2s: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, SystemKind):
             object.__setattr__(self, "kind", SystemKind(self.kind))
+        object.__setattr__(self, "nu2s", tuple(float(nu) for nu in self.nu2s))
+        if any(nu <= 0 for nu in self.nu2s):
+            raise ValueError(f"viscosities must be positive, got {self.nu2s}")
 
-    @property
+    @cached_property
+    def _table(self) -> dict[str, tuple[str, FieldRow]]:
+        """Every field's `_SYSTEMS` row name and its own row, in row order."""
+        table = _SYSTEMS[self.kind]
+        out = {n: (n, row) for n, row in table.items() if not self.nu2s or row.nu == "nu1"}
+        for j, nu in enumerate(self.nu2s):
+            to = {n: f"{n}_{j}" for n, row in table.items() if row.nu == "nu2"}
+            for n, copy in to.items():
+                row = table[n]
+                pairs = tuple((to.get(a, a), to.get(b, b)) for a, b in row.products)
+                out[copy] = (n, FieldRow(
+                    row.role, nu, pairs, to.get(row.source, row.source),
+                    to.get(row.nudge_to, row.nudge_to),
+                ))
+        return out
+
+    @cached_property
     def rows(self) -> Mapping[str, FieldRow]:
-        return MappingProxyType(_SYSTEMS[self.kind])
+        return MappingProxyType({name: row for name, (_, row) in self._table.items()})
+
+    def base(self, name: str) -> str:
+        """The `_SYSTEMS` row that field name copies, name itself outside nu2s copies."""
+        return self._table[name][0]
 
     @property
     def fields(self) -> tuple[str, ...]:
-        return tuple(_SYSTEMS[self.kind])
+        return tuple(self.rows)
 
     @property
     def zero_default_fields(self) -> frozenset:
@@ -256,13 +289,14 @@ class SystemSpec:
         return bool(self.nudged_fields) and p.mu > 0
 
     def _row(self, name: str) -> FieldRow:
-        row = _SYSTEMS[self.kind].get(name)
+        row = self.rows.get(name)
         if row is None:
             raise ValueError(f"system {self.kind.value} has no field {name!r}")
         return row
 
     def viscosity(self, name: str, p: PhysicsParams) -> float:
-        return getattr(p, self._row(name).nu)
+        nu = self._row(name).nu
+        return getattr(p, nu) if isinstance(nu, str) else nu
 
     @cached_property
     def wiring(self) -> RoundWiring:

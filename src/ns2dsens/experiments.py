@@ -5,11 +5,13 @@ into an ExperimentReport: named boolean verdicts, a per-sweep-point table,
 scalar diagnostics, and the a-priori bound checks of every trajectory the
 experiment accepted.  The quotient sweeps certify that the algebraic
 difference quotient of two flows converges, first order in the viscosity
-increment, to the integrated sensitivity field, and that the directly
-evolved quotient agrees with the algebraic one to integrator accuracy
-(two-path consistency).  Trajectory-in-time norms are trapezoid quadratures
-over the sampled diagnostics; each sweep reports a cadence deviation so the
-quadrature error can be seen to be negligible next to the measured errors.
+increment, to the sensitivity field, and that the directly evolved quotient
+agrees with the algebraic one to integrator accuracy (two-path
+consistency), from one quotient stack batched over nu2 = nu1 (the
+sensitivity) and each nu1 + delta, and one half-step run.  Trajectory-in-time
+norms are trapezoid quadratures over the sampled diagnostics; each sweep
+reports a cadence deviation so the quadrature error can be seen to be
+negligible next to the measured errors.
 
 The Taylor-Green vortex supplies closed forms used as oracles throughout:
 the flow decays as exp(-8 pi^2 nu t), its viscosity sensitivity is
@@ -41,6 +43,7 @@ from .dynamics import (
 from .interpolants import admissibility
 from .spectral import (
     LAMBDA_1,
+    NORM_KINDS,
     BandStack,
     GridSpec,
     SpectralField,
@@ -289,13 +292,6 @@ def _integrate_noted(system, init, p, cfg, notes: list, **kwargs) -> Trajectory:
     return traj
 
 
-def _half_cadence_indices(n: int) -> np.ndarray:
-    idx = list(range(0, n, 2))
-    if idx[-1] != n - 1:
-        idx.append(n - 1)
-    return np.asarray(idx)
-
-
 def _run_quotient_sweep(
     name: str,
     spec: DQSweepSpec,
@@ -319,10 +315,9 @@ def _run_quotient_sweep(
         "warnings": notes,
     }
 
+    init = {"u1": spec.initial, "u2": spec.initial}
     if assimilated:
-        ref_system = SystemSpec(SystemKind.DA_SENS)
-        sweep_system = SystemSpec(SystemKind.DA_DQ_DIRECT)
-        sens_name, quot_pair, evolved_name = "vt", ("v1", "v2"), "dp"
+        kind, flow, evolved = SystemKind.DA_DQ_DIRECT, ("v1", "v2"), "dp"
         if v0 is None:
             v0 = SpectralField.zero(grid)
         # Quotient convergence under nudging is only guaranteed with the
@@ -335,84 +330,59 @@ def _run_quotient_sweep(
                 f"strict admissibility fails for nu = {spec.nu1}, mu = {p.mu}: "
                 "the sweep's convergence guarantee does not apply"
             )
-        ref_init = {"u": spec.initial, "v": v0}
-        sweep_init = {"u1": spec.initial, "u2": spec.initial, "v1": v0, "v2": v0}
+        init.update(v1=v0, v2=v0)
     else:
-        ref_system = SystemSpec(SystemKind.NSE_SENS)
-        sweep_system = SystemSpec(SystemKind.DQ_DIRECT)
-        sens_name, quot_pair, evolved_name = "ut", ("u1", "u2"), "d"
-        ref_init = {"u": spec.initial}
-        sweep_init = {"u1": spec.initial, "u2": spec.initial}
+        kind, flow, evolved = SystemKind.DQ_DIRECT, ("u1", "u2"), "d"
 
-    ref = _integrate_noted(ref_system, ref_init, p, cfg, notes)
-    checks = list(check_apriori(ref, label="ref_"))
-    times = ref.times
-    kind = _NORM_KIND[spec.norm]
-    half_idx = _half_cadence_indices(len(times))
+    # Copy 0 runs at nu2 = nu1, so its quotient row is the sensitivity.
+    batch = _integrate_noted(
+        SystemSpec(kind, nu2s=(p.nu1,) + spec.nu2_values), init, p, cfg, notes
+    )
+    checks = check_apriori(batch)
+    times, snaps = batch.times, batch.snapshots
 
-    errors: list[float] = []
-    gaps: list[float] = []
-    cadence_devs: list[float] = []
-    finest_evolved: BandStack | None = None
+    def copies(base: str) -> np.ndarray:
+        """The sampled band halves of base's copies 1..J, shape (J, S, ...)."""
+        return np.stack([snaps[f"{base}_{j}"].coeffs for j in range(1, len(spec.deltas) + 1)])
 
-    for j, delta in enumerate(spec.deltas, start=1):
-        nu2 = spec.nu1 + delta
-        p_n = with_viscosity2(p, nu2)
-        traj = _integrate_noted(sweep_system, sweep_init, p_n, cfg, notes)
-        checks.extend(check_apriori(traj, label=f"n{j}_"))
-        err_vals = np.empty(len(times))
-        gap_vals = np.empty(len(times))
-        for i in range(len(times)):
-            alg = dq_field(
-                traj.snapshot(quot_pair[0], i),
-                traj.snapshot(quot_pair[1], i),
-                spec.nu1,
-                nu2,
-            )
-            err_vals[i] = norm(alg - ref.snapshot(sens_name, i), kind)
-            gap_vals[i] = norm(traj.snapshot(evolved_name, i) - alg, kind)
-        e_full = _reduce_series(times, err_vals, spec.norm)
-        e_half = _reduce_series(times, err_vals, spec.norm, half_idx)
-        errors.append(e_full)
-        gaps.append(_reduce_series(times, gap_vals, spec.norm))
-        cadence_devs.append(abs(e_half - e_full) / max(e_full, 1e-300))
-        if j == len(spec.deltas):
-            finest_evolved = traj.snapshots[evolved_name]
+    dnu = np.array([complex(spec.nu1 - nu2) for nu2 in spec.nu2_values])
+    alg = (snaps[flow[0]].coeffs - copies(flow[1])) / dnu.reshape(-1, 1, 1, 1, 1)
+    col = NORM_KINDS.index(_NORM_KIND[spec.norm])
+    err_vals = norms(BandStack(grid, alg - snaps[f"{evolved}_0"].coeffs))[..., col]
+    gap_vals = norms(BandStack(grid, copies(evolved) - alg))[..., col]
+    half_idx = np.unique(np.r_[0 : len(times) : 2, len(times) - 1])
+    errors = [_reduce_series(times, e, spec.norm) for e in err_vals]
+    gaps = [_reduce_series(times, g, spec.norm) for g in gap_vals]
+    cadence_devs = [
+        abs(_reduce_series(times, e, spec.norm, half_idx) - e_full) / max(e_full, 1e-300)
+        for e, e_full in zip(err_vals, errors)
+    ]
 
     # Integrator tolerance: trajectory-norm distance of the evolved quotient
     # between the working step and a halved step at the finest delta.
     cfg_half = dataclasses.replace(cfg, dt=0.5 * cfg.dt, sample_every=2 * cfg.sample_every)
-    p_fine = with_viscosity2(p, spec.nu1 + spec.deltas[-1])
-    half_run = _integrate_noted(sweep_system, sweep_init, p_fine, cfg_half, notes)
+    p_fine = with_viscosity2(p, spec.nu2_values[-1])
+    half_run = _integrate_noted(SystemSpec(kind), init, p_fine, cfg_half, notes)
     integrator_tol = trajectory_distance(
-        times, finest_evolved, half_run.snapshots[evolved_name], spec.norm
+        times, snaps[f"{evolved}_{len(spec.deltas)}"], half_run.snapshots[evolved], spec.norm
     )
 
     ratios = [errors[i + 1] / errors[i] for i in range(len(errors) - 1)]
-    table = []
-    for j, delta in enumerate(spec.deltas):
-        table.append(
-            {
-                "delta": delta,
-                "nu2": spec.nu1 + delta,
-                "error": errors[j],
-                "ratio": ratios[j - 1] if j >= 1 else None,
-                "two_path_gap": gaps[j],
-                "cadence_dev": cadence_devs[j],
-            }
+    table = tuple(
+        {"delta": d, "nu2": nu2, "error": e, "ratio": r, "two_path_gap": g, "cadence_dev": c}
+        for d, nu2, e, r, g, c in zip(
+            spec.deltas, spec.nu2_values, errors, [None] + ratios, gaps, cadence_devs
         )
+    )
 
-    verdicts: dict[str, bool] = {}
+    verdicts = {"sufficient_for_rate": len(spec.deltas) >= 2}
     if len(spec.deltas) >= 2:
-        verdicts["sufficient_for_rate"] = True
         verdicts["errors_strictly_decreasing"] = all(
             b < a for a, b in zip(errors, errors[1:])
         )
         if ratio_window is not None:
             lo, hi = ratio_window
             verdicts["ratio_in_window"] = all(lo <= r <= hi for r in ratios)
-    else:
-        verdicts["sufficient_for_rate"] = False
     verdicts["two_path_consistent"] = all(g <= 10.0 * integrator_tol for g in gaps)
     verdicts["quadrature_cadence_ok"] = max(cadence_devs) < 0.05
     verdicts["apriori_bounds"] = all(c.passed for c in checks)
@@ -438,12 +408,12 @@ def _run_quotient_sweep(
     return ExperimentReport(
         name=name,
         verdicts=verdicts,
-        table=tuple(table),
+        table=table,
         data=data,
         checks=tuple(checks),
         config_digest=digest,
         runtime_seconds=time.perf_counter() - start,
-        artifacts={"reference": ref},
+        artifacts={"reference": batch},
     )
 
 
@@ -455,12 +425,13 @@ def run_dq_convergence(
 ) -> ExperimentReport:
     """Sweep the difference quotient of two flows against the sensitivity.
 
-    For each delta the three-field quotient stack is integrated once; the
-    algebraic quotient of its two flow copies is compared with a separately
-    integrated sensitivity trajectory (the error e_n) and with the directly
-    evolved quotient field (the two-path gap).  Errors must decrease strictly
-    and, when a ratio window is given, consecutive error ratios must track
-    the first-order prediction delta_{n+1}/delta_n.
+    One `DQ_DIRECT` run batched over nu2 = nu1 and each nu1 + delta
+    (`artifacts["reference"]`) compares, per delta j, the algebraic quotient
+    (u1 - u2_j) / (nu1 - nu2_j) with the sensitivity d_0 (the error e_j) and
+    with the evolved quotient d_j (the two-path gap); a half-step run gives
+    the integrator tolerance.  Errors must decrease strictly and, when a
+    ratio window is given, consecutive error ratios must track the
+    first-order prediction delta_{n+1}/delta_n.
     """
     return _run_quotient_sweep(
         "dq_convergence", spec, p, cfg, assimilated=False, v0=None,
@@ -477,11 +448,11 @@ def run_da_dq_convergence(
 ) -> ExperimentReport:
     """The quotient sweep for assimilated copies of the two flows.
 
-    Each sweep point integrates the six-field stack in which v1 and v2 are
-    nudged toward their own-viscosity references u1 and u2, the evolved
-    quotient of the assimilated pair is nudged toward the evolved flow
-    quotient, and the reference is the assimilated sensitivity stack.  The
-    strict gain condition is verified before any integration when mu > 0.
+    The batched stack is `DA_DQ_DIRECT`'s: v1 and each v2_j are nudged
+    toward u1 and u2_j, each evolved quotient dp_j toward d_j, and the
+    errors compare (v1 - v2_j) / (nu1 - nu2_j) with the assimilated
+    sensitivity dp_0.  The strict gain condition is verified before any
+    integration when mu > 0.
     """
     return _run_quotient_sweep(
         "da_dq_convergence", spec, p, cfg, assimilated=True, v0=v0,
@@ -580,6 +551,19 @@ def run_da_sync(
     )
 
 
+def check_switch(cfg: SolverConfig, t_switch: float, nu_new: float) -> None:
+    """Raise ValueError unless `run_reynolds_switch` can switch to nu_new at t_switch."""
+    if nu_new <= 0:
+        raise ValueError("nu_new must be positive")
+    if not 0 < t_switch < cfg.t_end:
+        raise ValueError("t_switch must lie strictly inside (0, t_end)")
+    sample_dt = cfg.dt * cfg.sample_every
+    if abs(t_switch / sample_dt - round(t_switch / sample_dt)) > 1e-9:
+        raise ValueError(
+            "t_switch must be a sample time so the bound checks can split there"
+        )
+
+
 def run_reynolds_switch(
     p: PhysicsParams,
     cfg: SolverConfig,
@@ -597,15 +581,7 @@ def run_reynolds_switch(
     [t_switch, T] with the new one.  A blow-up is reported, not raised.
     """
     start = time.perf_counter()
-    if nu_new <= 0:
-        raise ValueError("nu_new must be positive")
-    if not 0 < t_switch < cfg.t_end:
-        raise ValueError("t_switch must lie strictly inside (0, t_end)")
-    sample_dt = cfg.dt * cfg.sample_every
-    if abs(t_switch / sample_dt - round(t_switch / sample_dt)) > 1e-9:
-        raise ValueError(
-            "t_switch must be a sample time so the bound checks can split there"
-        )
+    check_switch(cfg, t_switch, nu_new)
     grid = u0.grid
     if v0 is None:
         v0 = SpectralField.zero(grid)
@@ -701,7 +677,8 @@ def run_taylor_green_suite(
     Certifies the full assembly end to end: the integrated flow against the
     exponential decay, the integrated sensitivity against its closed form at
     the final time, and the final-time difference quotient against the
-    sensitivity with first-order shrinkage in the viscosity increment.
+    sensitivity with first-order shrinkage in the viscosity increment.  Both
+    come from one `DQ_DIRECT` run batched over nu2 = nu and each nu + delta.
     """
     start = time.perf_counter()
     grid = GridSpec(64) if grid is None else grid
@@ -724,29 +701,19 @@ def run_taylor_green_suite(
     )
     checks = list(check_apriori(flow))
 
+    # Copy 0 (nu2 = nu) is the sensitivity, copy j the second flow of delta j.
     t0 = time.perf_counter()
-    sens = _integrate_noted(
-        SystemSpec(SystemKind.NSE_SENS), {"u": u0}, p, cfg, notes
+    nu2s = tuple(nu + delta for delta in deltas)
+    batch = _integrate_noted(
+        SystemSpec(SystemKind.DQ_DIRECT, nu2s=(nu,) + nu2s), {"u1": u0, "u2": u0}, p, cfg, notes
     )
-    timings["sensitivity_seconds"] = time.perf_counter() - t0
-    t_end = float(sens.times[-1])
-    sens_exact = taylor_green_sensitivity(grid, nu, t_end)
-    sens_err = norm(sens.final("ut") - sens_exact) / norm(sens_exact)
-
-    t0 = time.perf_counter()
-    dq_errs = []
-    for delta in deltas:
-        nu2 = nu + delta
-        traj = _integrate_noted(
-            SystemSpec(SystemKind.DQ_DIRECT),
-            {"u1": u0, "u2": u0},
-            with_viscosity2(p, nu2),
-            cfg,
-            notes,
-        )
-        alg = dq_field(traj.final("u1"), traj.final("u2"), nu, nu2)
-        dq_errs.append(float(norm(alg - sens_exact)))
-    timings["dq_seconds"] = time.perf_counter() - t0
+    timings["sweep_seconds"] = time.perf_counter() - t0
+    sens_exact = taylor_green_sensitivity(grid, nu, float(batch.times[-1]))
+    sens_err = norm(batch.final("d_0") - sens_exact) / norm(sens_exact)
+    dq_errs = [
+        float(norm(dq_field(batch.final("u1"), batch.final(f"u2_{j}"), nu, nu2) - sens_exact))
+        for j, nu2 in enumerate(nu2s, start=1)
+    ]
     dq_ratios = [dq_errs[i + 1] / dq_errs[i] for i in range(len(dq_errs) - 1)]
 
     verdicts = {
@@ -786,5 +753,5 @@ def run_taylor_green_suite(
         checks=tuple(checks),
         config_digest=digest,
         runtime_seconds=time.perf_counter() - start,
-        artifacts={"flow": flow, "sensitivity": sens},
+        artifacts={"flow": flow, "sweep": batch},
     )

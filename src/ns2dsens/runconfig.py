@@ -23,7 +23,8 @@ A config file holds nested blocks mirroring the in-memory types:
 
 Parsing is strict: unknown keys anywhere are fatal, so a misspelled physics
 parameter cannot be silently ignored.  Every invariant of the mirrored types
-is re-validated on load, and a nudged run whose gain violates the
+is re-validated on load, the quotient sweep (`sweep_spec`) and a viscosity
+switch (`check_switch`) included, and a nudged run whose gain violates the
 admissibility condition mu * c0 * h^2 <= nu is rejected unless
 physics.allow_inadmissible is set.  Unpinned seeds derive from the top-level
 seed: forcing uses it directly, the initial field uses seed + 1, and the
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import yaml
 
 from .dynamics import PhysicsParams, SystemKind
-from .experiments import TRAJECTORY_NORMS, forcing_for_grashof
+from .experiments import TRAJECTORY_NORMS, DQSweepSpec, check_switch, forcing_for_grashof
 from .interpolants import (
     BoxAverage,
     InterpolantSpec,
@@ -71,21 +72,25 @@ _FIELD_KINDS = ("taylor_green", "random_solenoidal", "zero")
 _FORCING_KINDS = ("none", "random_solenoidal", "grashof")
 
 
+def _mapping(raw, where: str, allowed: set) -> dict:
+    """raw itself when it is a mapping with no key outside allowed."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    unknown = set(raw) - allowed
+    if unknown:
+        raise ConfigError(
+            f"unknown key '{sorted(unknown)[0]}' in {where}; allowed keys: {sorted(allowed)}"
+        )
+    return raw
+
+
 def _block(data: dict, name: str, allowed: set, required: bool = False) -> dict:
     raw = data.get(name)
     if raw is None:
         if required:
             raise ConfigError(f"missing required block '{name}'")
         return {}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"block '{name}' must be a mapping")
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(
-            f"unknown key '{sorted(unknown)[0]}' in block '{name}'; "
-            f"allowed keys: {sorted(allowed)}"
-        )
-    return raw
+    return _mapping(raw, f"block '{name}'", allowed)
 
 
 def _as_float(value, where: str) -> float:
@@ -116,13 +121,7 @@ def _as_bool(value, where: str) -> bool:
 def _build_interpolant(raw, grid: GridSpec) -> InterpolantSpec | None:
     if raw is None:
         return None
-    if not isinstance(raw, dict):
-        raise ConfigError("physics.interpolant must be a mapping or omitted")
-    unknown = set(raw) - _INTERP_KEYS
-    if unknown:
-        raise ConfigError(
-            f"unknown key '{sorted(unknown)[0]}' in physics.interpolant"
-        )
+    _mapping(raw, "physics.interpolant", _INTERP_KEYS)
     kind = raw.get("kind")
     if kind == "spectral_projection":
         if "modes" not in raw:
@@ -146,11 +145,7 @@ def _build_interpolant(raw, grid: GridSpec) -> InterpolantSpec | None:
 def _build_forcing(raw, grid: GridSpec, nu1: float, default_seed: int):
     if raw is None:
         return None, {"kind": "none"}
-    if not isinstance(raw, dict):
-        raise ConfigError("physics.forcing must be a mapping or omitted")
-    unknown = set(raw) - _FORCING_KEYS
-    if unknown:
-        raise ConfigError(f"unknown key '{sorted(unknown)[0]}' in physics.forcing")
+    _mapping(raw, "physics.forcing", _FORCING_KEYS)
     kind = raw.get("kind", "none")
     if kind not in _FORCING_KINDS:
         raise ConfigError(f"forcing kind must be one of {_FORCING_KINDS}, got {kind!r}")
@@ -175,12 +170,7 @@ def _build_forcing(raw, grid: GridSpec, nu1: float, default_seed: int):
 
 def _build_field(raw, grid: GridSpec, default_seed: int, block: str,
                  default_kind: str = "taylor_green"):
-    raw = {} if raw is None else raw
-    if not isinstance(raw, dict):
-        raise ConfigError(f"block '{block}' must be a mapping")
-    unknown = set(raw) - _FIELD_KEYS
-    if unknown:
-        raise ConfigError(f"unknown key '{sorted(unknown)[0]}' in block '{block}'")
+    raw = {} if raw is None else _mapping(raw, f"block '{block}'", _FIELD_KEYS)
     kind = raw.get("kind", default_kind)
     if kind not in _FIELD_KINDS:
         raise ConfigError(
@@ -386,7 +376,7 @@ def load_config_data(data: dict, seed_override: int | None = None) -> RunConfig:
         "seed": seed,
         "output_dir": output_dir,
     }
-    return RunConfig(
+    run = RunConfig(
         grid=grid,
         physics=physics,
         solver=solver,
@@ -399,6 +389,24 @@ def load_config_data(data: dict, seed_override: int | None = None) -> RunConfig:
         output_dir=output_dir,
         allow_inadmissible=allow_inadmissible,
         effective=effective,
+    )
+    try:
+        sweep_spec(run)
+        if {"t_switch", "nu_new"} <= experiment.keys():
+            check_switch(solver, experiment["t_switch"], experiment["nu_new"])
+    except ValueError as exc:
+        raise ConfigError(f"experiment: {exc}") from exc
+    return run
+
+
+def sweep_spec(cfg: RunConfig) -> DQSweepSpec:
+    """The quotient sweep of cfg: its experiment deltas, or else halving levels (default 5)."""
+    exp = cfg.experiment
+    norm_key = exp.get("norm", "l2_v")
+    if "deltas" in exp:
+        return DQSweepSpec(cfg.physics.nu1, exp["deltas"], cfg.initial, norm=norm_key)
+    return DQSweepSpec.halving(
+        cfg.physics.nu1, cfg.initial, levels=exp.get("levels", 5), norm=norm_key
     )
 
 

@@ -206,7 +206,7 @@ def _prepare_state(
     system: SystemSpec, init: Mapping[str, SpectralField], grid: GridSpec
 ) -> np.ndarray:
     """Band-half initial state (F, 2, 2K + 1, K + 1) in `system.fields` order, read-only."""
-    unknown = set(init) - set(system.fields)
+    unknown = set(init) - set(system.fields) - {system.base(name) for name in system.fields}
     if unknown:
         raise ValueError(
             f"initial data for unknown fields {sorted(unknown)}; "
@@ -214,8 +214,8 @@ def _prepare_state(
         )
     fields = []
     for name in system.fields:
-        if name in init:
-            f = init[name]
+        f = init.get(name, init.get(system.base(name)))
+        if f is not None:
             if f.grid.n != grid.n:
                 raise ValueError(f"field {name!r} is on grid {f.grid.n}, expected {grid.n}")
             fields.append(leray_project(f.band_limited()))
@@ -265,7 +265,8 @@ def integrate(
 
     Initial fields are truncated to the dealiased band and Leray-projected on
     ingestion; fields the system defines with zero initial data (quotients and
-    sensitivities) may be omitted.  nu2_switch = (t_switch, nu_new) replaces
+    sensitivities) may be omitted, and a `SystemSpec.nu2s` copy without its
+    own entry starts from its base row's.  nu2_switch = (t_switch, nu_new) replaces
     nu2 from the step starting at t_switch on, which must be a step boundary
     strictly inside the run.
 

@@ -1,8 +1,9 @@
 """Contract between the package and the benchmark's span tracer in bench/.
 
 The tracer wraps package functions by name at their import sites.  These
-tests install it as the benchmark does, on a small flow-plus-sensitivity run
-and on a small box-nudged run with its a-priori checks, so that a rename or a
+tests install it as the benchmark does, on a small flow-plus-sensitivity run,
+on a small box-nudged run with its a-priori checks and on a small assimilated
+quotient sweep, so that a rename or a
 removed call site fails here rather than in a benchmark run.  They only read
 bench/.
 """
@@ -17,7 +18,8 @@ import pytest
 from ns2dsens import experiments, timestepper
 from ns2dsens.diagnostics import SAMPLE_BLOCK
 from ns2dsens.dynamics import PhysicsParams, SystemKind, SystemSpec
-from ns2dsens.interpolants import BoxAverage
+from ns2dsens.experiments import DQSweepSpec
+from ns2dsens.interpolants import BoxAverage, SpectralProjection
 from ns2dsens.spectral import GridSpec, random_field
 from ns2dsens.timestepper import SolverConfig
 
@@ -131,3 +133,22 @@ def test_box_nudged_round_and_checks_counts(bench):
     # B(v, v), each through (m + K + 1) single-axis lines; the final check
     # adds the two planes of each advecting row's `irfft2`.
     assert row["counts"]["spectral.fft.planes"] == 8 * (m + K + 1) * rounds + 4
+
+
+def test_da_sweep_runs_two_integrations(bench):
+    tracing, workloads = bench
+    grid = GridSpec(16)
+    spec = DQSweepSpec.halving(0.01, random_field(grid, seed=6, kmin=1, kmax=4), levels=3)
+    p = PhysicsParams(nu1=0.01, nu2=0.01, mu=1.0, interp=SpectralProjection(modes=4))
+    steps = 4
+    cfg = SolverConfig(dt=1e-3, t_end=steps * 1e-3, sample_every=2)
+
+    row = traced_op(tracing, lambda: experiments.run_da_dq_convergence(spec, p, cfg))
+    tracing.check_expected([row], workloads.DaSweep.expected)
+    # Whatever the number of deltas, the sweep is one batched integration of
+    # N steps at dt, the nu1 rows once and one copy of the quotient rows per
+    # viscosity, and the half-step tolerance run of 2N steps at dt / 2.  Each
+    # makes one stacked bilinear call per round, every step plus the Heun
+    # midpoint: (N + 1) + (2N + 1) rounds.
+    assert row["timestepper.integrate"]["calls"] == 2
+    assert row["spectral.bilinear"]["calls"] == (steps + 1) + (2 * steps + 1)

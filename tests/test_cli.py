@@ -110,6 +110,19 @@ class TestExitCodes:
         assert (out / "blowup_report.json").exists()
         assert "blow-up" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, experiment, message", [
+        ("dq-sweep", {"levels": 0}, "levels"),
+        ("dq-sweep", {"deltas": [1e-3, 2e-3]}, "strictly decreasing"),
+        ("switch", {"t_switch": 0.03, "nu_new": 0.008}, "sample time"),
+    ])
+    def test_bad_sweep_or_switch_parameters_are_exit_2(
+        self, tmp_path, capsys, command, experiment, message
+    ):
+        cfg = _write_config(tmp_path, experiment=experiment)
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_failed_verdict_is_exit_1(self, tmp_path):
         cfg = _write_config(
             tmp_path,
@@ -211,9 +224,12 @@ class TestOtherCommands:
         assert main(["taylor-green", "--config", str(cfg), "--out", str(out),
                      "--quiet"]) == 0
 
-    def test_verify_with_config(self, tmp_path):
+    @pytest.mark.parametrize("n", [16, 30])
+    def test_verify_with_config(self, tmp_path, n):
+        # n = 30 is not divisible by 4: the box-average bound takes 2 boxes.
         cfg = _write_config(
             tmp_path,
+            grid={"n": n},
             solver={"dt": 1e-3, "t_end": 0.25, "sample_every": 25},
             experiment={"trials": 10, "ensemble": 6},
         )

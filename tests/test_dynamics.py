@@ -240,6 +240,10 @@ class TestSystemSpec:
         assert SystemSpec(SystemKind.DA_DQ_DIRECT).fields == (
             "u1", "u2", "d", "v1", "v2", "dp",
         )
+        # Batched: the nu1 rows once, then one renamed copy of the nu2 rows per value.
+        assert SystemSpec(SystemKind.DA_DQ_DIRECT, nu2s=(0.01, 0.02)).fields == (
+            "u1", "v1", "u2_0", "d_0", "v2_0", "dp_0", "u2_1", "d_1", "v2_1", "dp_1",
+        )
 
     def test_accepts_kind_string(self):
         assert SystemSpec("da_dq_direct").kind is SystemKind.DA_DQ_DIRECT
@@ -256,6 +260,13 @@ class TestSystemSpec:
         assert dq.viscosity("u1", p) == 0.01
         assert dq.viscosity("v2", p) == 0.005
         assert dq.viscosity("dp", p) == 0.005
+        batched = SystemSpec(SystemKind.DA_DQ_DIRECT, nu2s=(0.02, 0.03))
+        assert batched.viscosity("v1", p) == 0.01
+        assert batched.viscosity("dp_0", p) == 0.02
+        assert batched.viscosity("u2_1", p) == 0.03
+        assert batched.rows["dp_1"].products == (("v2_1", "dp_1"), ("dp_1", "v1"))
+        assert batched.rows["dp_1"].nudge_to == "d_1"
+        assert batched.base("dp_1") == "dp"
 
     def test_unknown_field_rejected(self):
         p = PhysicsParams(nu1=0.01, nu2=0.01)

@@ -564,21 +564,31 @@ class TestSharedRows:
         u0 = random_field(grid, seed=91, kmin=1, kmax=6)
         v0 = random_field(grid, seed=92, kmin=1, kmax=6, l2_norm=0.5)
         init = {"u": u0, "u1": u0, "u2": u0, "v": v0, "v1": v0, "v2": v0}
+        K, S = SystemKind, SystemSpec
+        # Batched stacks: copy 0 at nu2 = nu1 holds the sensitivities, copy
+        # 1 the unbatched quotient rows at nu2.
+        DQ2 = S(K.DQ_DIRECT, nu2s=(p.nu1, p.nu2))
+        DA2 = S(K.DA_DQ_DIRECT, nu2s=(p.nu1, p.nu2))
         runs = {}
-        for kind in SystemKind:
-            system = SystemSpec(kind)
-            fields = {k: f for k, f in init.items() if k in system.fields}
-            runs[kind] = integrate(system, fields, p, cfg)
-        K = SystemKind
+        for system in [S(kind) for kind in SystemKind] + [DQ2, DA2]:
+            bases = {system.base(name) for name in system.fields}
+            fields = {k: f for k, f in init.items() if k in bases}
+            runs[system] = integrate(system, fields, p, cfg)
         groups = (
-            ((K.NSE, "u"), (K.NSE_SENS, "u"), (K.DQ_DIRECT, "u1"), (K.DA_DQ_DIRECT, "u1")),
-            ((K.DA_SENS, "v"), (K.DA_DQ_DIRECT, "v1")),
-            ((K.NSE_SENS, "ut"), (K.DA_SENS, "ut")),
+            ((S(K.NSE), "u"), (S(K.NSE_SENS), "u"), (S(K.DQ_DIRECT), "u1"),
+             (S(K.DA_DQ_DIRECT), "u1"), (DQ2, "u1"), (DQ2, "u2_0"), (DA2, "u1"), (DA2, "u2_0")),
+            ((S(K.DA_SENS), "v"), (S(K.DA_DQ_DIRECT), "v1"), (DA2, "v1"), (DA2, "v2_0")),
+            ((S(K.NSE_SENS), "ut"), (S(K.DA_SENS), "ut"), (DQ2, "d_0"), (DA2, "d_0")),
+            ((S(K.DA_SENS), "vt"), (DA2, "dp_0")),
+            ((S(K.DQ_DIRECT), "u2"), (S(K.DA_DQ_DIRECT), "u2"), (DQ2, "u2_1"), (DA2, "u2_1")),
+            ((S(K.DQ_DIRECT), "d"), (S(K.DA_DQ_DIRECT), "d"), (DQ2, "d_1"), (DA2, "d_1")),
+            ((S(K.DA_DQ_DIRECT), "v2"), (DA2, "v2_1")),
+            ((S(K.DA_DQ_DIRECT), "dp"), (DA2, "dp_1")),
         )
-        for (kind0, name0), *rest in groups:
-            want = runs[kind0]
-            for kind, name in rest:
-                got = runs[kind]
+        for (system0, name0), *rest in groups:
+            want = runs[system0]
+            for system, name in rest:
+                got = runs[system]
                 assert np.array_equal(got.series[name], want.series[name0])
                 for a, b in zip(got.snapshots[name], want.snapshots[name0], strict=True):
                     assert np.array_equal(a.coeffs, b.coeffs)
