@@ -10,9 +10,9 @@ A config file holds nested blocks mirroring the in-memory types:
     initial:         kind (taylor_green | random_solenoidal | zero),
                      seed, kmin, kmax, l2_norm
     assimilated_initial:  same keys; omitted means a zero start
-    experiment:      levels, deltas, norm, ratio_window, decay_threshold,
-                     with_control, control_floor, t_switch, nu_new,
-                     trials, ensemble
+    experiment:      levels or deltas (not both), norm, ratio_window,
+                     decay_threshold, with_control, control_floor, t_switch,
+                     nu_new, trials, ensemble
     seed:            base integer seed
     output_dir:      artifact directory
 
@@ -191,6 +191,8 @@ def _build_field(raw, grid: GridSpec, default_seed: int, block: str,
 
 def _build_experiment(raw: dict) -> dict:
     out: dict = {}
+    if {"levels", "deltas"} <= raw.keys():
+        raise ConfigError("experiment takes levels or deltas, not both")
     if "levels" in raw:
         out["levels"] = _as_int(raw["levels"], "experiment.levels")
     if "deltas" in raw:

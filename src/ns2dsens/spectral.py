@@ -25,11 +25,16 @@ in three planes (two for a self-product).  `bilinear` forms any number of
 products of a `BandStack`'s rows with one inverse transform of all rows and
 one forward transform of all product planes.  Each transform skips the
 columns it knows to be zero: only the K + 1 band columns ky = 0..K take the
-kx pass.
+kx pass.  The grid values, product planes and spectra of these transforms
+live in per-thread buffers that grow to the largest request and are reused
+on every later call, so a long run does not fault grid-sized memory back in
+on each round; every array the module returns is fresh.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -300,15 +305,51 @@ def band_full(b: np.ndarray, n: int) -> np.ndarray:
     A band half is FFT-ordered along its rows, so it is placed like any other
     array and the columns ky < 0 follow from c(-k) = conj(c(k)).
     """
-    return _full_spectrum(_padded_half(b, b.shape[-1] - 1, n))
+    half = np.empty(b.shape[:-2] + (n, n // 2 + 1), dtype=np.complex128)
+    return _full_spectrum(_padded_half(b, b.shape[-1] - 1, n, half))
 
 
-def _padded_half(c: np.ndarray, K: int, m: int) -> np.ndarray:
-    """Half spectrum on an m-grid holding the K-band (ky >= 0) of an FFT-ordered array."""
-    half = np.zeros(c.shape[:-2] + (m, m // 2 + 1), dtype=np.complex128)
+def _padded_half(c: np.ndarray, K: int, m: int, half: np.ndarray) -> np.ndarray:
+    """Half spectrum on an m-grid holding the K-band (ky >= 0) of an FFT-ordered array.
+
+    Written into half (..., m, m // 2 + 1) over whatever it held: zeros
+    outside the band, a copy of c inside it.
+    """
+    half[..., K + 1 :] = 0.0
+    half[..., K + 1 : m - K, : K + 1] = 0.0
     half[..., : K + 1, : K + 1] = c[..., : K + 1, : K + 1]
     half[..., -K:, : K + 1] = c[..., -K:, : K + 1]
     return half
+
+
+class _Workspace(threading.local):
+    """This thread's scratch buffers for the transforms of the advective kernel.
+
+    One flat buffer per role, grown to the largest request seen and reused
+    otherwise, so the kernel's grid-sized transients are not handed back to
+    the system and faulted in again on every round.  The kernel's stages
+    alternate between two roles: the padded spectrum ("ping") transforms
+    into grid values ("pong"), which multiply into product planes ("ping"),
+    which transform into the forward spectrum ("pong").  Each stage reads
+    one buffer and writes the other, whose previous content is dead by
+    then.  A thread has its own buffers, so concurrent kernels never share
+    one.  Views of them never leave this module: `band_to_grid`,
+    `grid_to_band` and `bilinear` return fresh arrays.
+    """
+
+    def __init__(self) -> None:
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def take(self, role: str, shape: tuple[int, ...], dtype: type) -> np.ndarray:
+        """An array of shape and dtype at the start of role's buffer; its contents are stale."""
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        buf = self.buffers.get(role)
+        if buf is None or buf.nbytes < size:
+            buf = self.buffers[role] = np.empty(size, dtype=np.uint8)
+        return buf[:size].view(dtype).reshape(shape)
+
+
+_workspace = _Workspace()
 
 
 def band_to_grid(b: np.ndarray, m: int) -> np.ndarray:
@@ -316,21 +357,34 @@ def band_to_grid(b: np.ndarray, m: int) -> np.ndarray:
 
     `irfft2` of the zero-padded half spectrum, with the kx pass run in place
     over the K + 1 band columns only: the others are zero before and after.
+    Public as the inverse of `grid_to_band`: a fresh copy of the grid values
+    that the advective kernel forms in its workspace.
     """
+    return _band_to_grid(b, m).copy()
+
+
+def _band_to_grid(b: np.ndarray, m: int) -> np.ndarray:
+    """`band_to_grid` as a view of the workspace's pong buffer, valid until the next transform."""
     K = b.shape[-1] - 1
-    half = _padded_half(b, K, m)
+    lead = b.shape[:-2]
+    half = _workspace.take("ping", lead + (m, m // 2 + 1), np.complex128)
+    vals = _workspace.take("pong", lead + (m, m), np.float64)
+    _padded_half(b, K, m, half)
     band = half[..., : K + 1]
     np.fft.ifftn(band, axes=(-2,), norm="forward", out=band)
-    return np.fft.irfftn(half, s=(m,), axes=(-1,), norm="forward")
+    return np.fft.irfftn(half, s=(m,), axes=(-1,), norm="forward", out=vals)
 
 
 def grid_to_band(values: np.ndarray, K: int) -> np.ndarray:
     """Band halves (..., 2K + 1, K + 1) of real values on an m-grid.
 
     The band half of `rfft2`, with the kx pass run in place over the K + 1
-    band columns only.
+    band columns only.  The half spectrum is formed in the workspace's pong
+    buffer; the band half is a fresh array.
     """
-    half = np.fft.rfftn(values, axes=(-1,), norm="forward")
+    m = values.shape[-1]
+    half = _workspace.take("pong", values.shape[:-1] + (m // 2 + 1,), np.complex128)
+    np.fft.rfftn(values, axes=(-1,), norm="forward", out=half)
     band = half[..., : K + 1]
     np.fft.fftn(band, axes=(-2,), norm="forward", out=band)
     return band_half(band, K)
@@ -417,6 +471,15 @@ def bilinear(u, v):
     an add, a max and a repeated multiply over an m x m plane, with no
     transform and no scratch plane.
 
+    Memory: the padded inverse spectrum, the grid values, the product planes
+    and the forward spectrum are views of two buffers of this thread's
+    workspace, grown to the largest call seen and reused after.  The planes
+    take the padded spectrum's place and the forward spectrum the grid
+    values', so the workspace holds the larger of each pair, about what a
+    call had alive at its peak when each of the four was a fresh array.  A
+    warm call allocates only the band-half arrays; the result is fresh and
+    never changes after it is returned.
+
     Returns:
         Band-limited, divergence-free, mean-free results on the common grid.
     """
@@ -430,10 +493,11 @@ def bilinear(u, v):
 def _advect(stack: BandStack, pairs: Sequence[tuple[int, int]]) -> ProductStack:
     g = stack.grid
     m = g.product_n
-    vals = band_to_grid(stack.coeffs, m)
     # Per pair (a, b), with u = vals[a] and v = vals[b], the planes Tyy - Txx,
     # Tyx and Txy of T = v u^T, in pair order; a self-product's Txy is its Tyx.
-    prods = np.empty((sum(2 if a == b else 3 for a, b in pairs), m, m))
+    vals = _band_to_grid(stack.coeffs, m)
+    n_planes = sum(2 if a == b else 3 for a, b in pairs)
+    prods = _workspace.take("ping", (n_planes, m, m), np.float64)
     peaks = {}
     planes = []
     i = 0
@@ -453,7 +517,9 @@ def _advect(stack: BandStack, pairs: Sequence[tuple[int, int]]) -> ProductStack:
             np.multiply(vx, uy, out=prods[i + 2])
         planes.append((i, i + 1, i + 1 if a == b else i + 2))
         i += 2 if a == b else 3
-    del vals, ux, uy, vx, vy  # bounds the peak memory of the forward transform
+    # The forward spectrum takes the grid values' place.  Dropping the last
+    # views of them lets a buffer that must grow for it be freed first.
+    del vals, ux, uy, vx, vy
     t = grid_to_band(prods, g.cutoff)
     d, yx, xy = np.array(planes).T
     q, r = g.advective_factors

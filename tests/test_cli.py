@@ -113,6 +113,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, experiment, message", [
         ("dq-sweep", {"levels": 0}, "levels"),
         ("dq-sweep", {"deltas": [1e-3, 2e-3]}, "strictly decreasing"),
+        ("dq-sweep", {"levels": 2, "deltas": [2e-3, 1e-3]}, "not both"),
         ("switch", {"t_switch": 0.03, "nu_new": 0.008}, "sample time"),
     ])
     def test_bad_sweep_or_switch_parameters_are_exit_2(

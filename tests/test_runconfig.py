@@ -176,7 +176,6 @@ class TestExperimentBlock:
     def test_values_coerced(self):
         data = _minimal(
             experiment={
-                "levels": 3,
                 "deltas": [5e-3, 2.5e-3],
                 "norm": "l2_v",
                 "ratio_window": [0.4, 0.6],

@@ -1,16 +1,24 @@
-"""Property tests of the band-limited transforms and of one short integration.
+"""Property tests of the band-limited transforms, the kernel's workspace and a short run.
 
 The transforms that skip the known zeros of a band half must give the bytes
-of the plain two-dimensional real transforms.  The integration runs over
-grids, systems and interpolants.  Grids include multiples of 3 (the
-zero-padded product path) and box averages whose box count divides the grid.
-From full-spectrum initial data, every sampled field (the ingested state and
-the state after each step) must be conjugate-symmetric, mean-free,
-band-limited and divergence-free, and a repeated run must reproduce the
-first bit for bit.
+of the plain two-dimensional real transforms.  The kernel forms its grid
+values, product planes and spectra in per-thread buffers that it reuses
+across calls and grids; what it returns must never change afterwards, must
+not depend on which grids the buffers served before or on a kernel running
+in another thread, and a warm call must allocate less than its own product
+planes.  The integration runs over grids, systems and interpolants.  Grids
+include multiples of 3 (the zero-padded product path) and box averages
+whose box count divides the grid.  From full-spectrum initial data, every
+sampled field (the ingested state and the state after each step) must be
+conjugate-symmetric, mean-free, band-limited and divergence-free, and a
+repeated run must reproduce the first bit for bit.
 """
 
+import sys
+import threading
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,14 +29,39 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from ns2dsens.dynamics import PhysicsParams, SystemKind, SystemSpec  # noqa: E402
 from ns2dsens.interpolants import BoxAverage, SpectralProjection  # noqa: E402
 from ns2dsens.spectral import (  # noqa: E402
+    BandStack,
     GridSpec,
     SpectralField,
     band_half,
     band_to_grid,
+    bilinear,
     grid_to_band,
     random_field,
 )
 from ns2dsens.timestepper import AdmissibilityWarning, SolverConfig, integrate  # noqa: E402
+
+# The products of the flow-sensitivity system: u . grad u, ut . grad u and
+# u . grad ut, eight product planes in all.
+SENS_PAIRS = [(0, 0), (1, 0), (0, 1)]
+SENS_PLANES = 8
+
+
+def transforms_against_plain(n, lead, seed):
+    """band_to_grid and grid_to_band of random input, checked against irfft2 and rfft2."""
+    grid = GridSpec(n)
+    K, m = grid.cutoff, grid.product_n
+    rng = np.random.default_rng(seed)
+    shape = lead + (2, 2 * K + 1, K + 1)
+    b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    half = np.zeros(lead + (2, m, m // 2 + 1), dtype=np.complex128)
+    half[..., : K + 1, : K + 1] = b[..., : K + 1, :]
+    half[..., -K:, : K + 1] = b[..., K + 1 :, :]
+    vals = band_to_grid(b, m)
+    assert vals.tobytes() == np.fft.irfft2(half, s=(m, m), norm="forward").tobytes()
+    values = rng.standard_normal(lead + (3, m, m))
+    band = grid_to_band(values, K)
+    assert band.tobytes() == band_half(np.fft.rfft2(values, norm="forward"), K).tobytes()
+    return vals, band
 
 
 @settings(derandomize=True, deadline=None, database=None)
@@ -38,20 +71,68 @@ from ns2dsens.timestepper import AdmissibilityWarning, SolverConfig, integrate  
     seed=st.integers(0, 2**16),
 )
 def test_band_limited_transforms_match_plain_real_transforms(n, lead, seed):
-    grid = GridSpec(n)
-    K, m = grid.cutoff, grid.product_n
-    rng = np.random.default_rng(seed)
-    shape = lead + (2, 2 * K + 1, K + 1)
-    b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    half = np.zeros(lead + (2, m, m // 2 + 1), dtype=np.complex128)
-    half[..., : K + 1, : K + 1] = b[..., : K + 1, :]
-    half[..., -K:, : K + 1] = b[..., K + 1 :, :]
-    want = np.fft.irfft2(half, s=(m, m), norm="forward")
-    assert band_to_grid(b, m).tobytes() == want.tobytes()
+    transforms_against_plain(n, lead, seed)
 
-    values = rng.standard_normal(lead + (3, m, m))
-    want = band_half(np.fft.rfft2(values, norm="forward"), K)
-    assert grid_to_band(values, K).tobytes() == want.tobytes()
+
+def test_transforms_match_after_the_workspace_grows_and_shrinks():
+    transforms_against_plain(256, (2,), 0)
+    kept = [(r, r.copy()) for r in transforms_against_plain(24, (2,), 1)]
+    for i, n in enumerate((24, 30, 96, 256, 32)):
+        transforms_against_plain(n, (1 + i % 3,), i + 2)
+    for result, copy in kept:
+        assert result.tobytes() == copy.tobytes()
+
+
+def sens_stack(n, seed):
+    grid = GridSpec(n)
+    return BandStack.of([random_field(grid, seed=seed + i, kmin=1, kmax=8) for i in range(2)])
+
+
+def test_kept_products_survive_later_kernels_on_other_grids():
+    stack = sens_stack(32, 1)
+    kept = bilinear(stack, SENS_PAIRS)
+    coeffs, peaks = kept.coeffs.copy(), dict(kept.peak_sq_speed)
+    for n in (24, 32, 256, 32, 24):
+        bilinear(sens_stack(n, n), SENS_PAIRS)
+    assert kept.coeffs.tobytes() == coeffs.tobytes()
+    assert kept.peak_sq_speed == peaks
+    assert bilinear(stack, SENS_PAIRS).coeffs.tobytes() == coeffs.tobytes()
+
+
+def test_concurrent_kernels_on_two_grids_match_serial_calls():
+    stacks = [sens_stack(48, 2), sens_stack(64, 3)]
+    want = [bilinear(s, SENS_PAIRS) for s in stacks]
+    start = threading.Barrier(2, timeout=30)
+
+    def run(i):
+        start.wait()
+        return [bilinear(stacks[i], SENS_PAIRS) for _ in range(20)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = list(pool.map(run, range(2), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for serial, results in zip(want, got, strict=True):
+        for res in results:
+            assert res.coeffs.tobytes() == serial.coeffs.tobytes()
+            assert res.peak_sq_speed == serial.peak_sq_speed
+
+
+def test_warm_sensitivity_kernel_allocates_less_than_its_product_planes():
+    grid = GridSpec(256)
+    stack = sens_stack(grid.n, 4)
+    bilinear(stack, SENS_PAIRS)
+    tracemalloc.start()
+    try:
+        out = bilinear(stack, SENS_PAIRS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m = grid.product_n
+    assert peak < SENS_PLANES * m * m * 8 + out.coeffs.nbytes
 
 
 @st.composite
