@@ -21,9 +21,11 @@ to that band, which makes the pseudo-spectral advective product identical to
 the spectral Galerkin truncation of u . grad v.  The advective kernel works in
 divergence form: for solenoidal u, u . grad v = div(v u^T), and a projected
 planar field is fixed by its component along k_perp, so a product comes back
-in three planes (two for a self-product).  `bilinear` forms any number of
-products of a `BandStack`'s rows with one inverse transform of all rows and
-one forward transform of all product planes.  Each transform skips the
+in three planes (two for a self-product).  A mirror pair shares its planes:
+those of B(v, u) are those of B(u, v) with two swapped, so each distinct
+product tensor is formed once.  `bilinear` forms any number of products of a
+`BandStack`'s rows with one inverse transform of all rows and one forward
+transform of all distinct product planes.  Each transform skips the
 columns it knows to be zero: only the K + 1 band columns ky = 0..K take the
 kx pass.  The grid values, product planes and spectra of these transforms
 live in per-thread buffers that grow to the largest request and are reused
@@ -36,7 +38,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -289,14 +291,14 @@ def _full_spectrum(half: np.ndarray) -> np.ndarray:
     return full
 
 
-def band_half(c: np.ndarray, K: int) -> np.ndarray:
+def band_half(c: np.ndarray, K: int, out: np.ndarray | None = None) -> np.ndarray:
     """Band half of an FFT-ordered full or half spectrum, shape (..., 2K + 1, K + 1).
 
     Rows are kx = 0..K, -K..-1 and columns ky = 0..K: all a band-limited real
     field holds, the rest being zero or, for ky < 0, fixed by conjugate
-    symmetry (see `band_full`).
+    symmetry (see `band_full`).  Written into out when given, else fresh.
     """
-    return np.concatenate([c[..., : K + 1, : K + 1], c[..., -K:, : K + 1]], axis=-2)
+    return np.concatenate([c[..., : K + 1, : K + 1], c[..., -K:, : K + 1]], axis=-2, out=out)
 
 
 def band_full(b: np.ndarray, n: int) -> np.ndarray:
@@ -330,11 +332,12 @@ class _Workspace(threading.local):
     the system and faulted in again on every round.  The kernel's stages
     alternate between two roles: the padded spectrum ("ping") transforms
     into grid values ("pong"), which multiply into product planes ("ping"),
-    which transform into the forward spectrum ("pong").  Each stage reads
-    one buffer and writes the other, whose previous content is dead by
-    then.  A thread has its own buffers, so concurrent kernels never share
-    one.  Views of them never leave this module: `band_to_grid`,
-    `grid_to_band` and `bilinear` return fresh arrays.
+    which transform into the forward spectrum ("pong"), whose band half is
+    gathered per pair in the planes' place ("ping").  Each stage reads one
+    buffer and writes the other, whose previous content is dead by then.  A
+    thread has its own buffers, so concurrent kernels never share one.
+    Views of them never leave this module: `band_to_grid`, `grid_to_band`
+    and `bilinear` return fresh arrays.
     """
 
     def __init__(self) -> None:
@@ -382,12 +385,20 @@ def grid_to_band(values: np.ndarray, K: int) -> np.ndarray:
     band columns only.  The half spectrum is formed in the workspace's pong
     buffer; the band half is a fresh array.
     """
+    return band_half(_grid_to_band(values, K), K)
+
+
+def _grid_to_band(values: np.ndarray, K: int) -> np.ndarray:
+    """Columns ky = 0..K of `rfft2`, all m rows, as a view of the workspace's pong buffer.
+
+    Valid until the next transform; `grid_to_band` is its band half.
+    """
     m = values.shape[-1]
     half = _workspace.take("pong", values.shape[:-1] + (m // 2 + 1,), np.complex128)
     np.fft.rfftn(values, axes=(-1,), norm="forward", out=half)
     band = half[..., : K + 1]
     np.fft.fftn(band, axes=(-2,), norm="forward", out=band)
-    return band_half(band, K)
+    return band
 
 
 @dataclass(frozen=True)
@@ -465,20 +476,27 @@ def bilinear(u, v):
     these three products are formed; two when a = b, since then Tyx = Txy.
 
     Transforms per call: one inverse (`band_to_grid`) of every row of the
-    stack, two planes each, and one forward (`grid_to_band`) of all products,
-    written in pair order into one buffer.  The per-mode factors apply on
-    the band half.  A self-product's Txx + Tyy is |u|**2, so its peak costs
-    an add, a max and a repeated multiply over an m x m plane, with no
-    transform and no scratch plane.
+    stack, two planes each, and one forward (`grid_to_band`) of the planes
+    of each distinct product tensor, written in order of first occurrence
+    into one buffer.  A pair repeated, or the mirror (b, a) of a pair (a, b)
+    met before it, forms and transforms nothing: T = u v^T is the transpose
+    of v u^T, so it reads the same planes with Tyx and Txy swapped, which
+    IEEE multiplication makes exact.  The sensitivity rows' products
+    B(ut, u) and B(u, ut) thus cost three planes, not six.  The per-mode
+    factors apply on the band half.  A self-product's Txx + Tyy is |u|**2,
+    so its peak costs an add, a max and a repeated multiply over an m x m
+    plane, with no transform and no scratch plane.
 
     Memory: the padded inverse spectrum, the grid values, the product planes
     and the forward spectrum are views of two buffers of this thread's
     workspace, grown to the largest call seen and reused after.  The planes
     take the padded spectrum's place and the forward spectrum the grid
     values', so the workspace holds the larger of each pair, about what a
-    call had alive at its peak when each of the four was a fresh array.  A
-    warm call allocates only the band-half arrays; the result is fresh and
-    never changes after it is returned.
+    call had alive at its peak when each of the four was a fresh array.
+    The band half of the forward spectrum and the planes gathered per pair
+    then take the transformed planes' place.  Beyond numpy's cast buffers, a
+    warm call allocates only its result, which is fresh and never changes
+    after it is returned.
 
     Returns:
         Band-limited, divergence-free, mean-free results on the common grid.
@@ -490,18 +508,44 @@ def bilinear(u, v):
     return _advect(BandStack.of(rows), [(0, len(rows) - 1)]).fields()[0]
 
 
+@lru_cache(maxsize=64)
+def _plane_plan(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple, int, np.ndarray]:
+    """Which product planes `_advect` forms for pairs, and where each pair reads its own.
+
+    Returns the distinct tensors as (a, b, i) in order of first occurrence,
+    each formed from plane i on; the number of planes formed; and per pair
+    the indices (d, yx, xy) of its planes Tyy - Txx, Tyx and Txy, shape
+    (3, len(pairs)).  A repeated pair reads the planes of its first
+    occurrence.  A mirror (b, a) of a formed (a, b) reads them too, with Tyx
+    and Txy swapped: its tensor u v^T is the transpose of v u^T, and IEEE
+    multiplication commutes, so each of its planes is one of (a, b)'s bit
+    for bit.
+    """
+    formed: dict[tuple[int, int], tuple[int, int, int]] = {}
+    forms = []
+    n_planes = 0
+    for a, b in pairs:
+        if (a, b) not in formed:
+            i, xy = n_planes, n_planes + (1 if a == b else 2)
+            forms.append((a, b, i))
+            formed[b, a] = (i, xy, i + 1)
+            formed[a, b] = (i, i + 1, xy)
+            n_planes = xy + 1
+    indices = np.array([formed[pair] for pair in pairs], dtype=np.intp).reshape(-1, 3)
+    return tuple(forms), n_planes, _read_only(indices.T.copy())
+
+
 def _advect(stack: BandStack, pairs: Sequence[tuple[int, int]]) -> ProductStack:
     g = stack.grid
-    m = g.product_n
-    # Per pair (a, b), with u = vals[a] and v = vals[b], the planes Tyy - Txx,
-    # Tyx and Txy of T = v u^T, in pair order; a self-product's Txy is its Tyx.
+    m, K = g.product_n, g.cutoff
+    forms, n_planes, (d, yx, xy) = _plane_plan(tuple(map(tuple, pairs)))
+    # Per distinct tensor (a, b), with u = vals[a] and v = vals[b], the
+    # planes Tyy - Txx, Tyx and Txy of T = v u^T from plane i on; a
+    # self-product's Txy is its Tyx.
     vals = _band_to_grid(stack.coeffs, m)
-    n_planes = sum(2 if a == b else 3 for a, b in pairs)
     prods = _workspace.take("ping", (n_planes, m, m), np.float64)
     peaks = {}
-    planes = []
-    i = 0
-    for a, b in pairs:
+    for a, b, i in forms:
         (ux, uy), (vx, vy) = vals[a], vals[b]
         np.multiply(vx, ux, out=prods[i + 1])
         np.multiply(vy, uy, out=prods[i])
@@ -515,16 +559,29 @@ def _advect(stack: BandStack, pairs: Sequence[tuple[int, int]]) -> ProductStack:
         np.multiply(vy, ux, out=prods[i + 1])
         if a != b:
             np.multiply(vx, uy, out=prods[i + 2])
-        planes.append((i, i + 1, i + 1 if a == b else i + 2))
-        i += 2 if a == b else 3
-    # The forward spectrum takes the grid values' place.  Dropping the last
-    # views of them lets a buffer that must grow for it be freed first.
+    # The forward spectrum takes the grid values' place, and the band half t
+    # of its planes, followed by one kind of plane gathered per pair, takes
+    # the transformed planes' place.  Dropping the last views of a buffer
+    # lets it be freed first if it must grow.
     del vals, ux, uy, vx, vy
-    t = grid_to_band(prods, g.cutoff)
-    d, yx, xy = np.array(planes).T
+    spec = _grid_to_band(prods, K)
+    del prods
+    work = _workspace.take("ping", (n_planes + len(d), 2 * K + 1, K + 1), np.complex128)
+    t, gathered = work[:n_planes], work[n_planes:]
+    band_half(spec, K, out=t)
+    # w = q0 t[d] + q1 t[yx] + q2 t[xy], formed in the rows of the result's
+    # first component, then r w.  `take` writes straight into gathered
+    # unless mode is "raise", which copies through a temporary.
     q, r = g.advective_factors
-    w = q[0] * t[d] + q[1] * t[yx] + q[2] * t[xy]
-    return ProductStack(g, _read_only(r * w[:, None]), peaks)
+    out = np.empty((len(d), 2, 2 * K + 1, K + 1), dtype=np.complex128)
+    w = out[:, 0]
+    np.multiply(q[0], t.take(d, axis=0, out=gathered, mode="clip"), out=w)
+    for qi, idx in ((q[1], yx), (q[2], xy)):
+        np.multiply(qi, t.take(idx, axis=0, out=gathered, mode="clip"), out=gathered)
+        w += gathered
+    np.multiply(r[1], w, out=out[:, 1])
+    np.multiply(r[0], w, out=w)
+    return ProductStack(g, _read_only(out), peaks)
 
 
 def inner(u: SpectralField, v: SpectralField, kind: str = "l2") -> float:

@@ -83,21 +83,51 @@ def test_sens_flow_layers_record_spans(bench):
     # stacked bilinear call making three products over u and ut.  A plane is
     # one line of a single-axis transform.  The inverse takes the 2 fields x
     # 2 components = 4 planes through the kx pass on the K + 1 band columns
-    # and the ky pass on all m rows; the 2 + 3 + 3 = 8 product planes (B(u, u)
-    # needs two) take the ky pass on m rows and the kx pass on K + 1 columns.
-    # So a round counts (4 + 8) (m + K + 1) lines, with m = n = 32 and
-    # K = 10.  The first round of each step reads the CFL estimate of the
-    # state it advances off B(u, u)'s planes, with no transform; only the
-    # final state, which no round sees, is checked through `physical`: the
-    # two planes of u's `irfft2`, once per run.
+    # and the ky pass on all m rows; the product planes take the ky pass on
+    # m rows and the kx pass on K + 1 columns.  B(u, u) forms 2 planes,
+    # B(ut, u) forms 3, and its mirror B(u, ut) reads those 3 with Tyx and
+    # Txy swapped, so a round transforms 2 + 3 = 5 product planes and counts
+    # (4 + 5) (m + K + 1) lines, with m = n = 32 and K = 10.  The first
+    # round of each step reads the CFL estimate of the state it advances off
+    # B(u, u)'s planes, with no transform; only the final state, which no
+    # round sees, is checked through `physical`: the two planes of u's
+    # `irfft2`, once per run.
     rounds = steps + 1
     m, K = grid.product_n, grid.cutoff
     assert row["spectral.bilinear"]["calls"] == rounds
-    assert row["counts"]["spectral.fft.planes"] == 12 * (m + K + 1) * rounds + 2
+    assert row["counts"]["spectral.fft.planes"] == 9 * (m + K + 1) * rounds + 2
     # The final check expands the advecting rows only: u, not its
     # sensitivity ut.  Reading the trajectory calls `physical` never.
     assert row["spectral.physical"]["calls"] == 1
 
+
+
+@pytest.mark.parametrize("n", [24, 32])
+def test_assimilated_sensitivity_round_counts(bench, n):
+    tracing, _ = bench
+    grid = GridSpec(n)
+    init = {
+        "u": random_field(grid, seed=7, kmin=1, kmax=6, l2_norm=0.25),
+        "v": random_field(grid, seed=8, kmin=1, kmax=6, l2_norm=0.25),
+    }
+    p = PhysicsParams(nu1=0.01, nu2=0.01, mu=1.0, interp=SpectralProjection(modes=4))
+    steps = 4
+    cfg = SolverConfig(dt=1e-3, t_end=steps * 1e-3, sample_every=2)
+
+    row = traced_op(
+        tracing, lambda: timestepper.integrate(SystemSpec(SystemKind.DA_SENS), init, p, cfg)
+    )
+    # Per round, the inverse takes 4 fields x 2 components = 8 planes.  The
+    # forward takes 2 planes for each of B(u, u) and B(v, v) and 3 for each
+    # of B(ut, u) and B(vt, v); their mirrors B(u, ut) and B(v, vt) read
+    # those planes and transform none: 8 + 10 = 18 planes, each through
+    # (m + K + 1) single-axis lines.  The final check adds the two planes of
+    # each advecting row's `irfft2`, u and v.
+    rounds = steps + 1
+    m, K = grid.product_n, grid.cutoff
+    assert row["spectral.bilinear"]["calls"] == rounds
+    assert row["spectral.physical"]["calls"] == 2
+    assert row["counts"]["spectral.fft.planes"] == 18 * (m + K + 1) * rounds + 4
 
 def test_box_nudged_round_and_checks_counts(bench):
     tracing, _ = bench

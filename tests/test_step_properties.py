@@ -41,9 +41,10 @@ from ns2dsens.spectral import (  # noqa: E402
 from ns2dsens.timestepper import AdmissibilityWarning, SolverConfig, integrate  # noqa: E402
 
 # The products of the flow-sensitivity system: u . grad u, ut . grad u and
-# u . grad ut, eight product planes in all.
+# u . grad ut.  B(u, u) forms two product planes and B(ut, u) three; its
+# mirror B(u, ut) reads those three, so the kernel forms five in all.
 SENS_PAIRS = [(0, 0), (1, 0), (0, 1)]
-SENS_PLANES = 8
+SENS_PLANES = 5
 
 
 def transforms_against_plain(n, lead, seed):
@@ -83,9 +84,45 @@ def test_transforms_match_after_the_workspace_grows_and_shrinks():
         assert result.tobytes() == copy.tobytes()
 
 
-def sens_stack(n, seed):
+def sens_stack(n, seed, rows=2):
     grid = GridSpec(n)
-    return BandStack.of([random_field(grid, seed=seed + i, kmin=1, kmax=8) for i in range(2)])
+    return BandStack.of([random_field(grid, seed=seed + i, kmin=1, kmax=8) for i in range(rows)])
+
+
+def written_out_products(stack, pairs):
+    """The kernel's arithmetic per pair, all three planes formed anew for every pair."""
+    grid = stack.grid
+    K = grid.cutoff
+    vals = band_to_grid(stack.coeffs, grid.product_n)
+    planes = []
+    for a, b in pairs:
+        (ux, uy), (vx, vy) = vals[a], vals[b]
+        planes += [vy * uy - vx * ux, vy * ux, vx * uy]
+    t = grid_to_band(np.stack(planes), K).reshape(len(pairs), 3, 2 * K + 1, K + 1)
+    q, r = grid.advective_factors
+    w = q[0] * t[:, 0] + q[1] * t[:, 1] + q[2] * t[:, 2]
+    return r * w[:, None]
+
+
+@pytest.mark.parametrize("n", [24, 30, 32, 48])
+@pytest.mark.parametrize("pairs", [
+    SENS_PAIRS,
+    [(0, 1), (1, 0)],
+    [(1, 0), (0, 0), (2, 2), (0, 1)],
+    [(2, 1), (1, 1), (1, 2), (2, 1), (0, 0), (1, 2), (0, 0)],
+])
+def test_mirror_and_repeated_pairs_match_pairs_formed_alone(n, pairs):
+    # A mirror (b, a) or a repeat of a pair reads the planes the kernel
+    # formed for the first of them.  Each product must be the bytes of its
+    # pair formed alone and of the same arithmetic written out with no
+    # reuse, and each self-product's peak that of its own call.
+    stack = sens_stack(n, n, rows=3)
+    out = bilinear(stack, pairs)
+    assert out.coeffs.tobytes() == written_out_products(stack, pairs).tobytes()
+    for got, pair in zip(out.coeffs, pairs, strict=True):
+        assert got.tobytes() == bilinear(stack, [pair]).coeffs[0].tobytes()
+    alone = {a: bilinear(stack, [(a, a)]).peak_sq_speed[a] for a, b in pairs if a == b}
+    assert out.peak_sq_speed == alone
 
 
 def test_kept_products_survive_later_kernels_on_other_grids():

@@ -473,8 +473,21 @@ class TestDeterminism:
             assert np.array_equal(a.final(name).coeffs, b.final(name).coeffs)
 
 
-    def test_one_stacked_bilinear_call_per_round(self, monkeypatch):
-        # Six fields and eight products per round, two of them self-products.
+    @pytest.mark.parametrize("kind, named", [
+        (SystemKind.NSE_SENS, [("u", "u"), ("ut", "u"), ("u", "ut")]),
+        (SystemKind.DA_SENS, [
+            ("u", "u"), ("ut", "u"), ("u", "ut"), ("v", "v"), ("vt", "v"), ("v", "vt"),
+        ]),
+        (SystemKind.DA_DQ_DIRECT, [
+            ("u1", "u1"), ("u2", "u2"), ("u2", "d"), ("d", "u1"),
+            ("v1", "v1"), ("v2", "v2"), ("v2", "dp"), ("dp", "v1"),
+        ]),
+    ])
+    def test_one_stacked_bilinear_call_per_round(self, monkeypatch, kind, named):
+        # Every product of a round comes from one stacked call.  A
+        # sensitivity row's second product mirrors its first and reads its
+        # planes; each product must still be the bytes of its pair formed
+        # alone.
         p = PhysicsParams(
             nu1=0.01, nu2=0.008, mu=2.0, interp=SpectralProjection(modes=8),
             forcing=random_field(GRID, seed=71, kmin=2, kmax=6),
@@ -487,7 +500,8 @@ class TestDeterminism:
             "v2": random_field(GRID, seed=73, kmin=1, kmax=6),
             "dp": random_field(GRID, seed=76, kmin=1, kmax=6),
         }
-        system = SystemSpec(SystemKind.DA_DQ_DIRECT)
+        init.update(u=init["u1"], ut=init["d"], v=init["v1"], vt=init["dp"])
+        system = SystemSpec(kind)
         fields = [init[name] for name in system.fields]
         state = BandStack.of(fields)
         calls = []
@@ -500,11 +514,7 @@ class TestDeterminism:
         system.explicit_rhs(state, p, 0.0)
         ((stack, pairs), products), = calls
         assert stack is state
-        named = [(system.fields[a], system.fields[b]) for a, b in pairs]
-        assert named == [
-            ("u1", "u1"), ("u2", "u2"), ("u2", "d"), ("d", "u1"),
-            ("v1", "v1"), ("v2", "v2"), ("v2", "dp"), ("dp", "v1"),
-        ]
+        assert [(system.fields[a], system.fields[b]) for a, b in pairs] == named
         for got, (a, b) in zip(products.fields(), pairs, strict=True):
             assert np.array_equal(got.coeffs, bilinear(fields[a], fields[b]).coeffs)
 
@@ -515,7 +525,7 @@ class TestDeterminism:
             monkeypatch.setattr(
                 np.fft, name, lambda *a, fn=fn, **k: transforms.append(fn) or fn(*a, **k)
             )
-        SystemSpec(SystemKind.DA_DQ_DIRECT, linear_only=True).explicit_rhs(state, p, 0.0)
+        SystemSpec(kind, linear_only=True).explicit_rhs(state, p, 0.0)
         assert len(calls) == 1 and transforms == []
 
 
