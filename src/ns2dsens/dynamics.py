@@ -22,7 +22,7 @@ One table, `_SYSTEMS`, is the single source of this wiring: per system, one
 row per field giving its role (flow, assimilated or derivative), its
 viscosity slot, a derivative's advective products and Stokes source, and a
 nudged field's target.  `SystemSpec` derives everything else from the rows,
-copies of the nu2 rows per `nu2s` value included; a copy at nu1 is the sensitivity.
+copies of the nu2 rows per `nu2s` entry included; a "nu1" copy is the sensitivity.
 `SystemSpec.explicit_rhs` assembles every field's right-hand side in one
 round on the band halves of the whole stack (`spectral.BandStack`): one
 `bilinear` call forms all advective products of the table, one
@@ -141,7 +141,7 @@ class FieldRow:
 
     role is "flow", "assimilated" or "derivative".  nu is the row's
     viscosity: the name of a PhysicsParams slot ("nu1" or "nu2"), or a value
-    (the rows of a `SystemSpec.nu2s` copy).  Derivative rows list their
+    (the rows of a `SystemSpec.nu2s` copy at a value).  Derivative rows list their
     advective products as ordered (a, b) pairs and the field whose Stokes
     term couples into them; flow and assimilated rows advect only themselves.
     nudge_to names the field a nudged row is pulled toward.
@@ -217,11 +217,13 @@ class SystemSpec:
     """Which coupled stack to integrate; its wiring is read from one table.
 
     nu2s (empty by default) batches the stack: the kind's nu1 rows once,
-    then per value j its nu2 rows as copies `name_j` at that viscosity, with
-    references to nu2 rows renamed and to nu1 rows kept.  A copy's initial
-    field defaults to its base row's (`base`), and a nu2 switch leaves it at
-    its own viscosity.  Copy 0 at nu1 is the sensitivity: d_0 is ut and dp_0
-    is vt bit for bit, their products the sensitivity's in swapped order.
+    then per entry j its nu2 rows as copies `name_j` at that viscosity, with
+    references to nu2 rows renamed and to nu1 rows kept.  An entry may be
+    the slot name "nu1": there a nu2 flow or assimilated row obeys the nu1
+    row of its role, so that copy reads u1 for u2 and v1 for v2 and adds
+    only its derivative rows.  A copy's initial field defaults to its base
+    row's (`base`), and a nu2 switch leaves it at its own viscosity.  Copy 0
+    at "nu1" is the sensitivity: d_0 is ut and dp_0 is vt bit for bit.
 
     Every per-field property derives from the rows: `fields` is row order,
     `zero_default_fields` (zero initial data unless supplied) are the
@@ -236,13 +238,13 @@ class SystemSpec:
 
     kind: SystemKind
     linear_only: bool = False
-    nu2s: tuple[float, ...] = ()
+    nu2s: tuple[float | str, ...] = ()
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, SystemKind):
             object.__setattr__(self, "kind", SystemKind(self.kind))
-        object.__setattr__(self, "nu2s", tuple(float(nu) for nu in self.nu2s))
-        if any(nu <= 0 for nu in self.nu2s):
+        object.__setattr__(self, "nu2s", tuple(v if v == "nu1" else float(v) for v in self.nu2s))
+        if any(nu != "nu1" and nu <= 0 for nu in self.nu2s):
             raise ValueError(f"viscosities must be positive, got {self.nu2s}")
 
     @cached_property
@@ -250,9 +252,13 @@ class SystemSpec:
         """Every field's `_SYSTEMS` row name and its own row, in row order."""
         table = _SYSTEMS[self.kind]
         out = {n: (n, row) for n, row in table.items() if not self.nu2s or row.nu == "nu1"}
+        twin = {r.role: n for n, r in table.items() if r.nu == "nu1" and r.role != "derivative"}
         for j, nu in enumerate(self.nu2s):
-            to = {n: f"{n}_{j}" for n, row in table.items() if row.nu == "nu2"}
+            to = {n: twin.get(r.role, f"{n}_{j}") if nu == "nu1" else f"{n}_{j}"
+                  for n, r in table.items() if r.nu == "nu2"}
             for n, copy in to.items():
+                if copy in out:  # a nu1 row the copy reads as its own
+                    continue
                 row = table[n]
                 pairs = tuple((to.get(a, a), to.get(b, b)) for a, b in row.products)
                 out[copy] = (n, FieldRow(

@@ -8,7 +8,8 @@ difference quotient of two flows converges, first order in the viscosity
 increment, to the sensitivity field, and that the directly evolved quotient
 agrees with the algebraic one to integrator accuracy (two-path
 consistency), from one quotient stack batched over nu2 = nu1 (the
-sensitivity) and each nu1 + delta, and one half-step run.  Trajectory-in-time
+sensitivity, read off the nu1 flows) and each nu1 + delta, and one half-step
+run; its checks certify each flow and assimilated row once.  Trajectory-in-time
 norms are trapezoid quadratures over the sampled diagnostics; each sweep
 reports a cadence deviation so the quadrature error can be seen to be
 negligible next to the measured errors.
@@ -334,9 +335,9 @@ def _run_quotient_sweep(
     else:
         kind, flow, evolved = SystemKind.DQ_DIRECT, ("u1", "u2"), "d"
 
-    # Copy 0 runs at nu2 = nu1, so its quotient row is the sensitivity.
+    # Copy 0 runs at nu2 = nu1 on the nu1 flows, so its quotient row is the sensitivity.
     batch = _integrate_noted(
-        SystemSpec(kind, nu2s=(p.nu1,) + spec.nu2_values), init, p, cfg, notes
+        SystemSpec(kind, nu2s=("nu1",) + spec.nu2_values), init, p, cfg, notes
     )
     checks = check_apriori(batch)
     times, snaps = batch.times, batch.snapshots
@@ -429,9 +430,10 @@ def run_dq_convergence(
     (`artifacts["reference"]`) compares, per delta j, the algebraic quotient
     (u1 - u2_j) / (nu1 - nu2_j) with the sensitivity d_0 (the error e_j) and
     with the evolved quotient d_j (the two-path gap); a half-step run gives
-    the integrator tolerance.  Errors must decrease strictly and, when a
-    ratio window is given, consecutive error ratios must track the
-    first-order prediction delta_{n+1}/delta_n.
+    the integrator tolerance; the a-priori checks cover u1 and each u2_j.
+    Errors must decrease strictly and, when a ratio window is given,
+    consecutive error ratios must track the first-order prediction
+    delta_{n+1}/delta_n.
     """
     return _run_quotient_sweep(
         "dq_convergence", spec, p, cfg, assimilated=False, v0=None,
@@ -451,8 +453,8 @@ def run_da_dq_convergence(
     The batched stack is `DA_DQ_DIRECT`'s: v1 and each v2_j are nudged
     toward u1 and u2_j, each evolved quotient dp_j toward d_j, and the
     errors compare (v1 - v2_j) / (nu1 - nu2_j) with the assimilated
-    sensitivity dp_0.  The strict gain condition is verified before any
-    integration when mu > 0.
+    sensitivity dp_0, which reads v1.  The a-priori checks cover u1, v1, u2_j
+    and v2_j.  The strict gain condition is verified first when mu > 0.
     """
     return _run_quotient_sweep(
         "da_dq_convergence", spec, p, cfg, assimilated=True, v0=v0,
@@ -677,8 +679,9 @@ def run_taylor_green_suite(
     Certifies the full assembly end to end: the integrated flow against the
     exponential decay, the integrated sensitivity against its closed form at
     the final time, and the final-time difference quotient against the
-    sensitivity with first-order shrinkage in the viscosity increment.  Both
-    come from one `DQ_DIRECT` run batched over nu2 = nu and each nu + delta.
+    sensitivity with first-order shrinkage in the viscosity increment.  All
+    come from one `DQ_DIRECT` run batched over nu2 = nu and each nu + delta
+    (`artifacts["sweep"]`), whose flows u1 and u2_j the a-priori checks cover.
     """
     start = time.perf_counter()
     grid = GridSpec(64) if grid is None else grid
@@ -687,27 +690,16 @@ def run_taylor_green_suite(
     p = PhysicsParams(nu1=nu, nu2=nu)
     u0 = taylor_green(grid)
     notes: list[str] = []
-    timings: dict[str, float] = {}
-
-    t0 = time.perf_counter()
-    flow = _integrate_noted(SystemSpec(SystemKind.NSE), {"u": u0}, p, cfg, notes)
-    timings["flow_seconds"] = time.perf_counter() - t0
-    flow_errs = np.array(
-        [
-            norm(flow.snapshot("u", i) - taylor_green_flow(grid, nu, t))
-            / norm(taylor_green_flow(grid, nu, t))
-            for i, t in enumerate(flow.times)
-        ]
-    )
-    checks = list(check_apriori(flow))
 
     # Copy 0 (nu2 = nu) is the sensitivity, copy j the second flow of delta j.
-    t0 = time.perf_counter()
     nu2s = tuple(nu + delta for delta in deltas)
-    batch = _integrate_noted(
-        SystemSpec(SystemKind.DQ_DIRECT, nu2s=(nu,) + nu2s), {"u1": u0, "u2": u0}, p, cfg, notes
-    )
-    timings["sweep_seconds"] = time.perf_counter() - t0
+    system = SystemSpec(SystemKind.DQ_DIRECT, nu2s=("nu1",) + nu2s)
+    t0 = time.perf_counter()
+    batch = _integrate_noted(system, {"u1": u0, "u2": u0}, p, cfg, notes)
+    flow_seconds = time.perf_counter() - t0
+    exact = [taylor_green_flow(grid, nu, t) for t in batch.times]
+    flow_errs = np.array([norm(u - e) / norm(e) for u, e in zip(batch.snapshots["u1"], exact)])
+    checks = check_apriori(batch)
     sens_exact = taylor_green_sensitivity(grid, nu, float(batch.times[-1]))
     sens_err = norm(batch.final("d_0") - sens_exact) / norm(sens_exact)
     dq_errs = [
@@ -735,7 +727,7 @@ def run_taylor_green_suite(
         "dq_ratios": dq_ratios,
         "nu": nu,
         "grid_n": grid.n,
-        "timings": timings,
+        "timings": {"flow_seconds": flow_seconds},
         "warnings": notes,
     }
     digest = _config_digest(
@@ -753,5 +745,5 @@ def run_taylor_green_suite(
         checks=tuple(checks),
         config_digest=digest,
         runtime_seconds=time.perf_counter() - start,
-        artifacts={"flow": flow, "sweep": batch},
+        artifacts={"sweep": batch},
     )

@@ -165,10 +165,12 @@ def test_box_nudged_round_and_checks_counts(bench):
     assert row["counts"]["spectral.fft.planes"] == 8 * (m + K + 1) * rounds + 4
 
 
-def test_da_sweep_runs_two_integrations(bench):
+@pytest.mark.parametrize("n", [16, 24])
+def test_da_sweep_runs_two_integrations(bench, n):
     tracing, workloads = bench
-    grid = GridSpec(16)
-    spec = DQSweepSpec.halving(0.01, random_field(grid, seed=6, kmin=1, kmax=4), levels=3)
+    grid = GridSpec(n)
+    levels = 3
+    spec = DQSweepSpec.halving(0.01, random_field(grid, seed=6, kmin=1, kmax=4), levels=levels)
     p = PhysicsParams(nu1=0.01, nu2=0.01, mu=1.0, interp=SpectralProjection(modes=4))
     steps = 4
     cfg = SolverConfig(dt=1e-3, t_end=steps * 1e-3, sample_every=2)
@@ -182,3 +184,25 @@ def test_da_sweep_runs_two_integrations(bench):
     # midpoint: (N + 1) + (2N + 1) rounds.
     assert row["timestepper.integrate"]["calls"] == 2
     assert row["spectral.bilinear"]["calls"] == (steps + 1) + (2 * steps + 1)
+    # The batched stack has 4 + 4L rows: u1 and v1, copy 0's d_0 and dp_0
+    # (its flows are u1 and v1 themselves), and u2_j, d_j, v2_j, dp_j for
+    # each of the L deltas.  Per round its inverse takes 2 planes a row,
+    # 8 + 8L.  Its forward takes 2 planes for each of the 2 + 2L
+    # self-products; 3 for each of d_0 and dp_0, whose pairs are a mirror
+    # pair; and 6 for each of d_j and dp_j: 10 + 16L.  The unbatched
+    # half-step stack (u1, u2, d, v1, v2, dp) takes 12 inverse and
+    # 8 + 12 forward planes.  Every plane runs through (m + K + 1)
+    # single-axis lines.  The final-state CFL checks expand every advecting
+    # row with one `physical` call of 2 planes: 2(L + 1) rows, then 4.
+    rounds, half_rounds = steps + 1, 2 * steps + 1
+    m, K = grid.product_n, grid.cutoff
+    planes = ((18 + 24 * levels) * rounds + 32 * half_rounds) * (m + K + 1)
+    assert row["counts"]["spectral.fft.planes"] == planes + 4 * (levels + 1) + 8
+    assert row["spectral.physical"]["calls"] == 2 * (levels + 1) + 4
+    # Both runs nudge once per round; the a-priori checks of the batched run
+    # form the source of each of its L + 1 assimilated rows (v1, v2_j) once
+    # per block of SAMPLE_BLOCK samples.  The half-step run is not checked.
+    samples = steps // cfg.sample_every + 1
+    assert row["interpolants.interpolate"]["calls"] == (
+        rounds + half_rounds + (levels + 1) * math.ceil(samples / SAMPLE_BLOCK)
+    )

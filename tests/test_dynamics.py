@@ -17,6 +17,7 @@ from ns2dsens.spectral import (
     BandStack,
     GridSpec,
     SpectralField,
+    _plane_plan,
     bilinear,
     leray_project,
     norm,
@@ -267,6 +268,34 @@ class TestSystemSpec:
         assert batched.rows["dp_1"].products == (("v2_1", "dp_1"), ("dp_1", "v1"))
         assert batched.rows["dp_1"].nudge_to == "d_1"
         assert batched.base("dp_1") == "dp"
+
+    def test_nu1_copy_reads_the_nu1_flows(self):
+        # At nu2 = nu1, u2 and v2 obey the u1 and v1 equations, so a "nu1"
+        # copy reads those rows and adds only its derivative rows.
+        spec = SystemSpec(SystemKind.DA_DQ_DIRECT, nu2s=("nu1", 0.02))
+        assert spec.fields == ("u1", "v1", "d_0", "dp_0", "u2_1", "d_1", "v2_1", "dp_1")
+        d0, dp0 = spec.rows["d_0"], spec.rows["dp_0"]
+        assert d0.products == (("u1", "d_0"), ("d_0", "u1"))
+        assert (d0.source, d0.nudge_to) == ("u1", None)
+        assert dp0.products == (("v1", "dp_0"), ("dp_0", "v1"))
+        assert (dp0.source, dp0.nudge_to) == ("v1", "d_0")
+        assert spec.rows["dp_1"].products == (("v2_1", "dp_1"), ("dp_1", "v1"))
+        assert spec.base("dp_0") == "dp"
+        for nu2 in (0.005, 0.01, 0.03):
+            p = PhysicsParams(nu1=0.01, nu2=nu2)
+            assert spec.viscosity("d_0", p) == spec.viscosity("dp_0", p) == p.nu1
+        # d_0's two products are a mirror pair: the kernel forms one tensor,
+        # 3 planes, for both.
+        d0_at = spec.fields.index("d_0")
+        own = tuple(pair for pair in spec.wiring.pairs if d0_at in pair)
+        assert own == ((0, d0_at), (d0_at, 0))
+        forms, n_planes, _ = _plane_plan(own)
+        assert (len(forms), n_planes) == (1, 3)
+
+    @pytest.mark.parametrize("bad", ["nu2", 0, -1])
+    def test_bad_nu2s_entry_rejected(self, bad):
+        with pytest.raises(ValueError):
+            SystemSpec(SystemKind.DA_DQ_DIRECT, nu2s=("nu1", bad))
 
     def test_unknown_field_rejected(self):
         p = PhysicsParams(nu1=0.01, nu2=0.01)

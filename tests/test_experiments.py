@@ -1,10 +1,12 @@
 """Experiment runner tests at small scale; closed-form Taylor-Green oracles."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
+from ns2dsens import experiments
 from ns2dsens.diagnostics import SAMPLE_BLOCK, BoundCheck, grashof
 from ns2dsens.dynamics import PhysicsParams
 from ns2dsens.experiments import (
@@ -228,6 +230,23 @@ class TestDADQConvergence:
         assert degen.data["errors"] == plain.data["errors"]
         assert degen.data["two_path_gaps"] == plain.data["two_path_gaps"]
 
+    @pytest.mark.parametrize("assimilated", [False, True])
+    def test_each_accepted_row_is_checked_once(self, assimilated):
+        # Copy 0 reads u1 and v1 and has no flow rows of its own, so the
+        # batched run's checks certify u1 (v1) and each copy's u2_j (v2_j)
+        # once each, and name no u2_0 or v2_0.
+        spec = DQSweepSpec.halving(NU, taylor_green(GRID), levels=2)
+        if assimilated:
+            p = PhysicsParams(NU, NU, mu=1.0, interp=self.INTERP)
+            rep = run_da_dq_convergence(spec, p, CFG)
+        else:
+            rep = run_dq_convergence(spec, PhysicsParams(NU, NU), CFG)
+        names = [c.name for c in rep.checks]
+        assert len(names) == len(set(names))
+        checked = {re.sub(r"_(h1_sup|l2_sup|dissipation_integral)$", "", n) for n in names}
+        flows = ("u1", "u2_1", "u2_2") + (("v1", "v2_1", "v2_2") if assimilated else ())
+        assert checked == set(flows)
+
     def test_synchronized_start_matches_plain_errors(self):
         u0 = taylor_green(GRID)
         spec = DQSweepSpec.halving(NU, u0, levels=2)
@@ -385,3 +404,28 @@ class TestTaylorGreenSuite:
         assert len(rep.data["dq_errors"]) == 2
         assert 0.4 <= rep.data["dq_ratios"][0] <= 0.6
         json.dumps(rep.to_dict())
+
+    def test_one_batched_run_is_certified(self, monkeypatch):
+        # The suite integrates once.  Its flow oracle reads the batch's u1,
+        # bit for bit a separate NSE run's u, and its a-priori checks cover
+        # every flow of the batch: u1 and each u2_j.
+        cfg = SolverConfig(dt=1e-3, t_end=0.25, sample_every=25)
+        systems = []
+
+        def counted(system, *args, **kwargs):
+            systems.append(system)
+            return integrate(system, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "integrate", counted)
+        rep = run_taylor_green_suite(cfg, grid=GRID, nu=NU)
+        assert len(systems) == 1
+        assert {c.name for c in rep.checks} == {
+            f"{flow}_{kind}"
+            for flow in ("u1", "u2_1", "u2_2")
+            for kind in ("h1_sup", "l2_sup", "dissipation_integral")
+        }
+        flow = integrate(SystemSpec(SystemKind.NSE), {"u": taylor_green(GRID)},
+                         PhysicsParams(NU, NU), cfg)
+        exact = [taylor_green_flow(GRID, NU, t) for t in flow.times]
+        errs = [norm(flow.snapshot("u", i) - e) / norm(e) for i, e in enumerate(exact)]
+        assert rep.data["flow_max_rel_error"] == float(np.max(errs))
