@@ -42,6 +42,7 @@ norm history.  Identical inputs produce bit-identical trajectories.
 
 from __future__ import annotations
 
+import mmap
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
@@ -315,7 +316,11 @@ def integrate(
     series[:, 0] = norms(BandStack(grid, state))
     l2_0 = series[:, 0, 0]
     ref_l2 = np.where(l2_0 > 0, l2_0, max(l2_0.max(), 1.0))
-    samples = np.empty((len(times),) + state.shape, dtype=state.dtype)
+    # The samples live in an anonymous mapping of their own, not on the malloc
+    # heap, so they are unmapped with their last view and never advised into
+    # huge pages: a run's peak memory does not depend on the heap's layout.
+    samples = np.ndarray((len(times),) + state.shape, state.dtype,
+                         mmap.mmap(-1, len(times) * state.nbytes))
     samples[0] = state
     taken = 1
     drift_max = 0.0
