@@ -218,12 +218,12 @@ class SystemSpec:
 
     nu2s (empty by default) batches the stack: the kind's nu1 rows once,
     then per entry j its nu2 rows as copies `name_j` at that viscosity, with
-    references to nu2 rows renamed and to nu1 rows kept.  An entry may be
-    the slot name "nu1": there a nu2 flow or assimilated row obeys the nu1
-    row of its role, so that copy reads u1 for u2 and v1 for v2 and adds
-    only its derivative rows.  A copy's initial field defaults to its base
-    row's (`base`), and a nu2 switch leaves it at its own viscosity.  Copy 0
-    at "nu1" is the sensitivity: d_0 is ut and dp_0 is vt bit for bit.
+    references to nu2 rows renamed and to nu1 rows kept.  An entry "nu1"
+    (the slot) reads the nu1 row of each nu2 flow's role, u1 for u2 and v1
+    for v2, whose equation that flow obeys at nu1, and adds only derivative
+    rows.  A copy's initial field defaults to its base row's (`base`), and a
+    nu2 switch leaves it at its own viscosity.  Copy 0 at "nu1" is the
+    sensitivity: d_0 is ut and dp_0 is vt bit for bit.
 
     Every per-field property derives from the rows: `fields` is row order,
     `zero_default_fields` (zero initial data unless supplied) are the
@@ -257,14 +257,13 @@ class SystemSpec:
             to = {n: twin.get(r.role, f"{n}_{j}") if nu == "nu1" else f"{n}_{j}"
                   for n, r in table.items() if r.nu == "nu2"}
             for n, copy in to.items():
-                if copy in out:  # a nu1 row the copy reads as its own
-                    continue
-                row = table[n]
-                pairs = tuple((to.get(a, a), to.get(b, b)) for a, b in row.products)
-                out[copy] = (n, FieldRow(
-                    row.role, nu, pairs, to.get(row.source, row.source),
-                    to.get(row.nudge_to, row.nudge_to),
-                ))
+                if copy not in out:  # else a nu1 row the copy reads as its own
+                    row = table[n]
+                    pairs = tuple((to.get(a, a), to.get(b, b)) for a, b in row.products)
+                    out[copy] = (n, FieldRow(
+                        row.role, nu, pairs, to.get(row.source, row.source),
+                        to.get(row.nudge_to, row.nudge_to),
+                    ))
         return out
 
     @cached_property

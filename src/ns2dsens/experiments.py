@@ -3,16 +3,15 @@
 Each runner integrates one or more coupled stacks and condenses the outcome
 into an ExperimentReport: named boolean verdicts, a per-sweep-point table,
 scalar diagnostics, and the a-priori bound checks of every trajectory the
-experiment accepted.  The quotient sweeps certify that the algebraic
-difference quotient of two flows converges, first order in the viscosity
-increment, to the sensitivity field, and that the directly evolved quotient
-agrees with the algebraic one to integrator accuracy (two-path
-consistency), from one quotient stack batched over nu2 = nu1 (the
-sensitivity, read off the nu1 flows) and each nu1 + delta, and one half-step
-run; its checks certify each flow and assimilated row once.  Trajectory-in-time
-norms are trapezoid quadratures over the sampled diagnostics; each sweep
-reports a cadence deviation so the quadrature error can be seen to be
-negligible next to the measured errors.
+experiment accepted, each flow and assimilated row once.  The quotient
+sweeps certify that the algebraic difference quotient of two flows
+converges, first order in the viscosity increment, to the sensitivity field,
+and that the directly evolved quotient agrees with the algebraic one to
+integrator accuracy (two-path consistency), from one quotient stack batched
+over nu2 = nu1 (the sensitivity, on the nu1 flows) and each nu1 + delta, and
+one half-step run.  Trajectory-in-time norms are trapezoid quadratures over
+the sampled diagnostics; each sweep reports a cadence deviation so the
+quadrature error can be seen to be negligible next to the measured errors.
 
 The Taylor-Green vortex supplies closed forms used as oracles throughout:
 the flow decays as exp(-8 pi^2 nu t), its viscosity sensitivity is
@@ -430,10 +429,9 @@ def run_dq_convergence(
     (`artifacts["reference"]`) compares, per delta j, the algebraic quotient
     (u1 - u2_j) / (nu1 - nu2_j) with the sensitivity d_0 (the error e_j) and
     with the evolved quotient d_j (the two-path gap); a half-step run gives
-    the integrator tolerance; the a-priori checks cover u1 and each u2_j.
-    Errors must decrease strictly and, when a ratio window is given,
-    consecutive error ratios must track the first-order prediction
-    delta_{n+1}/delta_n.
+    the integrator tolerance; the checks cover u1 and each u2_j.  Errors must
+    decrease strictly and, when a ratio window is given, consecutive error
+    ratios must track the first-order prediction delta_{n+1}/delta_n.
     """
     return _run_quotient_sweep(
         "dq_convergence", spec, p, cfg, assimilated=False, v0=None,
@@ -692,8 +690,7 @@ def run_taylor_green_suite(
     notes: list[str] = []
 
     # Copy 0 (nu2 = nu) is the sensitivity, copy j the second flow of delta j.
-    nu2s = tuple(nu + delta for delta in deltas)
-    system = SystemSpec(SystemKind.DQ_DIRECT, nu2s=("nu1",) + nu2s)
+    system = SystemSpec(SystemKind.DQ_DIRECT, nu2s=("nu1",) + tuple(nu + d for d in deltas))
     t0 = time.perf_counter()
     batch = _integrate_noted(system, {"u1": u0, "u2": u0}, p, cfg, notes)
     flow_seconds = time.perf_counter() - t0
@@ -704,7 +701,7 @@ def run_taylor_green_suite(
     sens_err = norm(batch.final("d_0") - sens_exact) / norm(sens_exact)
     dq_errs = [
         float(norm(dq_field(batch.final("u1"), batch.final(f"u2_{j}"), nu, nu2) - sens_exact))
-        for j, nu2 in enumerate(nu2s, start=1)
+        for j, nu2 in enumerate(system.nu2s[1:], start=1)
     ]
     dq_ratios = [dq_errs[i + 1] / dq_errs[i] for i in range(len(dq_errs) - 1)]
 

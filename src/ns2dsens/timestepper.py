@@ -316,11 +316,11 @@ def integrate(
     series[:, 0] = norms(BandStack(grid, state))
     l2_0 = series[:, 0, 0]
     ref_l2 = np.where(l2_0 > 0, l2_0, max(l2_0.max(), 1.0))
-    # The samples live in an anonymous mapping of their own, not on the malloc
-    # heap, so they are unmapped with their last view and never advised into
-    # huge pages: a run's peak memory does not depend on the heap's layout.
-    samples = np.ndarray((len(times),) + state.shape, state.dtype,
-                         mmap.mmap(-1, len(times) * state.nbytes))
+    # numpy advises arrays of 4 MiB and more into huge pages; on the malloc heap
+    # that advice outlives the array, so such samples get a mapping of their own.
+    nbytes = len(times) * state.nbytes
+    buffer = mmap.mmap(-1, nbytes) if nbytes >= 4 << 20 else None
+    samples = np.ndarray((len(times),) + state.shape, state.dtype, buffer)
     samples[0] = state
     taken = 1
     drift_max = 0.0
