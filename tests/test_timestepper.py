@@ -1,5 +1,6 @@
 """Integrator tests: closed-form decay, observed order, guards, reproducibility."""
 
+import mmap
 import warnings
 
 import numpy as np
@@ -458,6 +459,40 @@ class TestSampleStorage:
             last = snaps[traj.n_samples - 1].coeffs
             assert np.array_equal(traj.final(name).coeffs, last)
             assert np.array_equal(snaps[-1].coeffs, last)
+
+    def test_arrays_of_4_mib_and_more_get_their_own_mapping(self):
+        # numpy advises arrays of 4 MiB and more into huge pages, which on the
+        # malloc heap outlive the array; such a sample array gets an anonymous
+        # mapping of its own, a smaller one stays on numpy's allocator.  At
+        # n = 48 a DA sample is 35,904 bytes: 121 samples make 4.34 MB, 61
+        # make 2.19 MB.  Both hold the same bits, read-only.
+        grid = GridSpec(48)
+        p = PhysicsParams(nu1=0.01, nu2=0.01, mu=1.0, interp=SpectralProjection(modes=4))
+        init = {
+            "u": random_field(grid, seed=93, kmin=1, kmax=6),
+            "v": random_field(grid, seed=94, kmin=1, kmax=6, l2_norm=0.5),
+        }
+        runs = {
+            every: integrate(
+                SystemSpec(SystemKind.DA), init, p,
+                SolverConfig(dt=1e-3, t_end=0.12, sample_every=every),
+            )
+            for every in (1, 2)
+        }
+
+        def owner(a):
+            while isinstance(a, np.ndarray) and a.base is not None:
+                a = a.base
+            return a
+
+        big, small = runs[1].snapshots["u"].coeffs, runs[2].snapshots["u"].coeffs
+        assert big.base.nbytes >= 4 << 20 > small.base.nbytes
+        assert isinstance(owner(big), mmap.mmap)
+        assert isinstance(owner(small), np.ndarray)
+        for name in ("u", "v"):
+            each, every_other = (runs[k].snapshots[name].coeffs for k in (1, 2))
+            assert not each.flags.writeable and not every_other.flags.writeable
+            assert np.array_equal(each[::2], every_other)
 
 
 class TestDeterminism:
