@@ -467,6 +467,14 @@ def _sync_gap(traj: Trajectory) -> np.ndarray:
     return np.concatenate([norms(BandStack(traj.grid, u[b] - v[b]))[:, 0] for b in blocks])
 
 
+def _sync_control(system, init, p, cfg) -> tuple[np.ndarray, list[str], list[BoundCheck]]:
+    """The zero-gain control's gap series, warnings and checks; its samples die on return."""
+    notes: list[str] = []
+    p0 = PhysicsParams(nu1=p.nu1, nu2=p.nu2, mu=0.0, forcing=p.forcing, interp=None)
+    control = _integrate_noted(system, init, p0, cfg, notes)
+    return _sync_gap(control), notes, check_apriori(control, label="control_")
+
+
 def run_da_sync(
     p: PhysicsParams,
     cfg: SolverConfig,
@@ -483,11 +491,18 @@ def run_da_sync(
     demoted to a recorded warning: large gains outside the proven admissible
     range are exactly what this experiment probes.  With mu = 0 the run is a
     control and carries no decay verdict.
+
+    With `with_control` and mu > 0 the zero-gain control runs first and is
+    kept only as its gap series (`data["control_difference_l2"]`), its decay
+    factor and its `control_` checks, so one run's samples are alive at a
+    time.  The report lists the nudged run's warnings and checks before the
+    control's; `artifacts` holds the nudged trajectory only.
     """
     start = time.perf_counter()
-    notes: list[str] = []
     system = SystemSpec(SystemKind.DA)
     init = {"u": u0, "v": v0}
+    control = _sync_control(system, init, p, cfg) if with_control and p.mu > 0 else None
+    notes: list[str] = []
     traj = _integrate_noted(
         system, init, p, cfg, notes, enforce_admissibility=False
     )
@@ -518,20 +533,16 @@ def run_da_sync(
         "strict_admissible": admissibility(p.nu2, p.mu, p.interp, strict=True),
         "warnings": notes,
     }
-    artifacts: dict = {"trajectory": traj}
 
-    if with_control and p.mu > 0:
-        p_control = PhysicsParams(
-            nu1=p.nu1, nu2=p.nu2, mu=0.0, forcing=p.forcing, interp=None
-        )
-        control = _integrate_noted(system, init, p_control, cfg, notes)
-        cdiff = _sync_gap(control)
+    if control is not None:
+        cdiff, control_notes, control_checks = control
+        notes.extend(control_notes)
         control_factor = float(cdiff[-1] / cdiff[0]) if cdiff[0] > 0 else 0.0
+        data["control_difference_l2"] = cdiff
         data["control_decay_factor"] = control_factor
         verdicts["control_no_comparable_decay"] = control_factor > control_floor
-        checks.extend(check_apriori(control, label="control_"))
+        checks.extend(control_checks)
         verdicts["apriori_bounds"] = all(c.passed for c in checks)
-        artifacts["control"] = control
 
     digest = _config_digest(
         "da_sync", p, cfg, {"u0": u0, "v0": v0},
@@ -547,7 +558,7 @@ def run_da_sync(
         checks=tuple(checks),
         config_digest=digest,
         runtime_seconds=time.perf_counter() - start,
-        artifacts=artifacts,
+        artifacts={"trajectory": traj},
     )
 
 

@@ -129,9 +129,11 @@ class GridSpec:
         q = (kx ky, kx^2, -ky^2) weighs the products (Tyy - Txx, Tyx, Txy)
         into k_perp . w / (2 pi i); r = 2 pi i k_perp / |k|^2, zero at k = 0,
         turns that into the projected result.  Shapes (3 or 2, 2K + 1, K + 1).
+        Both are complex128, so the kernel's multiplies cast neither; q's
+        imaginary parts are zero, which is the cast numpy would make anyway.
         """
         (kx, ky), inv_k_sq, _ = self.band_tables
-        q = np.stack([kx * ky, kx**2, -(ky**2)]).astype(np.float64)
+        q = np.stack([kx * ky, kx**2, -(ky**2)]).astype(np.complex128)
         r = 2j * np.pi * np.stack([-ky, kx]) * inv_k_sq
         return _read_only(q), _read_only(r)
 

@@ -2,10 +2,10 @@
 
 The tracer wraps package functions by name at their import sites.  These
 tests install it as the benchmark does, on a small flow-plus-sensitivity run,
-on a small box-nudged run with its a-priori checks and on a small assimilated
-quotient sweep, so that a rename or a
-removed call site fails here rather than in a benchmark run.  They only read
-bench/.
+on a small box-nudged run with its a-priori checks, on a small assimilated
+quotient sweep and on one op of two unmodified benchmark workloads, so that a
+rename, a removed call site or a changed integration fails here rather than
+in a benchmark run.  They only read bench/.
 """
 
 import importlib.util
@@ -206,3 +206,25 @@ def test_da_sweep_runs_two_integrations(bench, n):
     assert row["interpolants.interpolate"]["calls"] == (
         rounds + half_rounds + (levels + 1) * math.ceil(samples / SAMPLE_BLOCK)
     )
+
+
+# da_sweep_n32 is left out: its `integrations()` still describes the L + 2
+# runs of the unbatched sweep, not the two the sweep now makes, so the
+# field-steps cross-check fails on it until the harness describes them.
+@pytest.mark.parametrize("name", ["sens_flow_n256", "cli_sync_box_n48"])
+def test_workload_op_meets_traced_run_contract(bench, monkeypatch, tmp_path, name):
+    # One traced op of the workload, checked as a traced benchmark run checks
+    # its ops: every expected layer records a span, and `layer_metrics`
+    # raises unless the traced field steps and snapshot bytes equal the
+    # counts computed from the workload's integrations (their rows, steps
+    # and samples).
+    tracing, workloads = bench
+    monkeypatch.setitem(sys.modules, "tracing", tracing)
+    worker = load_bench_module("worker")
+    workload = workloads.WORKLOADS[name](901, tmp_path / "work")
+    outputs = []
+    row = traced_op(tracing, lambda: outputs.append(workload.op()))
+    tracing.check_expected([row], workload.expected)
+    worker.layer_metrics([row], workloads.computed_counts(workload.integrations()))
+    ok, _ = workload.check(outputs[0])
+    assert ok

@@ -176,7 +176,7 @@ class TestAprioriAssimilated:
 class TestStackedSource:
     """The assimilated source, stacked in blocks, against the per-sample formula."""
 
-    SAMPLES = 130  # two full blocks of SAMPLE_BLOCK and a tail of two
+    SAMPLES = 130  # full blocks of SAMPLE_BLOCK and a shorter tail
 
     def _run(self, interp, mu, forcing):
         grid = GridSpec(24)

@@ -2,6 +2,7 @@
 
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -264,6 +265,12 @@ class TestDASync:
 
     INTERP = SpectralProjection(modes=4)
 
+    @staticmethod
+    def _control(p, cfg, u0, v0):
+        """The zero-gain control, integrated on its own as the runner builds it."""
+        p0 = PhysicsParams(nu1=p.nu1, nu2=p.nu2, mu=0.0, forcing=p.forcing, interp=None)
+        return integrate(SystemSpec(SystemKind.DA), {"u": u0, "v": v0}, p0, cfg)
+
     def test_synchronizes_with_gain(self):
         u0 = random_field(GRID, seed=6, kmin=1, kmax=4, l2_norm=0.5)
         v0 = random_field(GRID, seed=7, kmin=1, kmax=4, l2_norm=0.5)
@@ -282,11 +289,12 @@ class TestDASync:
         assert max(rep.data["difference_l2"]) < 1e-12
 
     def test_blocked_gap_equals_unblocked(self):
-        # 130 samples: two full blocks of SAMPLE_BLOCK samples and a tail.
+        # 130 samples: full blocks of SAMPLE_BLOCK samples and a shorter tail.
         u0 = random_field(GRID, seed=6, kmin=1, kmax=4, l2_norm=0.5)
         v0 = random_field(GRID, seed=7, kmin=1, kmax=4, l2_norm=0.5)
         cfg = SolverConfig(dt=2e-3, t_end=129 * 2e-3)
-        rep = run_da_sync(self._params(20.0), cfg, u0, v0, with_control=True)
+        p = self._params(20.0)
+        rep = run_da_sync(p, cfg, u0, v0, with_control=True)
 
         def whole(traj):
             assert traj.n_samples == 130 and 130 % SAMPLE_BLOCK
@@ -294,7 +302,8 @@ class TestDASync:
             return norms(BandStack(GRID, u - v))[:, 0]
 
         assert np.array_equal(rep.data["difference_l2"], whole(rep.artifacts["trajectory"]))
-        control = whole(rep.artifacts["control"])
+        control = whole(self._control(p, cfg, u0, v0))
+        assert np.array_equal(rep.data["control_difference_l2"], control)
         assert rep.data["control_decay_factor"] == control[-1] / control[0]
 
     def test_control_run_has_no_decay_verdict(self):
@@ -314,7 +323,10 @@ class TestDASync:
         )
         assert rep.verdicts["control_no_comparable_decay"]
         assert rep.data["control_decay_factor"] > rep.data["decay_factor"]
-        assert "control" in rep.artifacts
+        gap = rep.data["control_difference_l2"]
+        assert gap.shape == rep.data["difference_l2"].shape
+        assert rep.data["control_decay_factor"] == gap[-1] / gap[0]
+        assert set(rep.artifacts) == {"trajectory"}
 
     def test_gap_is_per_sample_norm_of_difference(self):
         # The gap sums |u - v|^2 on the band halves of the samples: the terms
@@ -323,22 +335,44 @@ class TestDASync:
         u0 = random_field(GRID, seed=6, kmin=1, kmax=4, l2_norm=0.5)
         v0 = random_field(GRID, seed=7, kmin=1, kmax=4, l2_norm=0.5)
         cfg = SolverConfig(dt=2e-3, t_end=1.0, sample_every=25)
-        rep = run_da_sync(
-            self._params(20.0), cfg, u0, v0,
-            decay_threshold=0.05, with_control=True,
-        )
+        p = self._params(20.0)
+        rep = run_da_sync(p, cfg, u0, v0, decay_threshold=0.05, with_control=True)
         gaps = {}
-        for key in ("trajectory", "control"):
-            traj = rep.artifacts[key]
+        for key, traj in (
+            ("trajectory", rep.artifacts["trajectory"]),
+            ("control", self._control(p, cfg, u0, v0)),
+        ):
             snaps = zip(traj.snapshots["u"], traj.snapshots["v"], strict=True)
             gaps[key] = np.array([norm(u - v) for u, v in snaps])
         assert rep.data["difference_l2"] == pytest.approx(gaps["trajectory"], rel=1e-14, abs=0.0)
         want = gaps["trajectory"][-1] / gaps["trajectory"][0]
         assert rep.data["decay_factor"] == pytest.approx(want, rel=3e-14)
         assert rep.verdicts["synchronization_decay"] == (want <= 0.05)
+        assert rep.data["control_difference_l2"] == pytest.approx(
+            gaps["control"], rel=1e-14, abs=0.0
+        )
         control = gaps["control"][-1] / gaps["control"][0]
         assert rep.data["control_decay_factor"] == pytest.approx(control, rel=3e-14)
         assert rep.verdicts["control_no_comparable_decay"] == (control > 0.1)
+
+    def test_control_samples_die_before_nudged_run(self, monkeypatch):
+        # The control runs first and is reduced to its gap and checks, so its
+        # sample array is gone when the nudged run starts: one run's samples
+        # are alive at a time.  Each entry is (gain, whether each earlier
+        # run's sample array is still alive) at the start of an integration.
+        u0 = random_field(GRID, seed=6, kmin=1, kmax=4, l2_norm=0.5)
+        v0 = random_field(GRID, seed=7, kmin=1, kmax=4, l2_norm=0.5)
+        arrays, starts = [], []
+
+        def tracked(system, init, p, cfg, **kwargs):
+            starts.append((p.mu, [ref() is not None for ref in arrays]))
+            traj = integrate(system, init, p, cfg, **kwargs)
+            arrays.append(weakref.ref(traj.snapshots["u"].coeffs.base))
+            return traj
+
+        monkeypatch.setattr(experiments, "integrate", tracked)
+        run_da_sync(self._params(20.0), CFG, u0, v0, with_control=True)
+        assert starts == [(0.0, []), (20.0, [False])]
 
 
 class TestReynoldsSwitch:
