@@ -9,7 +9,9 @@ verify (operator identities, interpolant bounds, and the oracle suite).
 Exit codes: 0 all verdicts passed, 1 a verdict or bound check failed,
 2 configuration problem, 3 runtime blow-up.  Artifacts land in --out (or the
 config's output_dir): report.json always, plus diagnostics.csv, final-state
-snapshots, and config_echo.yaml for the single-trajectory commands.
+snapshots, and config_echo.yaml for the single-trajectory commands.  Every
+report is built by `experiments.reported`: it records the warnings raised,
+the runtime and a digest of the run's inputs.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 import yaml
@@ -27,6 +28,7 @@ from .dynamics import PhysicsParams, SystemKind, SystemSpec
 from .experiments import (
     ExperimentReport,
     _jsonify,
+    reported,
     run_da_dq_convergence,
     run_da_sync,
     run_dq_convergence,
@@ -60,9 +62,7 @@ def _require_kind(cfg: RunConfig, required: SystemKind) -> None:
         )
 
 
-def _single_run(cfg: RunConfig, kind: SystemKind, name: str,
-                out_dir: Path) -> ExperimentReport:
-    start = time.perf_counter()
+def _single_run(cfg: RunConfig, kind: SystemKind, name: str) -> ExperimentReport:
     _require_kind(cfg, kind)
     system = SystemSpec(kind, linear_only=cfg.linear_only)
     init = {"u": cfg.initial}
@@ -72,10 +72,15 @@ def _single_run(cfg: RunConfig, kind: SystemKind, name: str,
             if cfg.assimilated_initial is not None
             else SpectralField.zero(cfg.grid)
         )
-    traj = integrate(
-        system, init, cfg.physics, cfg.solver,
-        enforce_admissibility=not cfg.allow_inadmissible,
+    return _checked_run(
+        name, system, init, cfg.physics, cfg.solver, not cfg.allow_inadmissible
     )
+
+
+@reported
+def _checked_run(name, system, init, p, solver, enforce_admissibility) -> dict:
+    """One integration of system from init and its a-priori checks."""
+    traj = integrate(system, init, p, solver, enforce_admissibility=enforce_admissibility)
     checks = tuple(check_apriori(traj))
     data = {
         "final_norms": {
@@ -86,36 +91,29 @@ def _single_run(cfg: RunConfig, kind: SystemKind, name: str,
         "max_projection_drift": traj.max_projection_drift,
         "n_samples": traj.n_samples,
     }
-    if cfg.physics.forcing is not None:
+    if p.forcing is not None:
         data["grashof"] = trajectory_grashof(traj)
     if "v" in system.fields:
         gap = norm(traj.final("u") - traj.final("v"))
         data["final_difference_l2"] = float(gap)
-    report = ExperimentReport(
-        name=name,
-        verdicts={"apriori_bounds": all(c.passed for c in checks)},
-        data=data,
-        checks=checks,
-        runtime_seconds=time.perf_counter() - start,
-        artifacts={"trajectory": traj},
-    )
-    _write_run_artifacts(traj, out_dir)
-    return report
+    verdicts = {"apriori_bounds": all(c.passed for c in checks)}
+    return dict(name=name, verdicts=verdicts, data=data, checks=checks,
+                artifacts={"trajectory": traj})
 
 
-def _cmd_simulate(cfg, args, out_dir):
-    return _single_run(cfg, SystemKind.NSE, "simulate", out_dir)
+def _cmd_simulate(cfg, args):
+    return _single_run(cfg, SystemKind.NSE, "simulate")
 
 
-def _cmd_assimilate(cfg, args, out_dir):
-    return _single_run(cfg, SystemKind.DA, "assimilate", out_dir)
+def _cmd_assimilate(cfg, args):
+    return _single_run(cfg, SystemKind.DA, "assimilate")
 
 
-def _cmd_sensitivity(cfg, args, out_dir):
-    return _single_run(cfg, SystemKind.NSE_SENS, "sensitivity", out_dir)
+def _cmd_sensitivity(cfg, args):
+    return _single_run(cfg, SystemKind.NSE_SENS, "sensitivity")
 
 
-def _cmd_dq_sweep(cfg, args, out_dir):
+def _cmd_dq_sweep(cfg, args):
     _require_kind(cfg, SystemKind.DQ_DIRECT)
     return run_dq_convergence(
         sweep_spec(cfg), cfg.physics, cfg.solver,
@@ -123,7 +121,7 @@ def _cmd_dq_sweep(cfg, args, out_dir):
     )
 
 
-def _cmd_da_dq_sweep(cfg, args, out_dir):
+def _cmd_da_dq_sweep(cfg, args):
     _require_kind(cfg, SystemKind.DA_DQ_DIRECT)
     return run_da_dq_convergence(
         sweep_spec(cfg), cfg.physics, cfg.solver,
@@ -132,37 +130,32 @@ def _cmd_da_dq_sweep(cfg, args, out_dir):
     )
 
 
-def _cmd_sync(cfg, args, out_dir):
+def _cmd_sync(cfg, args):
     _require_kind(cfg, SystemKind.DA)
     exp = cfg.experiment
     v0 = (cfg.assimilated_initial if cfg.assimilated_initial is not None
           else SpectralField.zero(cfg.grid))
-    report = run_da_sync(
+    return run_da_sync(
         cfg.physics, cfg.solver, cfg.initial, v0,
         decay_threshold=exp.get("decay_threshold", 1e-3),
         with_control=exp.get("with_control", True),
         control_floor=exp.get("control_floor", 0.1),
     )
-    _write_run_artifacts(report.artifacts["trajectory"], out_dir)
-    return report
 
 
-def _cmd_switch(cfg, args, out_dir):
+def _cmd_switch(cfg, args):
     _require_kind(cfg, SystemKind.DA)
     exp = cfg.experiment
     for key in ("t_switch", "nu_new"):
         if key not in exp:
             raise ConfigError(f"switch needs experiment.{key}")
-    report = run_reynolds_switch(
+    return run_reynolds_switch(
         cfg.physics, cfg.solver, exp["t_switch"], exp["nu_new"],
         u0=cfg.initial, v0=cfg.assimilated_initial,
     )
-    if "trajectory" in report.artifacts:
-        _write_run_artifacts(report.artifacts["trajectory"], out_dir)
-    return report
 
 
-def _cmd_taylor_green(cfg, args, out_dir):
+def _cmd_taylor_green(cfg, args):
     if cfg is None:
         return run_taylor_green_suite()
     return run_taylor_green_suite(
@@ -172,20 +165,22 @@ def _cmd_taylor_green(cfg, args, out_dir):
     )
 
 
-def _cmd_verify(cfg, args, out_dir):
+def _cmd_verify(cfg, args):
     if cfg is None:
-        grid = GridSpec(32)
-        trials = ensemble = 100
-        seed = args.seed if args.seed is not None else 0
-        tg_report = run_taylor_green_suite()
-    else:
-        grid = cfg.grid
-        trials = cfg.experiment.get("trials", 100)
-        ensemble = cfg.experiment.get("ensemble", 100)
-        seed = cfg.seed
-        tg_report = run_taylor_green_suite(
-            cfg.solver, grid=cfg.grid, nu=cfg.physics.nu1
-        )
+        return _verify(GridSpec(32), 100, 100, args.seed if args.seed is not None else 0)
+    return _verify(
+        cfg.grid,
+        cfg.experiment.get("trials", 100),
+        cfg.experiment.get("ensemble", 100),
+        cfg.seed,
+        taylor_green_args=(cfg.solver, cfg.grid, cfg.physics.nu1),
+    )
+
+
+@reported
+def _verify(grid, trials, ensemble, seed, taylor_green_args=()) -> dict:
+    """Identities and interpolant bounds on grid; the oracle suite on taylor_green_args."""
+    tg_report = run_taylor_green_suite(*taylor_green_args)
     identities = identity_suite(grid, trials=trials, seed=seed)
     proj = verify_bound(SpectralProjection(modes=grid.cutoff // 2), grid,
                         ensemble=ensemble, seed=seed)
@@ -209,13 +204,8 @@ def _cmd_verify(cfg, args, out_dir):
                       "sharpness": box.sharpness},
         "taylor_green": tg_report.data,
     }
-    return ExperimentReport(
-        name="verify",
-        verdicts=verdicts,
-        data=data,
-        checks=tuple(identities.checks) + tuple(tg_report.checks),
-        runtime_seconds=identities.runtime_seconds + tg_report.runtime_seconds,
-    )
+    checks = tuple(identities.checks) + tuple(tg_report.checks)
+    return dict(name="verify", verdicts=verdicts, data=data, checks=checks)
 
 
 _COMMANDS = {
@@ -284,7 +274,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
-        report = handler(cfg, args, out_dir)
+        report = handler(cfg, args)
     except (ConfigError, AdmissibilityError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -304,6 +294,8 @@ def main(argv=None) -> int:
               f"report: {path}", file=sys.stderr)
         return EXIT_BLOWUP
 
+    if "trajectory" in report.artifacts:
+        _write_run_artifacts(report.artifacts["trajectory"], out_dir)
     report_path = out_dir / "report.json"
     save_report(report, report_path)
     if not args.quiet:

@@ -29,7 +29,6 @@ an error.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,7 +129,6 @@ class IdentityReport:
     empirical: dict
     trials: int
     grid_n: int
-    runtime_seconds: float
 
     @property
     def passed(self) -> bool:
@@ -155,7 +153,6 @@ def identity_suite(
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     rng = np.random.default_rng(seed)
-    t0 = time.perf_counter()
     floor = 1e-300
     worst = {
         "advective_skew_symmetry": 0.0,
@@ -251,7 +248,6 @@ def identity_suite(
         empirical={"advective_inequality_constant": advective_constant},
         trials=trials,
         grid_n=grid.n,
-        runtime_seconds=time.perf_counter() - t0,
     )
 
 

@@ -89,20 +89,29 @@ class PhysicsParams:
             raise ValueError(f"forcing must be None, a field or a callable, got {self.forcing!r}")
 
 
-def with_viscosity2(p: PhysicsParams, nu2: float) -> PhysicsParams:
-    """Copy of p with nu2 replaced.
+def _replace_params(p: PhysicsParams, **changes) -> PhysicsParams:
+    """Copy of p with changes, bypassing construction.
 
-    Bypasses construction so the already-projected forcing object is reused
-    bit-for-bit; re-projecting would perturb low-order bits and break exact
-    reproducibility between switched and unswitched runs.
+    The already-projected forcing object is reused bit-for-bit; re-projecting
+    would perturb low-order bits and break exact reproducibility between
+    runs that share it.
     """
-    if nu2 <= 0:
-        raise ValueError(f"viscosities must be positive, got {nu2}")
     q = object.__new__(PhysicsParams)
     for name in ("nu1", "nu2", "mu", "forcing", "interp"):
-        object.__setattr__(q, name, getattr(p, name))
-    object.__setattr__(q, "nu2", nu2)
+        object.__setattr__(q, name, changes.get(name, getattr(p, name)))
     return q
+
+
+def with_viscosity2(p: PhysicsParams, nu2: float) -> PhysicsParams:
+    """Copy of p with nu2 replaced and the forcing object reused."""
+    if nu2 <= 0:
+        raise ValueError(f"viscosities must be positive, got {nu2}")
+    return _replace_params(p, nu2=nu2)
+
+
+def without_nudging(p: PhysicsParams) -> PhysicsParams:
+    """Copy of p with zero gain and no interpolant, the forcing object reused."""
+    return _replace_params(p, mu=0.0, interp=None)
 
 
 def forcing_at(p: PhysicsParams, grid: GridSpec, t: float) -> SpectralField:

@@ -13,6 +13,12 @@ one half-step run.  Trajectory-in-time norms are trapezoid quadratures over
 the sampled diagnostics; each sweep reports a cadence deviation so the
 quadrature error can be seen to be negligible next to the measured errors.
 
+Every report takes one path, `reported`: a runner returns the report's
+parts, and the decorator times the whole call, records every warning raised
+in it as a `data["warnings"]` string, and digests every argument the runner
+was called with, fields by their coefficient bytes and a callable forcing at
+every half step of the run.
+
 The Taylor-Green vortex supplies closed forms used as oracles throughout:
 the flow decays as exp(-8 pi^2 nu t), its viscosity sensitivity is
 -8 pi^2 t times the flow, and the two-viscosity difference quotient is the
@@ -22,8 +28,9 @@ corresponding exponential quotient.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
-import json
+import inspect
 import math
 import time
 import warnings
@@ -39,8 +46,9 @@ from .dynamics import (
     dq_field,
     forcing_at,
     with_viscosity2,
+    without_nudging,
 )
-from .interpolants import admissibility
+from .interpolants import BoxAverage, SpectralProjection, admissibility
 from .spectral import (
     LAMBDA_1,
     NORM_KINDS,
@@ -202,38 +210,6 @@ def _jsonify(obj):
     return str(obj)
 
 
-def _config_digest(
-    name: str,
-    p: PhysicsParams,
-    cfg: SolverConfig,
-    fields: dict[str, SpectralField],
-    **extra,
-) -> str:
-    """Content hash of an experiment's inputs; timings never enter it.
-
-    Hashes the coefficient bytes of every initial field and of the forcing
-    (a callable is evaluated at t = 0), the interpolant, the viscosities, the
-    gain, the solver config and the runner-specific extras.
-    """
-    grid = next(iter(fields.values())).grid
-    payload = {
-        "name": name,
-        "grid": grid.n,
-        "nu1": p.nu1,
-        "nu2": p.nu2,
-        "mu": p.mu,
-        "interp": repr(p.interp),
-        "solver": dataclasses.asdict(cfg),
-        **extra,
-    }
-    h = hashlib.sha256(json.dumps(_jsonify(payload), sort_keys=True).encode())
-    for key in sorted(fields):
-        h.update(key.encode())
-        h.update(fields[key].coeffs.tobytes())
-    h.update(forcing_at(p, grid, 0.0).coeffs.tobytes())
-    return h.hexdigest()[:16]
-
-
 @dataclass
 class ExperimentReport:
     """Outcome of one experiment: verdicts, tables, diagnostics, checks.
@@ -283,13 +259,101 @@ class ExperimentReport:
         return lines
 
 
-def _integrate_noted(system, init, p, cfg, notes: list, **kwargs) -> Trajectory:
-    """Integrate while recording rather than printing runtime warnings."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        traj = integrate(system, init, p, cfg, **kwargs)
-    notes.extend(f"{w.category.__name__}: {w.message}" for w in caught)
-    return traj
+# Inputs hashed field by field; any other type is refused rather than hashed
+# through str(), which can hold a memory address.
+_DATACLASS_INPUTS = (GridSpec, SolverConfig, SpectralProjection, BoxAverage, SystemSpec,
+                     DQSweepSpec)
+
+
+def _encode(obj, h, times: list[float] | None) -> None:
+    """Feed obj into hash h by content: fields by their coefficient bytes.
+
+    A callable forcing enters through `forcing_at` at each of `times`; an
+    unknown type raises TypeError.
+    """
+    if isinstance(obj, SystemKind):
+        h.update(f"{type(obj).__name__}.{obj.name};".encode())
+    elif obj is None or isinstance(obj, (bool, int, float, str)):
+        h.update(f"{type(obj).__name__}:{obj!r};".encode())
+    elif isinstance(obj, (np.integer, np.floating)):
+        _encode(obj.item(), h, times)
+    elif isinstance(obj, SpectralField):
+        h.update(f"SpectralField:{obj.grid.n};".encode())
+        h.update(obj.coeffs.tobytes())
+    elif isinstance(obj, (tuple, list)):
+        h.update(f"seq:{len(obj)};".encode())
+        for item in obj:
+            _encode(item, h, times)
+    elif isinstance(obj, dict):
+        h.update(f"map:{len(obj)};".encode())
+        for key in sorted(obj):
+            _encode(key, h, times)
+            _encode(obj[key], h, times)
+    elif isinstance(obj, PhysicsParams):
+        _encode((obj.nu1, obj.nu2, obj.mu, obj.interp), h, times)
+        if not callable(obj.forcing):
+            _encode(obj.forcing, h, times)
+        elif times is None:
+            raise TypeError("a callable forcing is hashed at a run's times: no SolverConfig given")
+        else:
+            grid = obj.forcing(0.0).grid
+            for t in times:
+                _encode(forcing_at(obj, grid, t), h, times)
+    elif isinstance(obj, _DATACLASS_INPUTS):
+        h.update(f"{type(obj).__name__};".encode())
+        for f in dataclasses.fields(obj):
+            _encode(f.name, h, times)
+            _encode(getattr(obj, f.name), h, times)
+    else:
+        raise TypeError(f"cannot digest an input of type {type(obj).__name__}")
+
+
+def _digest(runner, arguments: dict) -> str:
+    """Content hash of a runner's name and arguments; timings never enter it.
+
+    A callable forcing is evaluated at every t = k dt/2 up to t_end of the
+    call's SolverConfig: each time the working run, a half-step run and the
+    a-priori checks evaluate it.
+    """
+    cfg = next((v for v in arguments.values() if isinstance(v, SolverConfig)), None)
+    times = None if cfg is None else [k * (0.5 * cfg.dt) for k in range(2 * cfg.n_steps + 1)]
+    h = hashlib.sha256(f"{runner.__qualname__};".encode())
+    _encode(arguments, h, times)
+    return h.hexdigest()[:16]
+
+
+def reported(runner):
+    """Make runner's returned parts into its ExperimentReport, the one report path.
+
+    runner returns the report's fields but the digest and runtime: `name`,
+    `verdicts` and `data`, and optionally `table`, `checks` and `artifacts`.
+    The report adds the runtime of the whole call, every warning raised in it
+    as a `data["warnings"]` entry "Category: message" in the order raised,
+    and the digest of every argument the call received, defaults included.
+    A call that raises has no report: its warnings are issued again.
+    """
+    signature = inspect.signature(runner)
+
+    @functools.wraps(runner)
+    def run(*args, **kwargs) -> ExperimentReport:
+        start = time.perf_counter()
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        digest = _digest(runner, bound.arguments)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                parts = runner(*bound.args, **bound.kwargs)
+        except Exception:
+            for w in caught:
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+            raise
+        parts["data"]["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]
+        return ExperimentReport(
+            **parts, config_digest=digest, runtime_seconds=time.perf_counter() - start
+        )
+
+    return run
 
 
 def _run_quotient_sweep(
@@ -300,20 +364,13 @@ def _run_quotient_sweep(
     assimilated: bool,
     v0: SpectralField | None,
     ratio_window: tuple[float, float] | None,
-) -> ExperimentReport:
-    start = time.perf_counter()
+) -> dict:
     if not math.isclose(p.nu1, spec.nu1, rel_tol=1e-12):
         raise ValueError(
             f"sweep nu1 = {spec.nu1} disagrees with params nu1 = {p.nu1}"
         )
     grid = spec.initial.grid
-    notes: list[str] = []
-    data: dict = {
-        "norm": spec.norm,
-        "nu1": spec.nu1,
-        "deltas": list(spec.deltas),
-        "warnings": notes,
-    }
+    data: dict = {"norm": spec.norm, "nu1": spec.nu1, "deltas": list(spec.deltas)}
 
     init = {"u1": spec.initial, "u2": spec.initial}
     if assimilated:
@@ -335,9 +392,7 @@ def _run_quotient_sweep(
         kind, flow, evolved = SystemKind.DQ_DIRECT, ("u1", "u2"), "d"
 
     # Copy 0 runs at nu2 = nu1 on the nu1 flows, so its quotient row is the sensitivity.
-    batch = _integrate_noted(
-        SystemSpec(kind, nu2s=("nu1",) + spec.nu2_values), init, p, cfg, notes
-    )
+    batch = integrate(SystemSpec(kind, nu2s=("nu1",) + spec.nu2_values), init, p, cfg)
     checks = check_apriori(batch)
     times, snaps = batch.times, batch.snapshots
 
@@ -362,7 +417,7 @@ def _run_quotient_sweep(
     # between the working step and a halved step at the finest delta.
     cfg_half = dataclasses.replace(cfg, dt=0.5 * cfg.dt, sample_every=2 * cfg.sample_every)
     p_fine = with_viscosity2(p, spec.nu2_values[-1])
-    half_run = _integrate_noted(SystemSpec(kind), init, p_fine, cfg_half, notes)
+    half_run = integrate(SystemSpec(kind), init, p_fine, cfg_half)
     integrator_tol = trajectory_distance(
         times, snaps[f"{evolved}_{len(spec.deltas)}"], half_run.snapshots[evolved], spec.norm
     )
@@ -398,25 +453,11 @@ def _run_quotient_sweep(
             "grid_n": grid.n,
         }
     )
-    initial = {"initial": spec.initial}
-    if assimilated:
-        initial["v0"] = v0
-    digest = _config_digest(
-        name, p, cfg, initial,
-        deltas=spec.deltas, norm=spec.norm, ratio_window=ratio_window,
-    )
-    return ExperimentReport(
-        name=name,
-        verdicts=verdicts,
-        table=table,
-        data=data,
-        checks=tuple(checks),
-        config_digest=digest,
-        runtime_seconds=time.perf_counter() - start,
-        artifacts={"reference": batch},
-    )
+    return dict(name=name, verdicts=verdicts, table=table, data=data, checks=tuple(checks),
+                artifacts={"reference": batch})
 
 
+@reported
 def run_dq_convergence(
     spec: DQSweepSpec,
     p: PhysicsParams,
@@ -439,6 +480,7 @@ def run_dq_convergence(
     )
 
 
+@reported
 def run_da_dq_convergence(
     spec: DQSweepSpec,
     p: PhysicsParams,
@@ -467,14 +509,16 @@ def _sync_gap(traj: Trajectory) -> np.ndarray:
     return np.concatenate([norms(BandStack(traj.grid, u[b] - v[b]))[:, 0] for b in blocks])
 
 
-def _sync_control(system, init, p, cfg) -> tuple[np.ndarray, list[str], list[BoundCheck]]:
-    """The zero-gain control's gap series, warnings and checks; its samples die on return."""
-    notes: list[str] = []
-    p0 = PhysicsParams(nu1=p.nu1, nu2=p.nu2, mu=0.0, forcing=p.forcing, interp=None)
-    control = _integrate_noted(system, init, p0, cfg, notes)
-    return _sync_gap(control), notes, check_apriori(control, label="control_")
+def _sync_control(system, init, p, cfg) -> tuple[np.ndarray, list[BoundCheck]]:
+    """The zero-gain control's gap series and checks; its samples die on return.
+
+    The control shares p's forcing object, so its u is the nudged run's u bit for bit.
+    """
+    control = integrate(system, init, without_nudging(p), cfg)
+    return _sync_gap(control), check_apriori(control, label="control_")
 
 
+@reported
 def run_da_sync(
     p: PhysicsParams,
     cfg: SolverConfig,
@@ -483,7 +527,7 @@ def run_da_sync(
     decay_threshold: float = 1e-3,
     with_control: bool = False,
     control_floor: float = 0.1,
-) -> ExperimentReport:
+) -> dict:
     """Synchronization of a nudged copy toward the reference flow.
 
     Integrates the coupled pair, reports the decay factor |u - v|(T) over
@@ -495,17 +539,14 @@ def run_da_sync(
     With `with_control` and mu > 0 the zero-gain control runs first and is
     kept only as its gap series (`data["control_difference_l2"]`), its decay
     factor and its `control_` checks, so one run's samples are alive at a
-    time.  The report lists the nudged run's warnings and checks before the
-    control's; `artifacts` holds the nudged trajectory only.
+    time.  The report lists the nudged run's checks before the control's,
+    and the warnings in the order they were raised, so the control's come
+    first; `artifacts` holds the nudged trajectory only.
     """
-    start = time.perf_counter()
     system = SystemSpec(SystemKind.DA)
     init = {"u": u0, "v": v0}
     control = _sync_control(system, init, p, cfg) if with_control and p.mu > 0 else None
-    notes: list[str] = []
-    traj = _integrate_noted(
-        system, init, p, cfg, notes, enforce_admissibility=False
-    )
+    traj = integrate(system, init, p, cfg, enforce_admissibility=False)
     diff = _sync_gap(traj)
     initial_gap = float(diff[0])
     decay_factor = float(diff[-1] / diff[0]) if initial_gap > 0 else 0.0
@@ -531,12 +572,10 @@ def run_da_sync(
         "mu": p.mu,
         "admissible": admissibility(p.nu2, p.mu, p.interp),
         "strict_admissible": admissibility(p.nu2, p.mu, p.interp, strict=True),
-        "warnings": notes,
     }
 
     if control is not None:
-        cdiff, control_notes, control_checks = control
-        notes.extend(control_notes)
+        cdiff, control_checks = control
         control_factor = float(cdiff[-1] / cdiff[0]) if cdiff[0] > 0 else 0.0
         data["control_difference_l2"] = cdiff
         data["control_decay_factor"] = control_factor
@@ -544,22 +583,8 @@ def run_da_sync(
         checks.extend(control_checks)
         verdicts["apriori_bounds"] = all(c.passed for c in checks)
 
-    digest = _config_digest(
-        "da_sync", p, cfg, {"u0": u0, "v0": v0},
-        decay_threshold=decay_threshold,
-        with_control=with_control,
-        control_floor=control_floor,
-    )
-    return ExperimentReport(
-        name="da_sync",
-        verdicts=verdicts,
-        table=(),
-        data=data,
-        checks=tuple(checks),
-        config_digest=digest,
-        runtime_seconds=time.perf_counter() - start,
-        artifacts={"trajectory": traj},
-    )
+    return dict(name="da_sync", verdicts=verdicts, data=data, checks=tuple(checks),
+                artifacts={"trajectory": traj})
 
 
 def check_switch(cfg: SolverConfig, t_switch: float, nu_new: float) -> None:
@@ -575,6 +600,7 @@ def check_switch(cfg: SolverConfig, t_switch: float, nu_new: float) -> None:
         )
 
 
+@reported
 def run_reynolds_switch(
     p: PhysicsParams,
     cfg: SolverConfig,
@@ -582,7 +608,7 @@ def run_reynolds_switch(
     nu_new: float,
     u0: SpectralField,
     v0: SpectralField | None = None,
-) -> ExperimentReport:
+) -> dict:
     """Mid-run viscosity change of the assimilated system.
 
     The assimilated copy's viscosity jumps to nu_new at t_switch while its
@@ -591,41 +617,17 @@ def run_reynolds_switch(
     piecewise on [0, t_switch] with the original viscosity and on
     [t_switch, T] with the new one.  A blow-up is reported, not raised.
     """
-    start = time.perf_counter()
     check_switch(cfg, t_switch, nu_new)
-    grid = u0.grid
     if v0 is None:
-        v0 = SpectralField.zero(grid)
-    notes: list[str] = []
-    system = SystemSpec(SystemKind.DA)
-    digest = _config_digest(
-        "reynolds_switch", p, cfg, {"u0": u0, "v0": v0}, nu_new=nu_new, t_switch=t_switch
-    )
+        v0 = SpectralField.zero(u0.grid)
     try:
-        traj = _integrate_noted(
-            system,
-            {"u": u0, "v": v0},
-            p,
-            cfg,
-            notes,
-            nu2_switch=(t_switch, nu_new),
+        traj = integrate(
+            SystemSpec(SystemKind.DA), {"u": u0, "v": v0}, p, cfg, nu2_switch=(t_switch, nu_new)
         )
     except BlowupError as exc:
-        return ExperimentReport(
-            name="reynolds_switch",
-            verdicts={"no_blowup": False},
-            table=(),
-            data={
-                "blowup_field": exc.field,
-                "blowup_time": exc.time,
-                "blowup_value": exc.value,
-                "norm_history": exc.history,
-                "warnings": notes,
-            },
-            checks=(),
-            config_digest=digest,
-            runtime_seconds=time.perf_counter() - start,
-        )
+        data = {"blowup_field": exc.field, "blowup_time": exc.time,
+                "blowup_value": exc.value, "norm_history": exc.history}
+        return dict(name="reynolds_switch", verdicts={"no_blowup": False}, data=data)
 
     i_sw = traj.index_at_time(t_switch)
     pre = traj.window(0, i_sw)
@@ -660,20 +662,12 @@ def run_reynolds_switch(
         "switch_index": i_sw,
         "v_l2_final": float(traj.norm_series("v", "l2")[-1]),
         "v_h1_max": float(v_h1.max()),
-        "warnings": notes,
     }
-    return ExperimentReport(
-        name="reynolds_switch",
-        verdicts=verdicts,
-        table=table,
-        data=data,
-        checks=tuple(checks),
-        config_digest=digest,
-        runtime_seconds=time.perf_counter() - start,
-        artifacts={"trajectory": traj},
-    )
+    return dict(name="reynolds_switch", verdicts=verdicts, table=table, data=data,
+                checks=tuple(checks), artifacts={"trajectory": traj})
 
 
+@reported
 def run_taylor_green_suite(
     cfg: SolverConfig | None = None,
     grid: GridSpec | None = None,
@@ -682,7 +676,7 @@ def run_taylor_green_suite(
     flow_tol: float = 1e-5,
     sensitivity_tol: float = 1e-4,
     ratio_window: tuple[float, float] = (0.4, 0.6),
-) -> ExperimentReport:
+) -> dict:
     """Closed-form vortex oracles for the flow, sensitivity, and quotient.
 
     Certifies the full assembly end to end: the integrated flow against the
@@ -692,18 +686,16 @@ def run_taylor_green_suite(
     come from one `DQ_DIRECT` run batched over nu2 = nu and each nu + delta
     (`artifacts["sweep"]`), whose flows u1 and u2_j the a-priori checks cover.
     """
-    start = time.perf_counter()
     grid = GridSpec(64) if grid is None else grid
     cfg = SolverConfig(dt=1e-3, t_end=1.0, sample_every=50) if cfg is None else cfg
     deltas = (nu / 4.0, nu / 8.0) if deltas is None else tuple(deltas)
     p = PhysicsParams(nu1=nu, nu2=nu)
     u0 = taylor_green(grid)
-    notes: list[str] = []
 
     # Copy 0 (nu2 = nu) is the sensitivity, copy j the second flow of delta j.
     system = SystemSpec(SystemKind.DQ_DIRECT, nu2s=("nu1",) + tuple(nu + d for d in deltas))
     t0 = time.perf_counter()
-    batch = _integrate_noted(system, {"u1": u0, "u2": u0}, p, cfg, notes)
+    batch = integrate(system, {"u1": u0, "u2": u0}, p, cfg)
     flow_seconds = time.perf_counter() - t0
     exact = [taylor_green_flow(grid, nu, t) for t in batch.times]
     flow_errs = np.array([norm(u - e) / norm(e) for u, e in zip(batch.snapshots["u1"], exact)])
@@ -736,22 +728,6 @@ def run_taylor_green_suite(
         "nu": nu,
         "grid_n": grid.n,
         "timings": {"flow_seconds": flow_seconds},
-        "warnings": notes,
     }
-    digest = _config_digest(
-        "taylor_green_suite", p, cfg, {"u0": u0},
-        deltas=deltas,
-        flow_tol=flow_tol,
-        sensitivity_tol=sensitivity_tol,
-        ratio_window=ratio_window,
-    )
-    return ExperimentReport(
-        name="taylor_green_suite",
-        verdicts=verdicts,
-        table=table,
-        data=data,
-        checks=tuple(checks),
-        config_digest=digest,
-        runtime_seconds=time.perf_counter() - start,
-        artifacts={"sweep": batch},
-    )
+    return dict(name="taylor_green_suite", verdicts=verdicts, table=table, data=data,
+                checks=tuple(checks), artifacts={"sweep": batch})

@@ -1,10 +1,13 @@
 """End-to-end CLI tests: exit codes, artifacts, and determinism."""
 
 import json
+import re
+import time
 
 import pytest
 import yaml
 
+from ns2dsens import cli
 from ns2dsens.cli import main
 from ns2dsens.spectral import GridSpec
 from ns2dsens.storage import read_snapshot
@@ -240,3 +243,83 @@ class TestOtherCommands:
         report = json.loads((out / "report.json").read_text())
         assert report["verdicts"]["identity_suite"] is True
         assert report["verdicts"]["interpolant_bound_box_average"] is True
+
+
+_NUDGED = {"nu1": 0.01, "mu": 5.0,
+           "interpolant": {"kind": "spectral_projection", "modes": 4}}
+_ORACLE_SOLVER = {"dt": 1e-3, "t_end": 0.25, "sample_every": 25}
+
+# A small config for each command.
+_COMMAND_CONFIGS = {
+    "simulate": {},
+    "assimilate": {"physics": _NUDGED},
+    "sensitivity": {},
+    "dq-sweep": {"experiment": {"levels": 2}},
+    "da-dq-sweep": {"physics": {**_NUDGED, "mu": 1.0}, "experiment": {"levels": 2}},
+    "sync": {"physics": _NUDGED, "experiment": {"with_control": True}},
+    "switch": {"physics": {**_NUDGED, "mu": 1.0},
+               "solver": {"dt": 2e-3, "t_end": 0.1, "sample_every": 5},
+               "experiment": {"t_switch": 0.05, "nu_new": 0.008}},
+    "taylor-green": {"solver": _ORACLE_SOLVER},
+    "verify": {"solver": _ORACLE_SOLVER, "experiment": {"trials": 10, "ensemble": 6}},
+}
+
+
+def _report(tmp_path, command, out="out", seed=None, **overrides):
+    cfg = _write_config(tmp_path, **overrides)
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / out), "--quiet"]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    assert main(argv) in (0, 1)
+    return json.loads((tmp_path / out / "report.json").read_text())
+
+
+class TestReports:
+    def test_every_command_has_a_config(self):
+        assert set(_COMMAND_CONFIGS) == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_every_command_writes_a_full_report(self, tmp_path, command):
+        report = _report(tmp_path, command, **_COMMAND_CONFIGS[command])
+        assert re.fullmatch(r"[0-9a-f]{16}", report["config_digest"])
+        assert report["runtime_seconds"] > 0
+        assert isinstance(report["data"]["warnings"], list)
+
+    def test_simulate_digest_tells_seeds_apart(self, tmp_path):
+        random = {"initial": {"kind": "random_solenoidal"}}
+        digests = {
+            _report(tmp_path, "simulate", out=f"s{seed}", seed=seed, **random)["config_digest"]
+            for seed in (1, 2)
+        }
+        assert len(digests) == 2 and "" not in digests
+
+    def test_single_run_digest_covers_linear_only(self, tmp_path):
+        digests = {
+            _report(tmp_path, "simulate", out=str(flag),
+                    system={"linear_only": flag})["config_digest"]
+            for flag in (False, True)
+        }
+        assert len(digests) == 2
+
+    def test_repeated_run_into_another_out_keeps_the_digest(self, tmp_path):
+        a, b = (_report(tmp_path, "sync", out=out, **_COMMAND_CONFIGS["sync"])
+                for out in ("a", "b"))
+        assert a.pop("runtime_seconds") > 0 and b.pop("runtime_seconds") > 0
+        assert a == b
+
+    def test_inadmissible_gain_warning_is_recorded(self, tmp_path):
+        physics = {**_NUDGED, "mu": 60.0, "allow_inadmissible": True}
+        report = _report(tmp_path, "assimilate", physics=physics)
+        assert any(
+            w.startswith("AdmissibilityWarning: ") for w in report["data"]["warnings"]
+        )
+
+    def test_verify_runtime_covers_the_bound_ensembles(self, tmp_path, monkeypatch):
+        def slow(*args, **kwargs):
+            time.sleep(0.1)
+            return verify_bound(*args, **kwargs)
+
+        verify_bound = cli.verify_bound
+        monkeypatch.setattr(cli, "verify_bound", slow)
+        report = _report(tmp_path, "verify", **_COMMAND_CONFIGS["verify"])
+        assert report["runtime_seconds"] >= 0.2

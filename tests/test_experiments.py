@@ -1,7 +1,10 @@
 """Experiment runner tests at small scale; closed-form Taylor-Green oracles."""
 
+import dataclasses
+import inspect
 import json
 import re
+import warnings
 import weakref
 
 import numpy as np
@@ -24,7 +27,7 @@ from ns2dsens.experiments import (
     taylor_green_sensitivity,
     trajectory_distance,
 )
-from ns2dsens.interpolants import SpectralProjection
+from ns2dsens.interpolants import BoxAverage, SpectralProjection
 from ns2dsens.spectral import (
     BandStack,
     GridSpec,
@@ -35,7 +38,7 @@ from ns2dsens.spectral import (
     taylor_green,
 )
 from ns2dsens.timestepper import AdmissibilityError, SolverConfig, integrate
-from ns2dsens.dynamics import SystemKind, SystemSpec
+from ns2dsens.dynamics import SystemKind, SystemSpec, without_nudging
 
 GRID = GridSpec(16)
 NU = 0.01
@@ -268,8 +271,7 @@ class TestDASync:
     @staticmethod
     def _control(p, cfg, u0, v0):
         """The zero-gain control, integrated on its own as the runner builds it."""
-        p0 = PhysicsParams(nu1=p.nu1, nu2=p.nu2, mu=0.0, forcing=p.forcing, interp=None)
-        return integrate(SystemSpec(SystemKind.DA), {"u": u0, "v": v0}, p0, cfg)
+        return integrate(SystemSpec(SystemKind.DA), {"u": u0, "v": v0}, without_nudging(p), cfg)
 
     def test_synchronizes_with_gain(self):
         u0 = random_field(GRID, seed=6, kmin=1, kmax=4, l2_norm=0.5)
@@ -375,6 +377,25 @@ class TestDASync:
         assert starts == [(0.0, []), (20.0, [False])]
 
 
+    def test_control_u_checks_equal_nudged_u_checks(self):
+        # The control reuses the nudged run's projected forcing object, so its
+        # u is the nudged run's u bit for bit.  Re-projecting the forcing
+        # moved it by up to 2.8e-17 on this setup and u_l2_sup's rhs by 1.4e-14.
+        grid = GridSpec(48)
+        forcing = forcing_for_grashof(grid, NU, 1e3, seed=2)
+        p = PhysicsParams(NU, NU, mu=5.0, forcing=forcing, interp=BoxAverage(boxes=8))
+        u0 = random_field(grid, seed=3, kmin=1, kmax=6, l2_norm=1.0)
+        v0 = random_field(grid, seed=4, kmin=1, kmax=6, l2_norm=1.0)
+        cfg = SolverConfig(dt=1e-3, t_end=0.3)
+        rep = run_da_sync(p, cfg, u0, v0, decay_threshold=0.25, with_control=True)
+        checks = {c.name: c for c in rep.checks}
+        control_u = [name for name in checks if name.startswith("control_u_")]
+        assert len(control_u) == 3
+        for name in control_u:
+            nudged = checks[name.removeprefix("control_")]
+            assert checks[name] == dataclasses.replace(nudged, name=name)
+
+
 class TestReynoldsSwitch:
     def _setup(self):
         f = forcing_for_grashof(GRID, NU, 200.0, seed=5)
@@ -463,3 +484,101 @@ class TestTaylorGreenSuite:
         exact = [taylor_green_flow(GRID, NU, t) for t in flow.times]
         errs = [norm(flow.snapshot("u", i) - e) / norm(e) for i, e in enumerate(exact)]
         assert rep.data["flow_max_rel_error"] == float(np.max(errs))
+
+
+class TestReportPath:
+    """Every runner's report is timed, warned and digested by `experiments.reported`."""
+
+    CFG = SolverConfig(dt=2e-3, t_end=0.02, sample_every=5)
+    INTERP = SpectralProjection(modes=4)
+    U0 = random_field(GRID, seed=6, kmin=1, kmax=4, l2_norm=0.5)
+    V0 = random_field(GRID, seed=7, kmin=1, kmax=4, l2_norm=0.5)
+    F = forcing_for_grashof(GRID, NU, 200.0, seed=5)
+
+    @classmethod
+    def cases(cls):
+        """(runner, base arguments, one alternative per argument)."""
+        spec = DQSweepSpec.halving(NU, cls.U0, levels=2)
+        spec_alt = DQSweepSpec.halving(NU, cls.U0, levels=3)
+        plain = PhysicsParams(NU, NU)
+        nudged = PhysicsParams(NU, NU, mu=1.0, interp=cls.INTERP)
+        cfg_alt = SolverConfig(dt=2e-3, t_end=0.02, sample_every=10)
+        synced = PhysicsParams(NU, NU, mu=5.0, forcing=cls.F, interp=cls.INTERP)
+        return [
+            (run_dq_convergence,
+             dict(spec=spec, p=plain, cfg=cls.CFG, ratio_window=None),
+             dict(spec=spec_alt, p=PhysicsParams(NU, NU, forcing=cls.F), cfg=cfg_alt,
+                  ratio_window=(0.4, 0.6))),
+            (run_da_dq_convergence,
+             dict(spec=spec, p=nudged, cfg=cls.CFG, v0=None, ratio_window=None),
+             dict(spec=spec_alt, p=PhysicsParams(NU, NU, mu=2.0, interp=cls.INTERP),
+                  cfg=cfg_alt, v0=cls.V0, ratio_window=(0.4, 0.6))),
+            (run_da_sync,
+             dict(p=synced, cfg=cls.CFG, u0=cls.U0, v0=cls.V0, decay_threshold=1e-3,
+                  with_control=False, control_floor=0.1),
+             dict(p=PhysicsParams(NU, NU, mu=5.0, forcing=cls.F,
+                                  interp=SpectralProjection(modes=3)),
+                  cfg=cfg_alt, u0=cls.V0, v0=cls.U0, decay_threshold=0.5,
+                  with_control=True, control_floor=0.2)),
+            (run_reynolds_switch,
+             dict(p=nudged, cfg=SolverConfig(dt=2e-3, t_end=0.02), t_switch=0.01,
+                  nu_new=0.008, u0=cls.U0, v0=None),
+             dict(p=PhysicsParams(NU, 0.012, mu=1.0, interp=cls.INTERP), cfg=cls.CFG,
+                  t_switch=0.012, nu_new=0.009, u0=cls.V0, v0=cls.U0)),
+            (run_taylor_green_suite,
+             dict(cfg=cls.CFG, grid=GRID, nu=NU, deltas=None, flow_tol=1e-5,
+                  sensitivity_tol=1e-4, ratio_window=(0.4, 0.6)),
+             dict(cfg=cfg_alt, grid=GridSpec(18), nu=0.02, deltas=(NU / 2, NU / 4),
+                  flow_tol=1e-6, sensitivity_tol=1e-3, ratio_window=(0.3, 0.7))),
+        ]
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_each_argument_alone_changes_the_digest(self, case):
+        runner, base, alternatives = self.cases()[case]
+        assert set(base) == set(alternatives) == set(inspect.signature(runner).parameters)
+        digest = runner(**base).config_digest
+        assert re.fullmatch(r"[0-9a-f]{16}", digest)
+        assert runner(**base).config_digest == digest
+        flipped = {
+            name: runner(**{**base, name: value}).config_digest
+            for name, value in alternatives.items()
+        }
+        assert digest not in flipped.values()
+        assert len(set(flipped.values())) == len(flipped)
+
+    def test_callable_forcing_is_hashed_at_every_half_step(self):
+        # Equal at t = 0, apart afterwards: the digest tells the runs apart.
+        reports = [
+            run_da_sync(PhysicsParams(NU, NU, mu=5.0, forcing=forcing, interp=self.INTERP),
+                        self.CFG, self.U0, self.V0)
+            for forcing in (lambda t: self.F, lambda t: self.F * (1.0 + 10.0 * t))
+        ]
+        assert reports[0].data["decay_factor"] != reports[1].data["decay_factor"]
+        assert reports[0].config_digest != reports[1].config_digest
+
+    def test_unknown_input_type_is_refused(self):
+        spec = DQSweepSpec.halving(NU, self.U0, levels=2)
+        with pytest.raises(TypeError, match="cannot digest"):
+            run_dq_convergence(spec, PhysicsParams(NU, NU), self.CFG, ratio_window=object())
+        with pytest.raises(TypeError, match="cannot digest"):
+            run_da_sync(PhysicsParams(NU, NU), self.CFG, self.U0, self.V0.coeffs)
+
+    def test_warnings_are_recorded_in_the_order_raised(self):
+        # An inadmissible gain warns in the nudged run; the control, which
+        # runs first, has no gain and raises none.
+        p = PhysicsParams(NU, NU, mu=100.0, interp=self.INTERP)
+        rep = run_da_sync(p, self.CFG, self.U0, self.V0, with_control=True)
+        assert rep.data["warnings"] == [
+            w for w in rep.data["warnings"] if w.startswith("AdmissibilityWarning: ")
+        ]
+        assert len(rep.data["warnings"]) == 1
+        assert rep.runtime_seconds > 0
+
+    def test_a_failed_call_issues_its_warnings_again(self):
+        @experiments.reported
+        def failing(x):
+            warnings.warn("before failing", UserWarning)
+            raise RuntimeError("failed")
+
+        with pytest.warns(UserWarning, match="before failing"), pytest.raises(RuntimeError):
+            failing(1)
