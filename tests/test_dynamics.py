@@ -18,9 +18,11 @@ from ns2dsens.spectral import (
     GridSpec,
     SpectralField,
     _plane_plan,
+    band_half,
     bilinear,
     leray_project,
     norm,
+    project_coeffs,
     random_field,
     stokes_apply,
     taylor_green,
@@ -424,3 +426,64 @@ def test_system_wiring_pinned(kind):
         for name in checked
         for check in ("h1_sup", "l2_sup", "dissipation_integral")
     }
+
+
+def assembled_rows(spec, state, p, t):
+    """Every row of explicit_rhs assembled on its own, term by term, from the field table.
+
+    Forcing (or, for a derivative row, the negated first product), minus the
+    remaining products in row order, minus the Stokes source, plus the
+    nudging term of that row's difference alone.  The products come from one
+    stacked `bilinear` call, the kernel's own business.
+    """
+    g, c = state.grid, state.coeffs
+    k, inv_k_sq, lam = g.band_tables
+    at = {name: i for i, name in enumerate(spec.fields)}
+    f = band_half(forcing_at(p, g, t).coeffs, g.cutoff)
+    pairs = [row.products or ((name, name),) for name, row in spec.rows.items()]
+    flat = tuple((at[a], at[b]) for row_pairs in pairs for a, b in row_pairs)
+    if spec.linear_only:
+        products = np.zeros((len(flat),) + c.shape[1:], dtype=np.complex128)
+    else:
+        products = bilinear(state, flat).coeffs
+    terms = iter(products)
+    out = []
+    for (name, row), row_pairs in zip(spec.rows.items(), pairs):
+        acc = -next(terms) if row.role == "derivative" else f - next(terms)
+        for _ in row_pairs[1:]:
+            acc = acc - next(terms)
+        if row.source is not None:
+            acc = acc - c[at[row.source]] * lam
+        if p.mu > 0 and row.nudge_to is not None:
+            diff = c[[at[row.nudge_to]]] - c[[at[name]]]
+            seen = interpolate(BandStack(g, diff), p.interp).coeffs
+            acc = acc + (p.mu * project_coeffs(seen, k, inv_k_sq))[0]
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("n", [24, 32])
+@pytest.mark.parametrize("forcing", ["constant", "callable", "absent"])
+@pytest.mark.parametrize("nudging", ["none", "box", "spectral"])
+def test_explicit_rhs_bits_match_per_row_assembly(n, forcing, nudging):
+    # Equal bits, signed zeros included: the one-buffer assembly must do each
+    # row's operations in the per-row order (n = 24 runs the padded kernel).
+    grid = GridSpec(n)
+    raw = random_field(grid, seed=50, kmin=2, kmax=6)
+    p = PhysicsParams(
+        nu1=0.01, nu2=0.007,
+        mu={"none": 0.0, "box": 1.5, "spectral": 2.0}[nudging],
+        interp={"none": None, "box": BoxAverage(boxes=8),
+                "spectral": SpectralProjection(modes=4)}[nudging],
+        forcing={"constant": raw, "callable": lambda t: raw * (1.0 + t),
+                 "absent": None}[forcing],
+    )
+    specs = [SystemSpec(kind, linear_only=lo) for kind in SystemKind for lo in (False, True)]
+    specs.append(SystemSpec(SystemKind.DA_DQ_DIRECT, nu2s=("nu1", 0.007)))
+    for spec in specs:
+        state = BandStack.of([random_field(grid, seed=51 + i) for i in range(len(spec.fields))])
+        got, _ = spec.explicit_rhs(state, p, 0.5)
+        want = assembled_rows(spec, state, p, 0.5)
+        assert len(got) == len(want)
+        for name, row, expected in zip(spec.fields, got, want):
+            assert np.array_equal(row.view(np.int64), expected.view(np.int64)), (spec, name)
