@@ -286,6 +286,8 @@ def main(argv=None) -> int:
                 "time": exc.time,
                 "value": exc.value,
                 "history": exc.history,
+                "config_digest": exc.config_digest,
+                "warnings": exc.warnings,
             }
         )
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",

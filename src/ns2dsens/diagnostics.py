@@ -33,13 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PhysicsParams, forcing_at
+from .dynamics import PhysicsParams, forcing_at, forcing_band
 from .interpolants import admissibility, interpolate
 from .spectral import (
     LAMBDA_1,
     BandStack,
     GridSpec,
-    band_half,
     bilinear,
     inner,
     leray_project,
@@ -268,21 +267,20 @@ def effective_source_l2(traj, ref: str, p: PhysicsParams | None = None) -> np.nd
     """|f + mu P_sigma(I_h u_ref)|_L2 at every sample of a run, u_ref the field named ref.
 
     Stacked on the band halves of the samples, `SAMPLE_BLOCK` at a time.  A
-    constant forcing's band half is formed once, a callable's per time.
+    constant forcing's band half is the one p holds (`forcing_band`), a
+    callable's is formed per time.
     """
     p = traj.params if p is None else p
     grid, times = traj.grid, traj.times
     k, inv_k_sq, _ = grid.band_tables
     refs = traj.snapshots[ref].coeffs
     constant = not callable(p.forcing)
-    f = band_half(forcing_at(p, grid, 0.0).coeffs, grid.cutoff) if constant else None
+    f = forcing_band(p, grid, 0.0) if constant else None
     out = np.empty(len(times))
     for i in range(0, len(times), SAMPLE_BLOCK):
         block = slice(i, i + SAMPLE_BLOCK)
         if not constant:
-            f = np.stack(
-                [band_half(forcing_at(p, grid, t).coeffs, grid.cutoff) for t in times[block]]
-            )
+            f = np.stack([forcing_band(p, grid, t) for t in times[block]])
         seen = interpolate(BandStack(grid, refs[block]), p.interp).coeffs
         g = f + p.mu * project_coeffs(seen, k, inv_k_sq)
         out[block] = norms(BandStack(grid, g))[:, 0]

@@ -28,8 +28,8 @@ round on the band halves of the whole stack (`spectral.BandStack`): one
 `bilinear` call forms all advective products of the table, one
 `interpolate` call observes the differences of all nudged rows on the band
 half (only the band half of I_h of a difference survives the truncation),
-and one generic loop adds the forcing, the Stokes sources and the nudging
-row by row.
+and one loop writes the rows in place into one array: forcing (formed once
+per `PhysicsParams` when constant), products, Stokes source, nudging.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .spectral import (
     BandStack,
     GridSpec,
     SpectralField,
+    _read_only,
     band_half,
     bilinear,
     leray_project,
@@ -88,6 +89,11 @@ class PhysicsParams:
         elif self.forcing is not None and not callable(self.forcing):
             raise ValueError(f"forcing must be None, a field or a callable, got {self.forcing!r}")
 
+    @cached_property
+    def _forcing_band(self) -> np.ndarray:
+        """A constant forcing's band half, formed once per params (`forcing_band`)."""
+        return _read_only(band_half(self.forcing.coeffs, self.forcing.grid.cutoff))
+
 
 def _replace_params(p: PhysicsParams, **changes) -> PhysicsParams:
     """Copy of p with changes, bypassing construction.
@@ -126,6 +132,14 @@ def forcing_at(p: PhysicsParams, grid: GridSpec, t: float) -> SpectralField:
     if field.grid.n != grid.n:
         raise ValueError(f"forcing grid {field.grid.n} does not match state grid {grid.n}")
     return field
+
+
+def forcing_band(p: PhysicsParams, grid: GridSpec, t: float) -> np.ndarray | float:
+    """Band half of `forcing_at`, the scalar 0.0 when unforced; a constant one's is p's own."""
+    if p.forcing is None:
+        return 0.0
+    f = forcing_at(p, grid, t)  # raises for a forcing on another grid
+    return band_half(f.coeffs, grid.cutoff) if callable(p.forcing) else p._forcing_band
 
 
 def dq_field(a: SpectralField, b: SpectralField, nu_a: float, nu_b: float) -> SpectralField:
@@ -335,14 +349,14 @@ class SystemSpec:
         """Every field's right-hand side except its own -nu A term, and the state's peak speed.
 
         state holds the band halves of `fields`, in order; the right-hand
-        sides come back as band halves in row order.  One `bilinear` call
-        forms every advective product of the table (none when linear_only).
-        Each row starts from the forcing, or for a derivative row from its
-        negated first product; subtracts the remaining advective products in
-        row order and the Stokes source; adds nudging toward the target when
-        mu > 0.  One `interpolate` call on the band halves of all nudged
-        rows' differences forms every nudging term of the round.  The peak
-        speed is max|u| over the advecting rows on the product grid (see
+        sides come back as band halves in row order, written in place into
+        one fresh array.  One `bilinear` call forms every advective product
+        of the table (none when linear_only).  Each row starts from the
+        forcing, or for a derivative row from its negated first product, and
+        subtracts the remaining products in row order and the Stokes source;
+        one `interpolate` call on the band halves of all nudged rows'
+        differences then adds every nudging term when mu > 0.  The peak speed
+        is max|u| over the advecting rows on the product grid (see
         `bilinear`), 0.0 when linear_only.
         """
         g, c = state.grid, state.coeffs
@@ -355,23 +369,22 @@ class SystemSpec:
             products = advected.coeffs
             speed = math.sqrt(max(advected.peak_sq_speed[i] for i in wiring.advecting))
         k, inv_k_sq, lam = g.band_tables
-        f = band_half(forcing_at(p, g, t).coeffs, g.cutoff)
-        nudges = {}
+        f = forcing_band(p, g, t)
+        terms = iter(products)
+        out = np.empty(c.shape, dtype=np.complex128)
+        for row, (forced, n_terms, source) in zip(out, wiring.rows):
+            if forced:
+                np.subtract(f, next(terms), out=row)
+            else:
+                np.negative(next(terms), out=row)
+            for _ in range(n_terms - 1):
+                row -= next(terms)
+            if source is not None:
+                row -= c[source] * lam
         if p.mu > 0 and wiring.nudged:
             seen = interpolate(BandStack(g, c[wiring.targets] - c[wiring.nudged]), p.interp).coeffs
-            nudges = dict(zip(wiring.nudged, p.mu * project_coeffs(seen, k, inv_k_sq)))
-        terms = iter(products)
-        out = []
-        for i, (forced, n_terms, source) in enumerate(wiring.rows):
-            acc = f if forced else None
-            for term in (next(terms) for _ in range(n_terms)):
-                acc = -term if acc is None else acc - term
-            if source is not None:
-                acc = acc - c[source] * lam
-            if i in nudges:
-                acc = acc + nudges[i]
-            out.append(acc)
-        return np.stack(out), speed
+            out[wiring.nudged] += p.mu * project_coeffs(seen, k, inv_k_sq)
+        return out, speed
 
     def rhs(
         self, name: str, state: Mapping[str, SpectralField], p: PhysicsParams, t: float = 0.0

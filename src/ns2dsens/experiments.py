@@ -322,6 +322,10 @@ def _digest(runner, arguments: dict) -> str:
     return h.hexdigest()[:16]
 
 
+def _noted(caught: list[warnings.WarningMessage]) -> list[str]:
+    return [f"{w.category.__name__}: {w.message}" for w in caught]
+
+
 def reported(runner):
     """Make runner's returned parts into its ExperimentReport, the one report path.
 
@@ -330,7 +334,8 @@ def reported(runner):
     The report adds the runtime of the whole call, every warning raised in it
     as a `data["warnings"]` entry "Category: message" in the order raised,
     and the digest of every argument the call received, defaults included.
-    A call that raises has no report: its warnings are issued again.
+    A call that raises has no report: its warnings are issued again, and a
+    `BlowupError` carries them and the digest to the caller.
     """
     signature = inspect.signature(runner)
 
@@ -344,11 +349,13 @@ def reported(runner):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 parts = runner(*bound.args, **bound.kwargs)
-        except Exception:
+        except Exception as exc:
             for w in caught:
                 warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+            if isinstance(exc, BlowupError):
+                exc.config_digest, exc.warnings = digest, _noted(caught)
             raise
-        parts["data"]["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]
+        parts["data"]["warnings"] = _noted(caught)
         return ExperimentReport(
             **parts, config_digest=digest, runtime_seconds=time.perf_counter() - start
         )
@@ -503,10 +510,12 @@ def run_da_dq_convergence(
 
 
 def _sync_gap(traj: Trajectory) -> np.ndarray:
-    """L2 norm of u - v at every sample, on band halves, in blocks of `SAMPLE_BLOCK` samples."""
+    """L2 norm of u - v at every sample, on band halves, per `SAMPLE_BLOCK` block in one buffer."""
     u, v = traj.snapshots["u"].coeffs, traj.snapshots["v"].coeffs
-    blocks = (slice(i, i + SAMPLE_BLOCK) for i in range(0, len(u), SAMPLE_BLOCK))
-    return np.concatenate([norms(BandStack(traj.grid, u[b] - v[b]))[:, 0] for b in blocks])
+    diff = np.empty(u[:SAMPLE_BLOCK].shape, dtype=u.dtype)
+    diffs = (np.subtract(u[i : i + SAMPLE_BLOCK], v[i : i + SAMPLE_BLOCK], out=diff[: len(u) - i])
+             for i in range(0, len(u), SAMPLE_BLOCK))
+    return np.concatenate([norms(BandStack(traj.grid, d))[:, 0] for d in diffs])
 
 
 def _sync_control(system, init, p, cfg) -> tuple[np.ndarray, list[BoundCheck]]:

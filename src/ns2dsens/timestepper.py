@@ -18,8 +18,8 @@ call inside.  Each step is one whole-stack update with per-row viscosities,
 then one divergence-free re-projection that suppresses rounding drift, and
 the three norms of every field, all on the band half.  Sampled states stay
 band halves too: each sample copies the state into one (S, F, 2, 2K + 1,
-K + 1) array, allocated once and read-only after the run, and the
-`Trajectory` expands a field to a `SpectralField` only when it is read.
+K + 1) array, allocated once (populated at once from 4 MiB) and read-only
+after the run; the `Trajectory` expands a field only when it is read.
 Every per-mode operation is the one the full stack would do on the same
 mode, so the states are those of a full-stack step; the norms sum the same
 terms in another order.
@@ -88,6 +88,7 @@ class BlowupError(RuntimeError):
         self.time = time
         self.value = value
         self.history = history
+        self.config_digest, self.warnings = "", []  # of the run, set by experiments.reported
 
 
 @dataclass(frozen=True)
@@ -317,9 +318,11 @@ def integrate(
     l2_0 = series[:, 0, 0]
     ref_l2 = np.where(l2_0 > 0, l2_0, max(l2_0.max(), 1.0))
     # numpy advises arrays of 4 MiB and more into huge pages; on the malloc heap
-    # that advice outlives the array, so such samples get a mapping of their own.
+    # that advice outlives the array, so such samples get a private, populated mapping.
     nbytes = len(times) * state.nbytes
-    buffer = mmap.mmap(-1, nbytes) if nbytes >= 4 << 20 else None
+    populate = getattr(mmap, "MAP_POPULATE", None)  # Linux; elsewhere the default mapping
+    flags = {} if populate is None else {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | populate}
+    buffer = mmap.mmap(-1, nbytes, **flags) if nbytes >= 4 << 20 else None
     samples = np.ndarray((len(times),) + state.shape, state.dtype, buffer)
     samples[0] = state
     taken = 1

@@ -228,3 +228,15 @@ def test_workload_op_meets_traced_run_contract(bench, monkeypatch, tmp_path, nam
     worker.layer_metrics([row], workloads.computed_counts(workload.integrations()))
     ok, _ = workload.check(outputs[0])
     assert ok
+
+
+@pytest.mark.parametrize("name", ["sens_flow_n256", "cli_sync_box_n48"])
+def test_workload_op_repeats_bit_for_bit(bench, tmp_path, name):
+    # Two untraced ops of one workload instance, as a benchmark run makes
+    # them: sens_flow_n256 reuses its PhysicsParams, and with it the forcing
+    # band half the first op formed; cli_sync_box_n48 loads its config anew.
+    _, workloads = bench
+    workload = workloads.WORKLOADS[name](901, tmp_path / "work")
+    (ok, first), (again, second) = (workload.check(workload.op()) for _ in range(2))
+    assert ok and again
+    assert first == second

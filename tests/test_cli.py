@@ -110,7 +110,9 @@ class TestExitCodes:
         code = main(["simulate", "--config", str(cfg), "--out", str(out),
                      "--quiet"])
         assert code == 3
-        assert (out / "blowup_report.json").exists()
+        blowup = json.loads((out / "blowup_report.json").read_text(encoding="utf-8"))
+        assert re.fullmatch(r"[0-9a-f]{16}", blowup["config_digest"])
+        assert any(w.startswith("CFLWarning: ") for w in blowup["warnings"])
         assert "blow-up" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, experiment, message", [

@@ -10,7 +10,9 @@ from ns2dsens.dynamics import (
     SystemSpec,
     dq_field,
     forcing_at,
+    forcing_band,
     with_viscosity2,
+    without_nudging,
 )
 from ns2dsens.interpolants import BoxAverage, SpectralProjection, interpolate
 from ns2dsens.spectral import (
@@ -78,6 +80,51 @@ class TestPhysicsParams:
         p = PhysicsParams(nu1=0.01, nu2=0.01, forcing=random_field(GridSpec(16), seed=3))
         with pytest.raises(ValueError, match="grid"):
             forcing_at(p, GRID, 0.0)
+
+
+class TestForcingBand:
+    def test_callable_forcing_enters_each_round_at_its_time(self):
+        # On a zero state a flow row's round is the forcing's band half alone.
+        raw = random_field(GRID, seed=4, kmin=2, kmax=6)
+        p = PhysicsParams(nu1=0.01, nu2=0.01, forcing=lambda t: raw * (1.0 + t))
+        zero = BandStack.of([SpectralField.zero(GRID)])
+        rounds = {t: NSE.explicit_rhs(zero, p, t)[0][0] for t in (0.0, 0.5)}
+        for t, got in rounds.items():
+            want = band_half(forcing_at(p, GRID, t).coeffs, GRID.cutoff)
+            assert np.array_equal(got, want)
+        assert np.allclose(rounds[0.5], 1.5 * rounds[0.0], rtol=0, atol=1e-15)
+        assert not np.array_equal(rounds[0.5], rounds[0.0])
+        assert "_forcing_band" not in vars(p)
+
+    def test_copies_form_their_own_band_and_give_the_same_rounds(self):
+        p = PhysicsParams(
+            nu1=0.01, nu2=0.007, mu=1.5, interp=BoxAverage(boxes=8),
+            forcing=random_field(GRID, seed=5, kmin=2, kmax=6),
+        )
+        state = BandStack.of([random_field(GRID, seed=6), random_field(GRID, seed=7)])
+        u_row = DA.explicit_rhs(state, p, 0.0)[0][0]  # forms p's band half first
+        same = with_viscosity2(p, p.nu2)
+        unnudged = without_nudging(p)
+        rounds = [DA.explicit_rhs(state, q, 0.0)[0] for q in (p, same)]
+        assert np.array_equal(rounds[0], rounds[1])
+        assert np.array_equal(DA.explicit_rhs(state, unnudged, 0.0)[0][0], u_row)
+        for q in (same, unnudged):
+            assert q._forcing_band is not p._forcing_band
+            assert np.array_equal(q._forcing_band, p._forcing_band)
+            assert not q._forcing_band.flags.writeable
+
+    def test_forcing_on_another_grid_raises_every_round(self):
+        p = PhysicsParams(nu1=0.01, nu2=0.01, forcing=random_field(GridSpec(16), seed=3))
+        state = BandStack.of([random_field(GRID, seed=8)])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="grid"):
+                NSE.explicit_rhs(state, p, 0.0)
+
+    def test_absent_forcing_is_zero_in_every_row(self):
+        p = PhysicsParams(nu1=0.01, nu2=0.01)
+        zero = BandStack.of([SpectralField.zero(GRID)])
+        assert forcing_band(p, GRID, 1.0) == 0.0
+        assert not NSE.explicit_rhs(zero, p, 1.0)[0].any()
 
 
 class TestFlowTendency:

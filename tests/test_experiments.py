@@ -556,6 +556,16 @@ class TestReportPath:
         assert reports[0].data["decay_factor"] != reports[1].data["decay_factor"]
         assert reports[0].config_digest != reports[1].config_digest
 
+    def test_a_run_leaves_the_params_digest_unchanged(self):
+        # A run forms the constant forcing's band half on p; the digest
+        # reads p's inputs only.
+        p = PhysicsParams(NU, NU, mu=5.0, forcing=self.F, interp=self.INTERP)
+        before = experiments._digest(run_da_sync, {"p": p})
+        report = run_da_sync(p, self.CFG, self.U0, self.V0)
+        assert "_forcing_band" in vars(p)
+        assert experiments._digest(run_da_sync, {"p": p}) == before
+        assert run_da_sync(p, self.CFG, self.U0, self.V0).config_digest == report.config_digest
+
     def test_unknown_input_type_is_refused(self):
         spec = DQSweepSpec.halving(NU, self.U0, levels=2)
         with pytest.raises(TypeError, match="cannot digest"):

@@ -494,6 +494,41 @@ class TestSampleStorage:
             assert not each.flags.writeable and not every_other.flags.writeable
             assert np.array_equal(each[::2], every_other)
 
+    @pytest.mark.parametrize("populate", [True, False])
+    def test_sample_mapping_is_populated_where_mmap_can(self, monkeypatch, populate):
+        # With MAP_POPULATE the mapping is private and made present when it is
+        # created; without it (mmap off Linux) the default mapping is kept.
+        # Either way the 4.34 MB sample array of a DA run at n = 48 holds the
+        # bits its every-other-step run holds on numpy's allocator, read-only.
+        if populate and not hasattr(mmap, "MAP_POPULATE"):
+            pytest.skip("mmap has no MAP_POPULATE here")
+        if not populate:
+            monkeypatch.delattr(mmap, "MAP_POPULATE", raising=False)
+        real, calls = mmap.mmap, []
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mmap, "mmap", recording)
+        grid = GridSpec(48)
+        p = PhysicsParams(nu1=0.01, nu2=0.01, mu=1.0, interp=SpectralProjection(modes=4))
+        init = {
+            "u": random_field(grid, seed=95, kmin=1, kmax=6),
+            "v": random_field(grid, seed=96, kmin=1, kmax=6, l2_norm=0.5),
+        }
+        each, every_other = (
+            integrate(SystemSpec(SystemKind.DA), init, p,
+                      SolverConfig(dt=1e-3, t_end=0.12, sample_every=k)).snapshots
+            for k in (1, 2)
+        )
+        nbytes = each["u"].coeffs.base.nbytes
+        flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | mmap.MAP_POPULATE if populate else None
+        assert calls == [((-1, nbytes), {} if flags is None else {"flags": flags})]
+        for name in ("u", "v"):
+            assert not each[name].coeffs.flags.writeable
+            assert np.array_equal(each[name].coeffs[::2], every_other[name].coeffs)
+
 
 class TestDeterminism:
     def test_bit_identical_repeat(self):
