@@ -15,6 +15,7 @@ from ns2dsens.spectral import (
     leray_project,
     norm,
     norms,
+    project_coeffs,
     random_field,
     stokes_apply,
     taylor_green,
@@ -292,6 +293,31 @@ class TestLeray:
             lhs = inner(leray_project(a), b)
             rhs = inner(a, leray_project(b))
             assert lhs == pytest.approx(rhs, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [24, 30, 48])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_complex_band_tables_project_the_same_bits(self, n, lead):
+        # numpy multiplies complex data by the int64 k and float64 1/|k|^2
+        # by casting the tables to complex128, so tables stored as complex128
+        # give the same bits, signed zeros included.  The k = 0 mode and
+        # components that are +0.0 or -0.0 in either part are in the stack.
+        g = GridSpec(n)
+        K = g.cutoff
+        k, inv_k_sq, _ = g.band_tables
+        rng = np.random.default_rng(n)
+        shape = lead + (2, 2 * K + 1, K + 1)
+        parts = rng.standard_normal((2,) + shape)
+        for sign in (1.0, -1.0):
+            parts[rng.random(parts.shape) < 0.1] = sign * 0.0
+        c = np.empty(shape, dtype=np.complex128)
+        c.real, c.imag = parts  # a complex multiply would not keep every signed zero
+        c[..., 0, 0] = rng.standard_normal(c.shape[:-2])
+        for part in (c.real, c.imag):
+            assert (np.signbit(part) & (part == 0)).any() and (~np.signbit(part) & (part == 0)).any()
+        want = project_coeffs(c, k, inv_k_sq)
+        got = project_coeffs(c, k.astype(np.complex128), inv_k_sq.astype(np.complex128))
+        assert got.dtype == want.dtype == np.complex128
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_output_divergence_free(self):
         f = random_field(GridSpec(16), seed=11, solenoidal=False)
