@@ -272,7 +272,6 @@ def effective_source_l2(traj, ref: str, p: PhysicsParams | None = None) -> np.nd
     """
     p = traj.params if p is None else p
     grid, times = traj.grid, traj.times
-    k, inv_k_sq, _ = grid.band_tables
     refs = traj.snapshots[ref].coeffs
     constant = not callable(p.forcing)
     f = forcing_band(p, grid, 0.0) if constant else None
@@ -282,7 +281,7 @@ def effective_source_l2(traj, ref: str, p: PhysicsParams | None = None) -> np.nd
         if not constant:
             f = np.stack([forcing_band(p, grid, t) for t in times[block]])
         seen = interpolate(BandStack(grid, refs[block]), p.interp).coeffs
-        g = f + p.mu * project_coeffs(seen, k, inv_k_sq)
+        g = f + p.mu * project_coeffs(seen, *grid.band_projector)
         out[block] = norms(BandStack(grid, g))[:, 0]
     return out
 

@@ -368,7 +368,7 @@ class SystemSpec:
             advected = bilinear(state, wiring.pairs)
             products = advected.coeffs
             speed = math.sqrt(max(advected.peak_sq_speed[i] for i in wiring.advecting))
-        k, inv_k_sq, lam = g.band_tables
+        lam = g.band_tables[2]
         f = forcing_band(p, g, t)
         terms = iter(products)
         out = np.empty(c.shape, dtype=np.complex128)
@@ -383,7 +383,7 @@ class SystemSpec:
                 row -= c[source] * lam
         if p.mu > 0 and wiring.nudged:
             seen = interpolate(BandStack(g, c[wiring.targets] - c[wiring.nudged]), p.interp).coeffs
-            out[wiring.nudged] += p.mu * project_coeffs(seen, k, inv_k_sq)
+            out[wiring.nudged] += p.mu * project_coeffs(seen, *g.band_projector)
         return out, speed
 
     def rhs(

@@ -31,6 +31,10 @@ kx pass.  The grid values, product planes and spectra of these transforms
 live in per-thread buffers that grow to the largest request and are reused
 on every later call, so a long run does not fault grid-sized memory back in
 on each round; every array the module returns is fresh.
+
+Each transform is given its lengths `s`, which numpy would otherwise derive
+through a generic `take` per call, and band-half projections multiply by the
+complex128 tables `GridSpec.band_projector`, the cast numpy would make per call.
 """
 
 from __future__ import annotations
@@ -103,6 +107,11 @@ class GridSpec:
         """`k`, `inv_k_sq` and `eigenvalues` on the band half (see `band_half`)."""
         tables = (self.k, self.inv_k_sq, self.eigenvalues)
         return tuple(_read_only(band_half(t, self.cutoff)) for t in tables)
+
+    @cached_property
+    def band_projector(self) -> tuple[np.ndarray, ...]:
+        """`band_tables`' k and inv_k_sq as complex128 (a complex k flips signed zeros in q)."""
+        return tuple(_read_only(t.astype(np.complex128)) for t in self.band_tables[:2])
 
     @cached_property
     def band_norm_weights(self) -> np.ndarray:
@@ -184,7 +193,7 @@ class SpectralField:
             raise ValueError(
                 f"expected values of shape (2, {grid.n}, {grid.n}), got {values.shape}"
             )
-        c = _full_spectrum(np.fft.rfft2(values, norm="forward"))
+        c = _full_spectrum(np.fft.rfft2(values, s=(grid.n, grid.n), norm="forward"))
         c[:, 0, 0] = 0.0
         return cls(grid, _read_only(c))
 
@@ -267,8 +276,8 @@ def project_coeffs(c: np.ndarray, k: np.ndarray, inv_k_sq: np.ndarray) -> np.nda
     """`leray_project` of coefficients shaped (..., 2, rows, cols), as a new read-only array.
 
     k (shape (2, rows, cols)) and inv_k_sq are the mode tables of the layout,
-    full (`GridSpec.k`, `GridSpec.inv_k_sq`) or band half (`GridSpec.band_tables`);
-    both put k = 0 at [0, 0].
+    full (`GridSpec.k`, `GridSpec.inv_k_sq`) or band half, cast once to complex128
+    (`GridSpec.band_projector`) as numpy would per call; both put k = 0 at [0, 0].
     """
     parallel = (k[0] * c[..., 0, :, :] + k[1] * c[..., 1, :, :]) * inv_k_sq
     out = c - k * parallel[..., None, :, :]
@@ -339,19 +348,25 @@ class _Workspace(threading.local):
     buffer and writes the other, whose previous content is dead by then.  A
     thread has its own buffers, so concurrent kernels never share one.
     Views of them never leave this module: `band_to_grid`, `grid_to_band`
-    and `bilinear` return fresh arrays.
+    and `bilinear` return fresh arrays.  `take` caches its views until their
+    role's buffer grows; kept past that, they would hold the old buffer alive.
     """
 
     def __init__(self) -> None:
         self.buffers: dict[str, np.ndarray] = {}
+        self.views: dict[tuple, np.ndarray] = {}
 
     def take(self, role: str, shape: tuple[int, ...], dtype: type) -> np.ndarray:
         """An array of shape and dtype at the start of role's buffer; its contents are stale."""
-        size = math.prod(shape) * np.dtype(dtype).itemsize
-        buf = self.buffers.get(role)
-        if buf is None or buf.nbytes < size:
-            buf = self.buffers[role] = np.empty(size, dtype=np.uint8)
-        return buf[:size].view(dtype).reshape(shape)
+        view = self.views.get((role, shape, dtype))
+        if view is None:
+            size = math.prod(shape) * np.dtype(dtype).itemsize
+            buf = self.buffers.get(role)
+            if buf is None or buf.nbytes < size:
+                self.views = {key: v for key, v in self.views.items() if key[0] != role}
+                buf = self.buffers[role] = np.empty(size, dtype=np.uint8)
+            view = self.views[role, shape, dtype] = buf[:size].view(dtype).reshape(shape)
+        return view
 
 
 _workspace = _Workspace()
@@ -363,7 +378,8 @@ def band_to_grid(b: np.ndarray, m: int) -> np.ndarray:
     `irfft2` of the zero-padded half spectrum, with the kx pass run in place
     over the K + 1 band columns only: the others are zero before and after.
     Public as the inverse of `grid_to_band`: a fresh copy of the grid values
-    that the advective kernel forms in its workspace.
+    that the advective kernel forms in its workspace.  Both passes are given
+    their length m (see the module docstring).
     """
     return _band_to_grid(b, m).copy()
 
@@ -376,7 +392,7 @@ def _band_to_grid(b: np.ndarray, m: int) -> np.ndarray:
     vals = _workspace.take("pong", lead + (m, m), np.float64)
     _padded_half(b, K, m, half)
     band = half[..., : K + 1]
-    np.fft.ifftn(band, axes=(-2,), norm="forward", out=band)
+    np.fft.ifftn(band, s=(m,), axes=(-2,), norm="forward", out=band)
     return np.fft.irfftn(half, s=(m,), axes=(-1,), norm="forward", out=vals)
 
 
@@ -385,7 +401,7 @@ def grid_to_band(values: np.ndarray, K: int) -> np.ndarray:
 
     The band half of `rfft2`, with the kx pass run in place over the K + 1
     band columns only.  The half spectrum is formed in the workspace's pong
-    buffer; the band half is a fresh array.
+    buffer; the band half is a fresh array.  Both passes are given their length m.
     """
     return band_half(_grid_to_band(values, K), K)
 
@@ -397,9 +413,9 @@ def _grid_to_band(values: np.ndarray, K: int) -> np.ndarray:
     """
     m = values.shape[-1]
     half = _workspace.take("pong", values.shape[:-1] + (m // 2 + 1,), np.complex128)
-    np.fft.rfftn(values, axes=(-1,), norm="forward", out=half)
+    np.fft.rfftn(values, s=(m,), axes=(-1,), norm="forward", out=half)
     band = half[..., : K + 1]
-    np.fft.fftn(band, axes=(-2,), norm="forward", out=band)
+    np.fft.fftn(band, s=(m,), axes=(-2,), norm="forward", out=band)
     return band
 
 

@@ -300,7 +300,7 @@ def integrate(
     )
 
     dt = cfg.dt
-    k, inv_k_sq, lam = grid.band_tables
+    lam, projector = grid.band_tables[2], grid.band_projector
     names = system.fields
     cfl_per_speed = dt * grid.n
 
@@ -356,7 +356,7 @@ def integrate(
             new /= denom
         n_prev = n_curr
 
-        state = project_coeffs(new, k, inv_k_sq)
+        state = project_coeffs(new, *projector)
         drift_max = max(drift_max, float(np.abs(state - new).max()))
 
         t_next = (step + 1) * dt

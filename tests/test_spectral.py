@@ -1,5 +1,7 @@
 """Spectral core tests against brute-force oracles and closed forms."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -313,7 +315,8 @@ class TestLeray:
         c.real, c.imag = parts  # a complex multiply would not keep every signed zero
         c[..., 0, 0] = rng.standard_normal(c.shape[:-2])
         for part in (c.real, c.imag):
-            assert (np.signbit(part) & (part == 0)).any() and (~np.signbit(part) & (part == 0)).any()
+            zero = part == 0
+            assert (zero & np.signbit(part)).any() and (zero & ~np.signbit(part)).any()
         want = project_coeffs(c, k, inv_k_sq)
         got = project_coeffs(c, k.astype(np.complex128), inv_k_sq.astype(np.complex128))
         assert got.dtype == want.dtype == np.complex128
@@ -464,3 +467,59 @@ class TestRandomField:
     def test_empty_annulus_rejected(self):
         with pytest.raises(ValueError, match="annulus"):
             random_field(GridSpec(8), seed=0, kmin=7)
+
+
+ND_FFTS = ("fftn", "ifftn", "rfftn", "irfftn")
+
+
+@pytest.fixture
+def nd_fft_calls(monkeypatch):
+    """(name, s, axes) of every call of numpy's n-D FFT entry points, which still run.
+
+    Patched in `numpy.fft` and in its implementation module, where `rfft2`
+    and `irfft2` look up `rfftn` and `irfftn`.
+    """
+    calls = []
+
+    def recording(name, fn):
+        signature = inspect.signature(fn)
+
+        def wrapper(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs).arguments
+            calls.append((name, bound.get("s"), bound.get("axes")))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ND_FFTS:
+        wrapper = recording(name, getattr(np.fft, name))
+        for module in (np.fft, np.fft._pocketfft):
+            monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestFastPaths:
+    @pytest.mark.parametrize("n", [32, 48])
+    def test_every_transform_is_given_its_lengths(self, n, nd_fft_calls):
+        # Without s, numpy derives the lengths from the array's shape through
+        # a slow generic path on every call; the kernel's transforms and
+        # `from_physical` pass them as one Python int per transformed axis.
+        g = GridSpec(n)
+        stack = BandStack.of([random_field(g, seed=s) for s in (1, 2)])
+        values = stack[0].physical()
+        nd_fft_calls.clear()
+        bilinear(stack, [(0, 0), (1, 0), (0, 1)])
+        SpectralField.from_physical(g, values)
+        assert {name for name, _, _ in nd_fft_calls} == set(ND_FFTS)
+        for name, s, axes in nd_fft_calls:
+            assert type(s) is tuple and all(type(length) is int for length in s), (name, s)
+            assert len(s) == len(axes), (name, s, axes)
+
+    @pytest.mark.parametrize("n", [24, 48])
+    def test_band_projector_is_the_band_tables_cast_to_complex(self, n):
+        g = GridSpec(n)
+        k, inv_k_sq, _ = g.band_tables
+        for got, table in zip(g.band_projector, (k, inv_k_sq), strict=True):
+            assert got.dtype == np.complex128 and not got.flags.writeable
+            want = table.astype(np.complex128)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))

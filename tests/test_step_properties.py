@@ -32,6 +32,7 @@ from ns2dsens.spectral import (  # noqa: E402
     BandStack,
     GridSpec,
     SpectralField,
+    _workspace,
     band_half,
     band_to_grid,
     bilinear,
@@ -82,6 +83,9 @@ def test_transforms_match_after_the_workspace_grows_and_shrinks():
         transforms_against_plain(n, (1 + i % 3,), i + 2)
     for result, copy in kept:
         assert result.tobytes() == copy.tobytes()
+    # Views cached before a buffer grew are dropped with it, not kept alive.
+    for (role, _, _), view in _workspace.views.items():
+        assert np.shares_memory(view, _workspace.buffers[role])
 
 
 def sens_stack(n, seed, rows=2):

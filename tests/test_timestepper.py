@@ -673,6 +673,44 @@ class TestSharedRows:
                 for a, b in zip(got.snapshots[name], want.snapshots[name0], strict=True):
                     assert np.array_equal(a.coeffs, b.coeffs)
 
+    @pytest.mark.parametrize("n", [24, 32])
+    @pytest.mark.parametrize("kind", [SystemKind.DQ_DIRECT, SystemKind.DA_DQ_DIRECT])
+    def test_batched_rows_equal_their_single_entry_runs(self, n, kind):
+        # Batch invariance: every row of a run with nu2s = (a, b) is the same
+        # row of the run with (a,) alone or (b,) alone, samples and norm
+        # series bit for bit (int64 views, so signed zeros count).  Copy j's
+        # rows are named name_j, so copy 1 of the batch is copy 0 of (b,).
+        grid = GridSpec(n)
+        p = PhysicsParams(
+            nu1=0.01, nu2=0.01, mu=4.0, interp=BoxAverage(boxes=8),
+            forcing=random_field(grid, seed=93, kmin=2, kmax=6),
+        )
+        cfg = SolverConfig(dt=1e-3, t_end=5e-3)
+        init = {
+            "u1": random_field(grid, seed=94, kmin=1, kmax=6),
+            "u2": random_field(grid, seed=95, kmin=1, kmax=6),
+            "v1": random_field(grid, seed=96, kmin=1, kmax=6, l2_norm=0.5),
+            "v2": random_field(grid, seed=97, kmin=1, kmax=6, l2_norm=0.5),
+        }
+        a, b = 0.007, 0.013
+
+        def run(nu2s):
+            system = SystemSpec(kind, nu2s=nu2s)
+            bases = {system.base(name) for name in system.fields}
+            return integrate(system, {k: f for k, f in init.items() if k in bases}, p, cfg)
+
+        batched = run((a, b))
+        for alone, suffix in ((run((a,)), "_0"), (run((b,)), "_1")):
+            for name in alone.snapshots:
+                got = name[:-2] + suffix if name.endswith("_0") else name
+                assert np.array_equal(
+                    batched.series[got].view(np.int64), alone.series[name].view(np.int64)
+                )
+                assert np.array_equal(
+                    batched.snapshots[got].coeffs.view(np.int64),
+                    alone.snapshots[name].coeffs.view(np.int64),
+                )
+
 
 class TestViscositySwitch:
     def _da_setup(self):
