@@ -2,6 +2,7 @@
 
 import mmap
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -216,6 +217,100 @@ class TestGuards:
         assert err.value.field == "u"
         assert err.value.time > 0
         assert len(err.value.history["times"]) >= 1
+
+    # The guard on crafted norms: `norms` is called once for the initial
+    # state and once after every step, so call k + 1 is step k's, whose
+    # state is at t = (k + 1) dt.  A case sets rows' L2 entries of some
+    # steps' calls and expects what the guard gives for those values: the
+    # first row past 1e6 ref_l2 (or not finite) with its time and value,
+    # and the history of every sample taken before that step.  ref_l2 is
+    # a row's initial L2, or for ut (zero at t = 0) max(largest initial
+    # L2, 1).
+    CFG = SolverConfig(dt=1e-3, t_end=0.012)
+
+    @classmethod
+    def _crafted_run(cls, monkeypatch, edits, sample_every=1):
+        """Run NSE_SENS with edits {step: {name: value}} applied to its L2 norms.
+
+        Returns the run's BlowupError (None when none is raised), the
+        unpatched run's L2 series per row with the sampled edits applied,
+        and its ref_l2 per row.
+        """
+        from ns2dsens import timestepper
+
+        p = PhysicsParams(nu1=0.01, nu2=0.01)
+        cfg = replace(cls.CFG, sample_every=sample_every)
+        system = SystemSpec(SystemKind.NSE_SENS)
+        init = {"u": random_field(GridSpec(16), seed=64, kmin=1, kmax=4, l2_norm=3.0)}
+        clean = integrate(system, init, p, cfg)
+        ref_l2 = {"u": clean.series["u"][0, 0], "ut": max(clean.series["u"][0, 0], 1.0)}
+        l2 = {name: series[:, 0].copy() for name, series in clean.series.items()}
+        for step, values in edits(ref_l2).items():
+            if (step + 1) % sample_every == 0:
+                for name, value in values.items():
+                    l2[name][(step + 1) // sample_every] = value
+        real_norms, calls = timestepper.norms, []
+
+        def crafted(stack):
+            out = real_norms(stack)
+            for name, value in edits(ref_l2).get(len(calls) - 1, {}).items():
+                out[system.fields.index(name), 0] = value
+            calls.append(None)
+            return out
+
+        monkeypatch.setattr(timestepper, "norms", crafted)
+        try:
+            integrate(system, init, p, cfg)
+        except BlowupError as exc:
+            return exc, l2, ref_l2
+        return None, l2, ref_l2
+
+    @classmethod
+    def _check_history(cls, err, l2, step, sample_every=1):
+        taken = step // sample_every + 1
+        assert err.time == (step + 1) * cls.CFG.dt
+        times = np.arange(0, cls.CFG.n_steps + 1, sample_every) * cls.CFG.dt
+        np.testing.assert_array_equal(err.history["times"], times[:taken])
+        assert list(err.history["l2"]) == ["u", "ut"]
+        for name, got in err.history["l2"].items():
+            assert got.view(np.int64).tolist() == l2[name][:taken].view(np.int64).tolist()
+
+    @pytest.mark.parametrize("sample_every", [1, 3])
+    def test_guard_reports_a_row_turned_nan(self, monkeypatch, sample_every):
+        err, l2, _ = self._crafted_run(
+            monkeypatch, lambda ref: {7: {"ut": np.nan}}, sample_every
+        )
+        assert err.field == "ut" and np.isnan(err.value)
+        self._check_history(err, l2, 7, sample_every)
+
+    def test_guard_reports_a_row_turned_inf(self, monkeypatch):
+        err, l2, _ = self._crafted_run(monkeypatch, lambda ref: {4: {"u": np.inf}})
+        assert err.field == "u" and err.value == np.inf
+        self._check_history(err, l2, 4)
+
+    @pytest.mark.parametrize("name", ["u", "ut"])
+    def test_guard_fires_past_the_limit_not_at_it(self, monkeypatch, name):
+        def edits(ref):
+            limit = 1e6 * ref[name]
+            return {2: {name: limit}, 5: {name: np.nextafter(limit, np.inf)}}
+
+        err, l2, ref_l2 = self._crafted_run(monkeypatch, edits)
+        assert err.field == name
+        assert err.value == np.nextafter(1e6 * ref_l2[name], np.inf)
+        self._check_history(err, l2, 5)
+
+    def test_guard_at_the_limit_runs_to_the_end(self, monkeypatch):
+        err, _, _ = self._crafted_run(
+            monkeypatch, lambda ref: {k: {n: 1e6 * ref[n] for n in ref} for k in range(12)}
+        )
+        assert err is None
+
+    def test_guard_reports_the_first_of_two_rows(self, monkeypatch):
+        err, l2, ref_l2 = self._crafted_run(
+            monkeypatch, lambda ref: {3: {"u": 2e6 * ref["u"], "ut": np.nan}}
+        )
+        assert err.field == "u" and err.value == 2e6 * ref_l2["u"]
+        self._check_history(err, l2, 3)
 
     def test_cfl_warning(self):
         p = PhysicsParams(nu1=0.05, nu2=0.05)
