@@ -21,8 +21,6 @@ import json
 import sys
 from pathlib import Path
 
-import yaml
-
 from .diagnostics import check_apriori, identity_suite, trajectory_grashof
 from .dynamics import PhysicsParams, SystemKind, SystemSpec
 from .experiments import (
@@ -266,9 +264,7 @@ def main(argv=None) -> int:
         )
         out_dir.mkdir(parents=True, exist_ok=True)
         if cfg is not None:
-            (out_dir / "config_echo.yaml").write_text(
-                yaml.safe_dump(cfg.effective, sort_keys=True), encoding="utf-8"
-            )
+            (out_dir / "config_echo.yaml").write_text(cfg.echo(), encoding="utf-8")
     except (ConfigError, AdmissibilityError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -282,7 +282,7 @@ def effective_source_l2(traj, ref: str, p: PhysicsParams | None = None) -> np.nd
             f = np.stack([forcing_band(p, grid, t) for t in times[block]])
         seen = interpolate(BandStack(grid, refs[block]), p.interp).coeffs
         g = f + p.mu * project_coeffs(seen, *grid.band_projector)
-        out[block] = norms(BandStack(grid, g))[:, 0]
+        out[block] = norms(BandStack(grid, g), l2_only=True)
     return out
 
 

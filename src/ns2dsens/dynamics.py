@@ -53,6 +53,7 @@ from .spectral import (
     bilinear,
     leray_project,
     project_coeffs,
+    row_index,
     stokes_apply,
 )
 
@@ -224,14 +225,15 @@ class RoundWiring(NamedTuple):
     assimilated row's self-product (a, a) included.  rows gives per row
     whether it starts from the forcing, how many of the products are its
     own, and its Stokes source row or None.  nudged and targets pair each
-    nudged row with its target.  advecting lists the rows whose speeds drive
-    the CFL estimate, none when linear_only.
+    nudged row with its target, as slices where consecutive (`row_index`).
+    advecting lists the rows whose speeds drive the CFL estimate, none when
+    linear_only.
     """
 
     pairs: tuple[tuple[int, int], ...]
     rows: tuple[tuple[bool, int, int | None], ...]
-    nudged: list[int]
-    targets: list[int]
+    nudged: slice | list[int]
+    targets: slice | list[int]
     advecting: list[int]
 
 
@@ -338,8 +340,8 @@ class SystemSpec:
                  None if row.source is None else at[row.source])
                 for row, row_pairs in zip(self.rows.values(), pairs_of)
             ),
-            nudged=[at[name] for name in self.nudged_fields],
-            targets=[at[target] for target in self.nudged_fields.values()],
+            nudged=row_index(at[name] for name in self.nudged_fields),
+            targets=row_index(at[target] for target in self.nudged_fields.values()),
             advecting=[] if self.linear_only else [at[n] for n in self.advecting_fields],
         )
 
@@ -368,7 +370,7 @@ class SystemSpec:
             advected = bilinear(state, wiring.pairs)
             products = advected.coeffs
             speed = math.sqrt(max(advected.peak_sq_speed[i] for i in wiring.advecting))
-        lam = g.band_tables[2]
+        lam = g.band_stokes
         f = forcing_band(p, g, t)
         terms = iter(products)
         out = np.empty(c.shape, dtype=np.complex128)

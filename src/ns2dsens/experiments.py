@@ -44,7 +44,6 @@ from .dynamics import (
     SystemKind,
     SystemSpec,
     dq_field,
-    forcing_at,
     with_viscosity2,
     without_nudging,
 )
@@ -268,8 +267,9 @@ _DATACLASS_INPUTS = (GridSpec, SolverConfig, SpectralProjection, BoxAverage, Sys
 def _encode(obj, h, times: list[float] | None) -> None:
     """Feed obj into hash h by content: fields by their coefficient bytes.
 
-    A callable forcing enters through `forcing_at` at each of `times`; an
-    unknown type raises TypeError.
+    A callable forcing enters through its own field at each of `times`,
+    before the band limit and projection a run applies; an unknown type
+    raises TypeError.
     """
     if isinstance(obj, SystemKind):
         h.update(f"{type(obj).__name__}.{obj.name};".encode())
@@ -296,9 +296,8 @@ def _encode(obj, h, times: list[float] | None) -> None:
         elif times is None:
             raise TypeError("a callable forcing is hashed at a run's times: no SolverConfig given")
         else:
-            grid = obj.forcing(0.0).grid
             for t in times:
-                _encode(forcing_at(obj, grid, t), h, times)
+                _encode(obj.forcing(t), h, times)
     elif isinstance(obj, _DATACLASS_INPUTS):
         h.update(f"{type(obj).__name__};".encode())
         for f in dataclasses.fields(obj):
@@ -515,7 +514,7 @@ def _sync_gap(traj: Trajectory) -> np.ndarray:
     diff = np.empty(u[:SAMPLE_BLOCK].shape, dtype=u.dtype)
     diffs = (np.subtract(u[i : i + SAMPLE_BLOCK], v[i : i + SAMPLE_BLOCK], out=diff[: len(u) - i])
              for i in range(0, len(u), SAMPLE_BLOCK))
-    return np.concatenate([norms(BandStack(traj.grid, d))[:, 0] for d in diffs])
+    return np.concatenate([norms(BandStack(traj.grid, d), l2_only=True) for d in diffs])
 
 
 def _sync_control(system, init, p, cfg) -> tuple[np.ndarray, list[BoundCheck]]:

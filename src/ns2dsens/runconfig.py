@@ -246,6 +246,11 @@ class RunConfig:
     allow_inadmissible: bool
     effective: dict
 
+    def echo(self) -> str:
+        """`effective` as YAML, dumped by libyaml's safe dumper where PyYAML has it."""
+        dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+        return yaml.dump(self.effective, Dumper=dumper, sort_keys=True)
+
 
 def load_config_data(data: dict, seed_override: int | None = None) -> RunConfig:
     """Validate an already-parsed configuration mapping."""
@@ -413,10 +418,10 @@ def sweep_spec(cfg: RunConfig) -> DQSweepSpec:
 
 
 def load_config(path, seed_override: int | None = None) -> RunConfig:
-    """Parse and validate a YAML configuration file."""
+    """Parse (with libyaml's safe loader where PyYAML has it) and validate a YAML file."""
     try:
         with open(path, encoding="utf-8") as handle:
-            data = yaml.safe_load(handle)
+            data = yaml.load(handle, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -33,8 +33,9 @@ on every later call, so a long run does not fault grid-sized memory back in
 on each round; every array the module returns is fresh.
 
 Each transform is given its lengths `s`, which numpy would otherwise derive
-through a generic `take` per call, and band-half projections multiply by the
-complex128 tables `GridSpec.band_projector`, the cast numpy would make per call.
+through a generic `take` per call, and band-half projections and Stokes terms
+multiply by the complex128 tables `GridSpec.band_projector` and `band_stokes`,
+the cast numpy would make per call.
 """
 
 from __future__ import annotations
@@ -114,10 +115,17 @@ class GridSpec:
         return tuple(_read_only(t.astype(np.complex128)) for t in self.band_tables[:2])
 
     @cached_property
+    def band_stokes(self) -> np.ndarray:
+        """`band_tables`' eigenvalues as complex128, the cast numpy makes per complex multiply."""
+        return _read_only(self.band_tables[2].astype(np.complex128))
+
+    @cached_property
     def band_norm_weights(self) -> np.ndarray:
         """Weights (1, lam, lam**2) of the L2, H1 and H2 norms on the band half (see `norms`)."""
         lam = self.band_tables[2]
-        return _read_only(np.stack([np.ones_like(lam), lam, lam**2]))
+        weights = np.stack([np.ones_like(lam), lam, lam**2])
+        weights[..., 1:] *= 2.0  # ky > 0 stands for its conjugate ky < 0 too
+        return _read_only(weights)
 
     @cached_property
     def band_mask(self) -> np.ndarray:
@@ -255,6 +263,14 @@ class SpectralField:
 
     def __truediv__(self, scalar: float) -> "SpectralField":
         return self._like(self.coeffs / complex(scalar))
+
+
+def row_index(rows: Sequence[int]) -> slice | list[int]:
+    """rows as a slice when they ascend by one, so that indexing views, else as a list."""
+    rows = list(rows)
+    if rows and rows == list(range(rows[0], rows[-1] + 1)):
+        return slice(rows[0], rows[-1] + 1)
+    return rows
 
 
 def _conj_flip(c: np.ndarray) -> np.ndarray:
@@ -495,26 +511,26 @@ def bilinear(u, v):
 
     Transforms per call: one inverse (`band_to_grid`) of every row of the
     stack, two planes each, and one forward (`grid_to_band`) of the planes
-    of each distinct product tensor, written in order of first occurrence
-    into one buffer.  A pair repeated, or the mirror (b, a) of a pair (a, b)
-    met before it, forms and transforms nothing: T = u v^T is the transpose
-    of v u^T, so it reads the same planes with Tyx and Txy swapped, which
-    IEEE multiplication makes exact.  The sensitivity rows' products
-    B(ut, u) and B(u, ut) thus cost three planes, not six.  The per-mode
-    factors apply on the band half.  A self-product's Txx + Tyy is |u|**2,
-    so its peak costs an add, a max and a repeated multiply over an m x m
-    plane, with no transform and no scratch plane.
+    of each distinct product tensor, self-products' first, each kind in
+    order of first occurrence.  A pair repeated, or the mirror (b, a) of a
+    pair (a, b) met before it, forms and transforms nothing: T = u v^T is
+    the transpose of v u^T, so it reads the same planes with Tyx and Txy
+    swapped, which IEEE multiplication makes exact.  The sensitivity rows'
+    products B(ut, u) and B(u, ut) thus cost three planes, not six.  Each
+    kind of tensor is formed in one block of whole-block ufunc calls, per
+    element the operations of one tensor formed alone.  A self-product's
+    Txx + Tyy is |u|**2, so its peak costs an add, a max and a repeated
+    multiply, with no transform and no scratch plane.  The per-mode factors
+    apply on the band half.
 
     Memory: the padded inverse spectrum, the grid values, the product planes
-    and the forward spectrum are views of two buffers of this thread's
-    workspace, grown to the largest call seen and reused after.  The planes
-    take the padded spectrum's place and the forward spectrum the grid
-    values', so the workspace holds the larger of each pair, about what a
-    call had alive at its peak when each of the four was a fresh array.
-    The band half of the forward spectrum and the planes gathered per pair
-    then take the transformed planes' place.  Beyond numpy's cast buffers, a
-    warm call allocates only its result, which is fresh and never changes
-    after it is returned.
+    and the forward spectrum are views of the two buffers of this thread's
+    `_Workspace`, grown to the largest call seen and reused after; the band
+    half of the forward spectrum and the planes gathered per pair then take
+    the transformed planes' place.  Beyond numpy's cast buffers, a warm call
+    allocates only its result, which is fresh and never changes after it is
+    returned, and a block's operand rows where they are not consecutive
+    (`row_index`), which it gathers.
 
     Returns:
         Band-limited, divergence-free, mean-free results on the common grid.
@@ -530,19 +546,19 @@ def bilinear(u, v):
 def _plane_plan(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple, int, np.ndarray]:
     """Which product planes `_advect` forms for pairs, and where each pair reads its own.
 
-    Returns the distinct tensors as (a, b, i) in order of first occurrence,
-    each formed from plane i on; the number of planes formed; and per pair
-    the indices (d, yx, xy) of its planes Tyy - Txx, Tyx and Txy, shape
-    (3, len(pairs)).  A repeated pair reads the planes of its first
-    occurrence.  A mirror (b, a) of a formed (a, b) reads them too, with Tyx
-    and Txy swapped: its tensor u v^T is the transpose of v u^T, and IEEE
-    multiplication commutes, so each of its planes is one of (a, b)'s bit
-    for bit.
+    Returns the distinct tensors as (a, b, i), self-products (a, a) first,
+    then the others, each in order of first occurrence and formed from
+    plane i on; the number of planes formed; and per pair the indices
+    (d, yx, xy) of its planes Tyy - Txx, Tyx and Txy, shape (3, len(pairs)).
+    A repeated pair reads the planes of its first occurrence.  A mirror
+    (b, a) of a formed (a, b) reads them too, with Tyx and Txy swapped: its
+    tensor u v^T is the transpose of v u^T, and IEEE multiplication
+    commutes, so each of its planes is one of (a, b)'s bit for bit.
     """
     formed: dict[tuple[int, int], tuple[int, int, int]] = {}
     forms = []
     n_planes = 0
-    for a, b in pairs:
+    for a, b in sorted(pairs, key=lambda ab: ab[0] != ab[1]):
         if (a, b) not in formed:
             i, xy = n_planes, n_planes + (1 if a == b else 2)
             forms.append((a, b, i))
@@ -553,37 +569,50 @@ def _plane_plan(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple, int, np.ndar
     return tuple(forms), n_planes, _read_only(indices.T.copy())
 
 
+@lru_cache(maxsize=64)
+def _plane_blocks(forms: tuple) -> tuple:
+    """Blocks of forms, self-products first: (`row_index` of u, of v, u's rows, planes each)."""
+    kinds = ([f for f in forms if f[0] == f[1]], 2), ([f for f in forms if f[0] != f[1]], 3)
+    return tuple((row_index(f[0] for f in fs), row_index(f[1] for f in fs), [f[0] for f in fs],
+                  size) for fs, size in kinds if fs)
+
+
 def _advect(stack: BandStack, pairs: Sequence[tuple[int, int]]) -> ProductStack:
     g = stack.grid
     m, K = g.product_n, g.cutoff
     forms, n_planes, (d, yx, xy) = _plane_plan(tuple(map(tuple, pairs)))
     # Per distinct tensor (a, b), with u = vals[a] and v = vals[b], the
-    # planes Tyy - Txx, Tyx and Txy of T = v u^T from plane i on; a
-    # self-product's Txy is its Tyx.
+    # planes Tyy - Txx, Tyx and Txy of T = v u^T; a self-product's Txy is
+    # its Tyx.  Each kind of tensor is one block of whole-block ufunc calls,
+    # per element the operations, in order, of a tensor formed alone.
     vals = _band_to_grid(stack.coeffs, m)
     prods = _workspace.take("ping", (n_planes, m, m), np.float64)
-    peaks = {}
-    for a, b, i in forms:
-        (ux, uy), (vx, vy) = vals[a], vals[b]
-        np.multiply(vx, ux, out=prods[i + 1])
-        np.multiply(vy, uy, out=prods[i])
-        if a == b:
-            # |u|^2 = Txx + Tyy, summed in Txx's plane, which is then formed
-            # again, so the peak needs no scratch plane.
-            prods[i + 1] += prods[i]
-            peaks[a] = float(prods[i + 1].max())
-            np.multiply(vx, ux, out=prods[i + 1])
-        prods[i] -= prods[i + 1]
-        np.multiply(vy, ux, out=prods[i + 1])
-        if a != b:
-            np.multiply(vx, uy, out=prods[i + 2])
+    peaks, at = {}, 0
+    for a, b, rows, size in _plane_blocks(forms):
+        planes = prods[at : at + size * len(rows)].reshape(len(rows), size, m, m)
+        at += size * len(rows)
+        u = vals[a]
+        (ux, uy), (vx, vy) = u.swapaxes(0, 1), (u if size == 2 else vals[b]).swapaxes(0, 1)
+        diff, tyx = planes[:, 0], planes[:, 1]
+        np.multiply(vx, ux, out=tyx)
+        np.multiply(vy, uy, out=diff)
+        if size == 2:
+            # |u|^2 = Txx + Tyy, summed in Txx's planes, which are then formed
+            # again, so the peaks need no scratch planes.
+            tyx += diff
+            peaks.update(zip(rows, tyx.max(axis=(-2, -1)).tolist()))
+            np.multiply(vx, ux, out=tyx)
+        diff -= tyx
+        np.multiply(vy, ux, out=tyx)
+        if size == 3:
+            np.multiply(vx, uy, out=planes[:, 2])
     # The forward spectrum takes the grid values' place, and the band half t
     # of its planes, followed by one kind of plane gathered per pair, takes
     # the transformed planes' place.  Dropping the last views of a buffer
     # lets it be freed first if it must grow.
-    del vals, ux, uy, vx, vy
+    del vals, u, ux, uy, vx, vy
     spec = _grid_to_band(prods, K)
-    del prods
+    del prods, planes, diff, tyx
     work = _workspace.take("ping", (n_planes + len(d), 2 * K + 1, K + 1), np.complex128)
     t, gathered = work[:n_planes], work[n_planes:]
     band_half(spec, K, out=t)
@@ -626,16 +655,16 @@ def _norm_weights(grid: GridSpec, kind: str) -> float | np.ndarray:
     raise ValueError(f"unknown norm kind {kind!r}, expected one of {NORM_KINDS}")
 
 
-def norms(stack: BandStack) -> np.ndarray:
-    """L2, H1 and H2 norms of every field of a stack, shape (..., 3).
+def norms(stack: BandStack, l2_only: bool = False) -> np.ndarray:
+    """L2, H1 and H2 norms of every field of a stack, shape (..., 3), or (...) of L2 alone.
 
     The terms of `norm`, summed over the band half in another order: a mode
-    ky > 0 counts twice, once for its conjugate ky < 0.
+    ky > 0 counts twice, once for its conjugate ky < 0, through its weights
+    (`GridSpec.band_norm_weights`).  l2_only forms column 0 alone, same bits.
     """
-    power = (np.abs(stack.coeffs) ** 2).sum(axis=-3)
-    power[..., 1:] *= 2.0
-    weights = stack.grid.band_norm_weights
-    return np.sqrt((power[..., None, :, :] * weights).sum(axis=(-2, -1)))
+    power, weights = (np.abs(stack.coeffs) ** 2).sum(axis=-3), stack.grid.band_norm_weights
+    terms = power * weights[0] if l2_only else power[..., None, :, :] * weights
+    return np.sqrt(terms.sum(axis=(-2, -1)))
 
 
 def taylor_green(grid: GridSpec) -> SpectralField:

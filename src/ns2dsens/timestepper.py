@@ -317,6 +317,9 @@ def integrate(
     series[:, 0] = norms(BandStack(grid, state))
     l2_0 = series[:, 0, 0]
     ref_l2 = np.where(l2_0 > 0, l2_0, max(l2_0.max(), 1.0))
+    # Norms <= limit pass in one comparison; NaN and +inf fail it (the cap
+    # keeps +inf failing where the limit overflows), and only then is a row blown.
+    limit = np.minimum(_BLOWUP_FACTOR * ref_l2, np.finfo(np.float64).max)
     # numpy advises arrays of 4 MiB and more into huge pages; on the malloc heap
     # that advice outlives the array, so such samples get a private, populated mapping.
     nbytes = len(times) * state.nbytes
@@ -362,8 +365,7 @@ def integrate(
         t_next = (step + 1) * dt
         step_norms = norms(BandStack(grid, state))
         l2 = step_norms[:, 0]
-        blown = ~np.isfinite(l2) | (l2 > _BLOWUP_FACTOR * ref_l2)
-        if blown.any():
+        if not (l2 <= limit).all() and (blown := ~np.isfinite(l2) | (l2 > limit)).any():
             i = int(np.argmax(blown))
             history = {"times": times[:taken], "l2": dict(zip(names, series[:, :taken, 0]))}
             raise BlowupError(names[i], t_next, float(l2[i]), history)

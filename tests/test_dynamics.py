@@ -534,3 +534,46 @@ def test_explicit_rhs_bits_match_per_row_assembly(n, forcing, nudging):
         assert len(got) == len(want)
         for name, row, expected in zip(spec.fields, got, want):
             assert np.array_equal(row.view(np.int64), expected.view(np.int64)), (spec, name)
+
+
+# Byte size of each workspace role after one warm round, in a fresh thread
+# (each thread has its own buffers, so no earlier call has grown them).
+# The kernel's grid is m = `product_n`, its band K = n // 3, and F rows make
+# P product planes for D pairs.  "ping" holds the padded half spectrum
+# F 2 m (m / 2 + 1) complex, then the planes P m m float, then the band work
+# (P + D)(2K + 1)(K + 1) complex; "pong" holds the grid values F 2 m m float,
+# then the forward spectrum P m (m / 2 + 1) complex.  Each role is its largest.
+# - NSE_SENS at n = 256: m = 256, K = 85, F = 2; pairs (u, u), (ut, u),
+#   (u, ut) make P = 2 + 3 and D = 3.  ping = max(2,113,536, 2,621,440,
+#   1,882,368) and pong = max(2,097,152, 2,641,920).
+# - DA at n = 48 (box-average nudging): m = 50, K = 16, F = 2; pairs (u, u),
+#   (v, v) make P = 2 + 2 and D = 2.  ping = max(83,200, 80,000, 53,856) and
+#   pong = max(80,000, 83,200).
+_FOOTPRINT = {
+    (SystemKind.NSE_SENS, 256): {"ping": 2_621_440, "pong": 2_641_920},
+    (SystemKind.DA, 48): {"ping": 83_200, "pong": 83_200},
+}
+
+
+@pytest.mark.parametrize("kind, n", sorted(_FOOTPRINT))
+def test_workspace_footprint_after_a_warm_round(kind, n):
+    import threading
+
+    from ns2dsens import spectral
+
+    grid = GridSpec(n)
+    spec = SystemSpec(kind)
+    p = PhysicsParams(nu1=0.01, nu2=0.01, mu=5.0, interp=BoxAverage(boxes=8),
+                      forcing=random_field(grid, seed=70))
+    state = BandStack.of([random_field(grid, seed=71 + i) for i in range(len(spec.fields))])
+    sizes = {}
+
+    def round_in_a_fresh_thread():
+        for _ in range(2):
+            spec.explicit_rhs(state, p, 0.0)
+        sizes.update({role: buf.nbytes for role, buf in spectral._workspace.buffers.items()})
+
+    worker = threading.Thread(target=round_in_a_fresh_thread)
+    worker.start()
+    worker.join()
+    assert sizes == _FOOTPRINT[kind, n]

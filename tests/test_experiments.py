@@ -556,6 +556,28 @@ class TestReportPath:
         assert reports[0].data["decay_factor"] != reports[1].data["decay_factor"]
         assert reports[0].config_digest != reports[1].config_digest
 
+    def test_callable_forcing_is_hashed_raw(self, monkeypatch):
+        # The callable's own field at t = k dt / 2, k = 0..2N, enters the
+        # digest; no band limit or projection is formed for it.
+        from ns2dsens import dynamics
+
+        times = []
+
+        def forcing(t):
+            times.append(t)
+            return self.F * (1.0 + t)
+
+        def refused(*args):
+            raise AssertionError("the digest projects nothing")
+
+        monkeypatch.setattr(dynamics, "leray_project", refused)
+        monkeypatch.setattr(SpectralField, "band_limited", refused)
+        p = PhysicsParams(NU, NU, forcing=forcing)
+        digest = experiments._digest(run_da_sync, {"p": p, "cfg": self.CFG})
+        half = 0.5 * self.CFG.dt
+        assert times == [k * half for k in range(2 * self.CFG.n_steps + 1)]
+        assert experiments._digest(run_da_sync, {"p": p, "cfg": self.CFG}) == digest
+
     def test_a_run_leaves_the_params_digest_unchanged(self):
         # A run forms the constant forcing's band half on p; the digest
         # reads p's inputs only.

@@ -1,13 +1,21 @@
 """Strict config loading: defaults, validation, and admissibility gating."""
 
+import functools
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
 from ns2dsens.diagnostics import grashof
 from ns2dsens.dynamics import SystemKind
 from ns2dsens.interpolants import BoxAverage, SpectralProjection
 from ns2dsens.runconfig import ConfigError, load_config, load_config_data
 from ns2dsens.spectral import norm
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def _minimal(**overrides):
@@ -236,3 +244,95 @@ class TestYamlFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.yaml")
+
+
+@functools.lru_cache(maxsize=1)
+def _loadable_configs():
+    """The YAML of every loadable config of this file and of the sync benchmark's."""
+    da = _minimal(system={"kind": "da"})
+    da["physics"].update(mu=1.0, interpolant={"kind": "spectral_projection", "modes": 4})
+    inadmissible = _minimal(system={"kind": "da"})
+    inadmissible["physics"].update(mu=50.0, allow_inadmissible=True,
+                                   interpolant={"kind": "spectral_projection", "modes": 4})
+    box = _minimal()
+    box["physics"].update(mu=0.5, interpolant={"kind": "box_average", "boxes": 4})
+    grashof_forced, random_forced = _minimal(), _minimal()
+    grashof_forced["physics"]["forcing"] = {"kind": "grashof", "grashof": 250.0}
+    random_forced["physics"]["forcing"] = {"kind": "random_solenoidal", "l2_norm": 2.0}
+    scientific = _minimal()
+    scientific["solver"]["dt"] = "1e-3"
+    texts = [yaml.safe_dump(data) for data in [
+        _minimal(), scientific, da, inadmissible, box, grashof_forced, random_forced,
+        _minimal(experiment={"deltas": [5e-3, 2.5e-3], "norm": "l2_v",
+                             "ratio_window": [0.4, 0.6], "with_control": True}),
+        _minimal(initial={"kind": "random_solenoidal"}, seed=5),
+        _minimal(initial={"kind": "random_solenoidal", "seed": 11}),
+        _minimal(assimilated_initial={}),
+    ]]
+    texts.append("grid:\n  n: 16\nphysics:\n  nu1: 0.01\n"
+                  "solver:\n  dt: 1.0e-3\n  t_end: 0.1\n  sample_every: 10\nseed: 3\n")
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses resolve their module here
+    spec.loader.exec_module(workloads)
+    texts.append(workloads._SYNC_YAML.format(n=48, nu=0.01, grashof=1e3, dt=1e-3, t_end=0.3,
+                                             threshold=0.25, seed=901))
+    return tuple(texts)
+
+
+def _recorded(base, used):
+    """A subclass of base that appends base's name to used on construction."""
+
+    class Recorded(base):
+        def __init__(self, *args, **kwargs):
+            used.append(base.__name__)
+            super().__init__(*args, **kwargs)
+
+    return Recorded
+
+
+def _config_bits(cfg):
+    """Everything a RunConfig holds, fields as their coefficient bytes."""
+    fields = (cfg.physics.forcing, cfg.initial, cfg.assimilated_initial)
+    physics = (cfg.physics.nu1, cfg.physics.nu2, cfg.physics.mu, cfg.physics.interp)
+    return (cfg.grid, physics, cfg.solver, cfg.system_kind, cfg.linear_only, cfg.experiment,
+            cfg.seed, cfg.output_dir, cfg.allow_inadmissible, cfg.effective,
+            [None if f is None else f.coeffs.tobytes() for f in fields])
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+class TestLibyaml:
+    @pytest.mark.parametrize("i", range(len(_loadable_configs())))
+    def test_c_and_python_classes_agree(self, tmp_path, monkeypatch, i):
+        # libyaml's safe loader and dumper give the RunConfig and echo bytes
+        # of PyYAML's pure-Python ones; without libyaml the code uses those.
+        path = tmp_path / "run.yaml"
+        path.write_text(_loadable_configs()[i], encoding="utf-8")
+        used = []
+        for name in ("CSafeLoader", "CSafeDumper"):
+            monkeypatch.setattr(yaml, name, _recorded(getattr(yaml, name), used))
+        with_c = load_config(path)
+        echo = with_c.echo()
+        assert used == ["CSafeLoader", "CSafeDumper"]
+        assert echo == yaml.safe_dump(with_c.effective, sort_keys=True)
+        monkeypatch.delattr(yaml, "CSafeLoader")
+        monkeypatch.delattr(yaml, "CSafeDumper")
+        without = load_config(path)
+        assert _config_bits(without) == _config_bits(with_c)
+        assert without.echo() == echo
+
+    def test_sync_echo_bytes_without_libyaml(self, tmp_path, monkeypatch):
+        from ns2dsens import cli
+
+        path = tmp_path / "sync.yaml"
+        path.write_text(_loadable_configs()[-1], encoding="utf-8")
+        echoes = []
+        for strip in (False, True):
+            if strip:
+                monkeypatch.delattr(yaml, "CSafeLoader")
+                monkeypatch.delattr(yaml, "CSafeDumper")
+            out = tmp_path / f"out{int(strip)}"
+            assert cli.main(["sync", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+            echoes.append((out / "config_echo.yaml").read_bytes())
+        want = yaml.safe_dump(load_config(path).effective, sort_keys=True).encode()
+        assert echoes == [want, want]

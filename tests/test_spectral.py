@@ -253,6 +253,54 @@ class TestNorms:
             want = [norm(f, kind) for kind in ("l2", "h1", "h2")]
             assert row == pytest.approx(want, rel=1e-14, abs=0.0)
 
+    @staticmethod
+    def signed_zero_stack(n, lead):
+        """Random band halves over 200 decades, with +0.0 and -0.0 parts and zero rows."""
+        g = GridSpec(n)
+        rng = np.random.default_rng(n + len(lead))
+        shape = lead + (2, 2 * g.cutoff + 1, g.cutoff + 1)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        c *= 10.0 ** rng.uniform(-100, 100, shape)
+        for part in (c.real, c.imag):
+            part[rng.random(shape) < 0.1] = 0.0
+            part[rng.random(shape) < 0.1] = -0.0
+        if lead:
+            c[3] = 0.0
+            c[5] = -0.0
+        else:
+            c[1] = -0.0
+        return BandStack(g, c)
+
+    @staticmethod
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.int64).tolist()
+
+    @pytest.mark.parametrize("n", [24, 30, 48, 256])
+    @pytest.mark.parametrize("lead", [(), (16,)])
+    def test_folded_weights_give_the_bits_of_doubling_first(self, n, lead):
+        # The x2 of a ky > 0 mode moved from the power into the weights is a
+        # multiplication by a power of two, so exact: the bits of the
+        # formula that doubles the power first, signed zeros and all.
+        stack = self.signed_zero_stack(n, lead)
+        power = (np.abs(stack.coeffs) ** 2).sum(axis=-3)
+        power[..., 1:] *= 2.0
+        lam = stack.grid.band_tables[2]
+        weights = np.stack([np.ones_like(lam), lam, lam**2])
+        want = np.sqrt((power[..., None, :, :] * weights).sum(axis=(-2, -1)))
+        got = norms(stack)
+        assert got.shape == lead + (3,)
+        assert self.bits(got) == self.bits(want)
+
+    @pytest.mark.parametrize("n", [24, 30, 48, 256])
+    @pytest.mark.parametrize("lead", [(), (16,)])
+    def test_l2_only_gives_the_bits_of_column_0(self, n, lead):
+        stack = self.signed_zero_stack(n, lead)
+        got = norms(stack, l2_only=True)
+        assert got.shape == lead
+        assert self.bits(got) == self.bits(norms(stack)[..., 0])
+        if lead:
+            assert got[3] == got[5] == 0.0
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="norm kind"):
             norm(random_field(GridSpec(8), seed=0), "h3")

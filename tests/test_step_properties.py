@@ -114,6 +114,11 @@ def written_out_products(stack, pairs):
     [(0, 1), (1, 0)],
     [(1, 0), (0, 0), (2, 2), (0, 1)],
     [(2, 1), (1, 1), (1, 2), (2, 1), (0, 0), (1, 2), (0, 0)],
+    # Operand rows read as views or gathered: self rows (1, 0) gathered with
+    # cross rows u = 0..1, v = 1..2 as views; self rows 0..1 as a view with
+    # cross rows u = (2, 1), v = (0, 2) gathered.
+    [(0, 1), (1, 1), (0, 0), (1, 2)],
+    [(2, 0), (0, 0), (1, 2), (1, 1)],
 ])
 def test_mirror_and_repeated_pairs_match_pairs_formed_alone(n, pairs):
     # A mirror (b, a) or a repeat of a pair reads the planes the kernel
