@@ -225,7 +225,7 @@ class RoundWiring(NamedTuple):
     assimilated row's self-product (a, a) included.  rows gives per row
     whether it starts from the forcing, how many of the products are its
     own, and its Stokes source row or None.  nudged and targets pair each
-    nudged row with its target, as slices where consecutive (`row_index`).
+    nudged row with its target, as slices where evenly spaced (`row_index`).
     advecting lists the rows whose speeds drive the CFL estimate, none when
     linear_only.
     """

@@ -54,6 +54,7 @@ from .spectral import (
     BandStack,
     GridSpec,
     SpectralField,
+    band_half,
     norm,
     norms,
     random_field,
@@ -267,9 +268,10 @@ _DATACLASS_INPUTS = (GridSpec, SolverConfig, SpectralProjection, BoxAverage, Sys
 def _encode(obj, h, times: list[float] | None) -> None:
     """Feed obj into hash h by content: fields by their coefficient bytes.
 
-    A callable forcing enters through its own field at each of `times`,
-    before the band limit and projection a run applies; an unknown type
-    raises TypeError.
+    A callable forcing enters through the band half of its own field at each
+    of `times`, unprojected: a run reads the band half of the projected
+    band-limited field, and the projection acts mode by mode, so the rest
+    cannot change a result.  An unknown type raises TypeError.
     """
     if isinstance(obj, SystemKind):
         h.update(f"{type(obj).__name__}.{obj.name};".encode())
@@ -297,7 +299,9 @@ def _encode(obj, h, times: list[float] | None) -> None:
             raise TypeError("a callable forcing is hashed at a run's times: no SolverConfig given")
         else:
             for t in times:
-                _encode(obj.forcing(t), h, times)
+                f = obj.forcing(t)
+                h.update(f"band:{f.grid.n};".encode())
+                h.update(band_half(f.coeffs, f.grid.cutoff))
     elif isinstance(obj, _DATACLASS_INPUTS):
         h.update(f"{type(obj).__name__};".encode())
         for f in dataclasses.fields(obj):

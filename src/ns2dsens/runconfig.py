@@ -35,8 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import yaml
-
 from .dynamics import PhysicsParams, SystemKind
 from .experiments import TRAJECTORY_NORMS, DQSweepSpec, check_switch, forcing_for_grashof
 from .interpolants import (
@@ -248,6 +246,8 @@ class RunConfig:
 
     def echo(self) -> str:
         """`effective` as YAML, dumped by libyaml's safe dumper where PyYAML has it."""
+        import yaml  # here and in load_config only, so importing the package skips PyYAML
+
         dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
         return yaml.dump(self.effective, Dumper=dumper, sort_keys=True)
 
@@ -419,6 +419,8 @@ def sweep_spec(cfg: RunConfig) -> DQSweepSpec:
 
 def load_config(path, seed_override: int | None = None) -> RunConfig:
     """Parse (with libyaml's safe loader where PyYAML has it) and validate a YAML file."""
+    import yaml
+
     try:
         with open(path, encoding="utf-8") as handle:
             data = yaml.load(handle, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))

@@ -266,10 +266,11 @@ class SpectralField:
 
 
 def row_index(rows: Sequence[int]) -> slice | list[int]:
-    """rows as a slice when they ascend by one, so that indexing views, else as a list."""
+    """rows as a slice when they ascend in equal steps, so that indexing views, else as a list."""
     rows = list(rows)
-    if rows and rows == list(range(rows[0], rows[-1] + 1)):
-        return slice(rows[0], rows[-1] + 1)
+    step = rows[1] - rows[0] if len(rows) > 1 else 1
+    if rows and step > 0 and rows == list(range(rows[0], rows[-1] + 1, step)):
+        return slice(rows[0], rows[-1] + 1, step)
     return rows
 
 
@@ -529,7 +530,7 @@ def bilinear(u, v):
     half of the forward spectrum and the planes gathered per pair then take
     the transformed planes' place.  Beyond numpy's cast buffers, a warm call
     allocates only its result, which is fresh and never changes after it is
-    returned, and a block's operand rows where they are not consecutive
+    returned, and a block's operand rows where they are not evenly spaced
     (`row_index`), which it gathers.
 
     Returns:

@@ -69,6 +69,10 @@ def read_snapshot(path, grid: GridSpec | None = None) -> tuple[SpectralField, fl
         raise SnapshotFormatError(
             f"unsupported snapshot version {version}, expected {SNAPSHOT_VERSION}"
         )
+    try:
+        file_grid = GridSpec(n)
+    except ValueError as exc:
+        raise SnapshotFormatError(f"impossible grid size N = {n}: {exc}") from exc
     if grid is not None and grid.n != n:
         raise SnapshotFormatError(
             f"dimension mismatch: snapshot has N = {n}, expected N = {grid.n}"
@@ -80,7 +84,7 @@ def read_snapshot(path, grid: GridSpec | None = None) -> tuple[SpectralField, fl
         )
     coeffs = np.frombuffer(payload, dtype="<c16", offset=_HEADER.size)
     coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(2, n, n)
-    return SpectralField(grid if grid is not None else GridSpec(n), coeffs), t
+    return SpectralField(grid if grid is not None else file_grid, coeffs), t
 
 
 def emit_diagnostics_csv(traj, path) -> None:

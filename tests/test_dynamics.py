@@ -19,6 +19,7 @@ from ns2dsens.spectral import (
     BandStack,
     GridSpec,
     SpectralField,
+    _plane_blocks,
     _plane_plan,
     band_half,
     bilinear,
@@ -473,6 +474,19 @@ def test_system_wiring_pinned(kind):
         for name in checked
         for check in ("h1_sup", "l2_sup", "dissipation_integral")
     }
+
+
+def test_da_sens_round_views_its_operand_rows():
+    # u, ut, v, vt are rows 0..3: the self-products read u and v as rows
+    # 0::2, the cross products ut and vt as rows 1::2 against them, and the
+    # nudging reads v, vt against u, ut.  All are slices, so no round
+    # gathers an operand row.
+    wiring = DA_SENS.wiring
+    blocks = _plane_blocks(_plane_plan(wiring.pairs)[0])
+    assert [(a, b) for a, b, _, _ in blocks] == [
+        (slice(0, 3, 2), slice(0, 3, 2)), (slice(1, 4, 2), slice(0, 3, 2)),
+    ]
+    assert (wiring.nudged, wiring.targets) == (slice(2, 4, 1), slice(0, 2, 1))
 
 
 def assembled_rows(spec, state, p, t):

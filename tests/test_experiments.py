@@ -32,6 +32,7 @@ from ns2dsens.spectral import (
     BandStack,
     GridSpec,
     SpectralField,
+    band_half,
     norm,
     norms,
     random_field,
@@ -557,11 +558,12 @@ class TestReportPath:
         assert reports[0].config_digest != reports[1].config_digest
 
     def test_callable_forcing_is_hashed_raw(self, monkeypatch):
-        # The callable's own field at t = k dt / 2, k = 0..2N, enters the
-        # digest; no band limit or projection is formed for it.
+        # The band half of the callable's own field at t = k dt / 2,
+        # k = 0..2N, enters the digest; no band limit or projection is
+        # formed for it.
         from ns2dsens import dynamics
 
-        times = []
+        times, halves = [], []
 
         def forcing(t):
             times.append(t)
@@ -570,13 +572,43 @@ class TestReportPath:
         def refused(*args):
             raise AssertionError("the digest projects nothing")
 
+        def recorded(c, K):
+            halves.append(K)
+            return band_half(c, K)
+
         monkeypatch.setattr(dynamics, "leray_project", refused)
         monkeypatch.setattr(SpectralField, "band_limited", refused)
+        monkeypatch.setattr(experiments, "band_half", recorded)
         p = PhysicsParams(NU, NU, forcing=forcing)
         digest = experiments._digest(run_da_sync, {"p": p, "cfg": self.CFG})
         half = 0.5 * self.CFG.dt
         assert times == [k * half for k in range(2 * self.CFG.n_steps + 1)]
+        assert halves == [GRID.cutoff] * len(times)
         assert experiments._digest(run_da_sync, {"p": p, "cfg": self.CFG}) == digest
+
+    def test_callable_forcing_is_hashed_inside_the_band(self):
+        # Two callables equal inside the band and apart outside it drive the
+        # same run and get one digest; one band coefficient moved gets
+        # another.
+        K = GRID.cutoff
+        outside, inside = np.zeros((2, 2, GRID.n, GRID.n), dtype=np.complex128)
+        outside[0, K + 1, 0] = outside[0, -K - 1, 0] = 0.3
+        outside[1, 2, -K - 1] = outside[1, -2, K + 1] = 0.2
+        inside[0, 1, 2], inside[0, -1, -2] = 1e-3j, -1e-3j
+        reports = [
+            run_da_sync(PhysicsParams(NU, NU, mu=5.0, forcing=forcing, interp=self.INTERP),
+                        self.CFG, self.U0, self.V0)
+            for forcing in (
+                lambda t: self.F * (1.0 + t),
+                lambda t: self.F * (1.0 + t) + SpectralField(GRID, outside),
+                lambda t: self.F * (1.0 + t) + SpectralField(GRID, inside),
+            )
+        ]
+        assert not GRID.band_mask[K + 1, 0] and not GRID.band_mask[2, -K - 1]
+        runs = [{k: v for k, v in r.to_dict().items() if k != "runtime_seconds"}
+                for r in reports]
+        assert json.dumps(runs[0]) == json.dumps(runs[1])
+        assert reports[2].config_digest != reports[0].config_digest
 
     def test_a_run_leaves_the_params_digest_unchanged(self):
         # A run forms the constant forcing's band half on p; the digest

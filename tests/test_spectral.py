@@ -19,6 +19,7 @@ from ns2dsens.spectral import (
     norms,
     project_coeffs,
     random_field,
+    row_index,
     stokes_apply,
     taylor_green,
 )
@@ -486,6 +487,26 @@ class TestBilinear:
         rhs = -inner(bilinear(u, w), v)
         scale = max(abs(lhs), abs(rhs), 1e-30)
         assert abs(lhs - rhs) < 1e-11 * scale
+
+
+class TestRowIndex:
+    @pytest.mark.parametrize("rows, want", [
+        ([3], slice(3, 4, 1)),
+        ([0, 1, 2], slice(0, 3, 1)),
+        ([0, 2], slice(0, 3, 2)),
+        ([1, 4, 7], slice(1, 8, 3)),
+        ([], []),
+        ([0, 1, 3, 4], [0, 1, 3, 4]),
+        ([0, 2, 3], [0, 2, 3]),
+        ([1, 1], [1, 1]),
+        ([2, 0], [2, 0]),
+    ])
+    def test_evenly_spaced_ascending_rows_index_as_a_view(self, rows, want):
+        got = row_index(iter(rows))
+        assert got == want
+        a = np.arange(20.0).reshape(10, 2)
+        assert np.array_equal(a[got], a[rows])
+        assert np.shares_memory(a[got], a) == isinstance(want, slice)
 
 
 class TestRandomField:

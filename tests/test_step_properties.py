@@ -119,17 +119,23 @@ def written_out_products(stack, pairs):
     # cross rows u = (2, 1), v = (0, 2) gathered.
     [(0, 1), (1, 1), (0, 0), (1, 2)],
     [(2, 0), (0, 0), (1, 2), (1, 1)],
+    # Evenly spaced rows read as strided views: self rows 0 and 2 with cross
+    # rows u = (0, 2), v = (1, 3), as in a da_sens round; self rows 1 and 4
+    # and cross rows u = (0, 2, 4) as views, with v = (3, 3, 0) gathered.
+    [(0, 1), (0, 0), (2, 3), (2, 2), (3, 2)],
+    [(1, 1), (0, 3), (4, 4), (2, 3), (4, 0)],
 ])
 def test_mirror_and_repeated_pairs_match_pairs_formed_alone(n, pairs):
     # A mirror (b, a) or a repeat of a pair reads the planes the kernel
-    # formed for the first of them.  Each product must be the bytes of its
+    # formed for the first of them.  Each product must be the bits of its
     # pair formed alone and of the same arithmetic written out with no
     # reuse, and each self-product's peak that of its own call.
-    stack = sens_stack(n, n, rows=3)
+    stack = sens_stack(n, n, rows=max(3, 1 + max(map(max, pairs))))
     out = bilinear(stack, pairs)
-    assert out.coeffs.tobytes() == written_out_products(stack, pairs).tobytes()
-    for got, pair in zip(out.coeffs, pairs, strict=True):
-        assert got.tobytes() == bilinear(stack, [pair]).coeffs[0].tobytes()
+    bits = out.coeffs.view(np.int64)
+    assert np.array_equal(bits, written_out_products(stack, pairs).view(np.int64))
+    for got, pair in zip(bits, pairs, strict=True):
+        assert np.array_equal(got, bilinear(stack, [pair]).coeffs[0].view(np.int64))
     alone = {a: bilinear(stack, [(a, a)]).peak_sq_speed[a] for a, b in pairs if a == b}
     assert out.peak_sq_speed == alone
 

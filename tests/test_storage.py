@@ -1,6 +1,8 @@
 """Snapshot round-trip, corruption detection, and CSV determinism tests."""
 
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -91,6 +93,16 @@ class TestSnapshotErrors:
         path = self._write(tmp_path)
         with pytest.raises(SnapshotFormatError, match=r"N = 8.*N = 16"):
             read_snapshot(path, grid=GridSpec(16))
+
+    @pytest.mark.parametrize("n", [0, 6, 7])
+    def test_impossible_grid_size_is_a_format_error(self, tmp_path, n):
+        # CRC-valid files whose payload length matches N: only N itself is bad.
+        payload = struct.pack("<IId", 1, n, 0.0) + bytes(2 * n * n * 16)
+        crc = struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+        path = tmp_path / "s.bin"
+        path.write_bytes(SNAPSHOT_MAGIC + payload + crc)
+        with pytest.raises(SnapshotFormatError, match=rf"N = {n}\b"):
+            read_snapshot(path)
 
 
 def _small_run():
