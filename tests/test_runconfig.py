@@ -1,7 +1,10 @@
 """Strict config loading: defaults, validation, and admissibility gating."""
 
 import functools
+import hashlib
 import importlib.util
+import json
+import platform
 import sys
 from pathlib import Path
 
@@ -336,3 +339,61 @@ class TestLibyaml:
             echoes.append((out / "config_echo.yaml").read_bytes())
         want = yaml.safe_dump(load_config(path).effective, sort_keys=True).encode()
         assert echoes == [want, want]
+
+
+PINS = Path(__file__).with_name("config_pins.json")
+
+
+def _pin(cfg) -> dict:
+    """sha256 of cfg's echo bytes, of its other values and of its field coefficient bytes."""
+    values = (cfg.grid, cfg.physics.nu1, cfg.physics.nu2, cfg.physics.mu, cfg.physics.interp,
+              cfg.solver, cfg.system_kind, cfg.linear_only, sorted(cfg.experiment.items()),
+              cfg.seed, cfg.output_dir, cfg.allow_inadmissible)
+    fields = hashlib.sha256()
+    for f in (cfg.physics.forcing, cfg.initial, cfg.assimilated_initial):
+        fields.update(b"none" if f is None else f.coeffs.tobytes())
+    return {"echo": hashlib.sha256(cfg.echo().encode()).hexdigest(),
+            "values": hashlib.sha256(repr(values).encode()).hexdigest(),
+            "fields": fields.hexdigest()}
+
+
+def _pinned_cases():
+    return [(i, seed) for i in range(len(_loadable_configs())) for seed in (None, 7)]
+
+
+def _load_case(tmp_dir, i, seed):
+    path = Path(tmp_dir) / "run.yaml"
+    path.write_text(_loadable_configs()[i], encoding="utf-8")
+    return load_config(path, seed_override=seed)
+
+
+class TestPinnedConfigs:
+    """Every loadable config, as loaded and with seed_override=7, against committed sha256s.
+
+    Echo bytes and values are platform-independent.  Field coefficients come
+    from numpy's generator and FFT, so their bytes are compared only under the
+    numpy version and machine the pins were made with.  After a deliberate
+    change, regenerate the pins with `PYTHONPATH=src python tests/test_runconfig.py`.
+    """
+
+    @pytest.mark.parametrize("i, seed", _pinned_cases())
+    def test_echo_values_and_fields_match_pins(self, tmp_path, i, seed):
+        pins = json.loads(PINS.read_text(encoding="utf-8"))
+        want = pins["configs"][f"{i} seed={seed}"]
+        got = _pin(_load_case(tmp_path, i, seed))
+        assert got["echo"] == want["echo"]
+        assert got["values"] == want["values"]
+        if (np.__version__, platform.machine()) != (pins["numpy"], pins["machine"]):
+            pytest.skip(f"field bytes pinned under numpy {pins['numpy']} on {pins['machine']}")
+        assert got["fields"] == want["fields"]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        configs = {f"{i} seed={seed}": _pin(_load_case(tmp, i, seed))
+                   for i, seed in _pinned_cases()}
+    PINS.write_text(json.dumps({"numpy": np.__version__, "machine": platform.machine(),
+                                "configs": configs}, indent=1, sort_keys=True) + "\n",
+                    encoding="utf-8")
