@@ -1,34 +1,51 @@
 """Strict YAML run configuration.
 
-A config file holds nested blocks mirroring the in-memory types:
+A config file holds nested blocks mirroring the in-memory types.  Each block
+is parsed by one key table, which gives every key its converter and its
+default ("required" where there is none):
 
-    grid:            n
-    physics:         nu1, nu2 (default nu1), mu, interpolant, forcing,
-                     allow_inadmissible
-    solver:          dt, t_end, sample_every
-    system:          kind, linear_only
-    initial:         kind (taylor_green | random_solenoidal | zero),
-                     seed, kmin, kmax, l2_norm
-    assimilated_initial:  same keys; omitted means a zero start
-    experiment:      levels or deltas (not both), norm, ratio_window,
-                     decay_threshold, with_control, control_floor, t_switch,
-                     nu_new, trials, ensemble
-    seed:            base integer seed
-    output_dir:      artifact directory
+    block                key                 default
+    grid                 n                   required
+    physics              nu1                 required
+                         nu2                 nu1
+                         mu                  0.0
+                         interpolant         absent: no nudging
+                         forcing             kind none
+                         allow_inadmissible  false
+    solver               dt, t_end           required
+                         sample_every        1
+    system               kind                absent: the command's system
+                         linear_only         false
+    initial              kind                taylor_green
+    assimilated_initial  kind                zero; omitting the block means a zero start
+    experiment           levels or deltas (not both), norm, ratio_window,
+                         decay_threshold, with_control, control_floor,
+                         t_switch, nu_new, trials, ensemble: each absent unless
+                         set, and the command's default applies
+    seed                                     0
+    output_dir                               out
 
-    physics.interpolant:  kind (spectral_projection | box_average),
-                          modes or boxes
-    physics.forcing:      kind (none | random_solenoidal | grashof),
-                          seed, kmin, kmax, l2_norm, grashof
+The `kind` of an initial field, forcing or interpolant picks the keys it reads:
 
-Parsing is strict: unknown keys anywhere are fatal, so a misspelled physics
-parameter cannot be silently ignored.  Every invariant of the mirrored types
-is re-validated on load, the quotient sweep (`sweep_spec`) and a viscosity
-switch (`check_switch`) included, and a nudged run whose gain violates the
+    block                kind                 keys and defaults
+    initial and          taylor_green, zero   none
+    assimilated_initial  random_solenoidal    seed, kmin 1, kmax 6, l2_norm 1.0
+    physics.forcing      none                 none
+                         random_solenoidal    seed, kmin 2, kmax 6, l2_norm 1.0
+                         grashof              seed, kmin 2, kmax 6, grashof required
+    physics.interpolant  spectral_projection  modes required
+                         box_average          boxes required, dividing grid n
+
+Parsing is strict: unknown keys anywhere are fatal, a key that the chosen
+kind does not read included, so a misspelled physics parameter cannot be
+silently ignored.  Every invariant of the mirrored types is re-validated on
+load, the quotient sweep (`sweep_spec`) and a viscosity switch
+(`check_switch`) included, and a nudged run whose gain violates the
 admissibility condition mu * c0 * h^2 <= nu is rejected unless
 physics.allow_inadmissible is set.  Unpinned seeds derive from the top-level
 seed: forcing uses it directly, the initial field uses seed + 1, and the
 assimilated initial uses seed + 2, so one integer reproduces a whole run.
+The parsed blocks, defaults filled, are the echo (`RunConfig.effective`).
 """
 
 from __future__ import annotations
@@ -37,12 +54,7 @@ from dataclasses import dataclass
 
 from .dynamics import PhysicsParams, SystemKind
 from .experiments import TRAJECTORY_NORMS, DQSweepSpec, check_switch, forcing_for_grashof
-from .interpolants import (
-    BoxAverage,
-    InterpolantSpec,
-    SpectralProjection,
-    admissibility,
-)
+from .interpolants import BoxAverage, SpectralProjection, admissibility
 from .spectral import GridSpec, SpectralField, random_field, taylor_green
 from .timestepper import SolverConfig
 
@@ -51,44 +63,12 @@ class ConfigError(ValueError):
     """A configuration file failed parsing or validation."""
 
 
-_TOP_KEYS = {
-    "grid", "physics", "solver", "system", "initial",
-    "assimilated_initial", "experiment", "seed", "output_dir",
-}
-_PHYSICS_KEYS = {"nu1", "nu2", "mu", "interpolant", "forcing", "allow_inadmissible"}
-_SOLVER_KEYS = {"dt", "t_end", "sample_every"}
-_SYSTEM_KEYS = {"kind", "linear_only"}
-_FIELD_KEYS = {"kind", "seed", "kmin", "kmax", "l2_norm"}
-_FORCING_KEYS = {"kind", "seed", "kmin", "kmax", "l2_norm", "grashof"}
-_INTERP_KEYS = {"kind", "modes", "boxes"}
-_EXPERIMENT_KEYS = {
-    "levels", "deltas", "norm", "ratio_window", "decay_threshold",
-    "with_control", "control_floor", "t_switch", "nu_new", "trials", "ensemble",
-}
-
-_FIELD_KINDS = ("taylor_green", "random_solenoidal", "zero")
-_FORCING_KINDS = ("none", "random_solenoidal", "grashof")
+_REQUIRED = object()  # default of a key that must be given
+_UNSET = object()  # default of a key left out of the parsed block when absent
 
 
-def _mapping(raw, where: str, allowed: set) -> dict:
-    """raw itself when it is a mapping with no key outside allowed."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where} must be a mapping")
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(
-            f"unknown key '{sorted(unknown)[0]}' in {where}; allowed keys: {sorted(allowed)}"
-        )
-    return raw
-
-
-def _block(data: dict, name: str, allowed: set, required: bool = False) -> dict:
-    raw = data.get(name)
-    if raw is None:
-        if required:
-            raise ConfigError(f"missing required block '{name}'")
-        return {}
-    return _mapping(raw, f"block '{name}'", allowed)
+def _as_is(value, where: str):
+    return value
 
 
 def _as_float(value, where: str) -> float:
@@ -110,121 +90,172 @@ def _as_int(value, where: str) -> int:
     return value
 
 
+def _as_count(value, where: str) -> int:
+    value = _as_int(value, where)
+    if value < 1:
+        raise ConfigError(f"{where} must be at least 1, got {value}")
+    return value
+
+
 def _as_bool(value, where: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{where}: expected true or false, got {value!r}")
     return value
 
 
-def _build_interpolant(raw, grid: GridSpec) -> InterpolantSpec | None:
-    if raw is None:
-        return None
-    _mapping(raw, "physics.interpolant", _INTERP_KEYS)
-    kind = raw.get("kind")
-    if kind == "spectral_projection":
-        if "modes" not in raw:
-            raise ConfigError("spectral_projection interpolant needs 'modes'")
-        return SpectralProjection(modes=_as_int(raw["modes"], "interpolant.modes"))
-    if kind == "box_average":
-        if "boxes" not in raw:
-            raise ConfigError("box_average interpolant needs 'boxes'")
-        boxes = _as_int(raw["boxes"], "interpolant.boxes")
-        if grid.n % boxes != 0:
-            raise ConfigError(
-                f"box_average boxes = {boxes} does not divide grid n = {grid.n}"
-            )
-        return BoxAverage(boxes=boxes)
-    raise ConfigError(
-        f"interpolant kind must be 'spectral_projection' or 'box_average', "
-        f"got {kind!r}"
-    )
+def _as_path(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string path")
+    return value
 
 
-def _build_forcing(raw, grid: GridSpec, nu1: float, default_seed: int):
-    if raw is None:
-        return None, {"kind": "none"}
-    _mapping(raw, "physics.forcing", _FORCING_KEYS)
-    kind = raw.get("kind", "none")
-    if kind not in _FORCING_KINDS:
-        raise ConfigError(f"forcing kind must be one of {_FORCING_KINDS}, got {kind!r}")
-    if kind == "none":
-        return None, {"kind": "none"}
-    seed = _as_int(raw.get("seed", default_seed), "forcing.seed")
-    kmin = _as_int(raw.get("kmin", 2), "forcing.kmin")
-    kmax = _as_int(raw.get("kmax", 6), "forcing.kmax")
-    echo = {"kind": kind, "seed": seed, "kmin": kmin, "kmax": kmax}
-    if kind == "grashof":
-        if "grashof" not in raw:
-            raise ConfigError("grashof forcing needs a 'grashof' target value")
-        target = _as_float(raw["grashof"], "forcing.grashof")
-        echo["grashof"] = target
-        field = forcing_for_grashof(grid, nu1, target, seed=seed, kmin=kmin, kmax=kmax)
-    else:
-        l2 = _as_float(raw.get("l2_norm", 1.0), "forcing.l2_norm")
-        echo["l2_norm"] = l2
-        field = random_field(grid, seed=seed, kmin=kmin, kmax=kmax, l2_norm=l2)
-    return field, echo
+def _one_of(choices: tuple):
+    def convert(value, where: str):
+        if value not in choices:
+            raise ConfigError(f"{where} must be one of {choices}, got {value!r}")
+        return value
+
+    return convert
 
 
-def _build_field(raw, grid: GridSpec, default_seed: int, block: str,
-                 default_kind: str = "taylor_green"):
-    raw = {} if raw is None else _mapping(raw, f"block '{block}'", _FIELD_KEYS)
-    kind = raw.get("kind", default_kind)
-    if kind not in _FIELD_KINDS:
-        raise ConfigError(
-            f"{block}.kind must be one of {_FIELD_KINDS}, got {kind!r}"
-        )
-    if kind == "taylor_green":
-        return taylor_green(grid), {"kind": kind}
-    if kind == "zero":
-        return SpectralField.zero(grid), {"kind": kind}
-    seed = _as_int(raw.get("seed", default_seed), f"{block}.seed")
-    kmin = _as_int(raw.get("kmin", 1), f"{block}.kmin")
-    kmax = _as_int(raw.get("kmax", 6), f"{block}.kmax")
-    l2 = _as_float(raw.get("l2_norm", 1.0), f"{block}.l2_norm")
-    field = random_field(grid, seed=seed, kmin=kmin, kmax=kmax, l2_norm=l2)
-    return field, {"kind": kind, "seed": seed, "kmin": kmin, "kmax": kmax,
-                   "l2_norm": l2}
+def _as_deltas(value, where: str) -> tuple:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{where} must be a non-empty list")
+    return tuple(_as_float(d, where) for d in value)
 
 
-def _build_experiment(raw: dict) -> dict:
-    out: dict = {}
-    if {"levels", "deltas"} <= raw.keys():
-        raise ConfigError("experiment takes levels or deltas, not both")
-    if "levels" in raw:
-        out["levels"] = _as_int(raw["levels"], "experiment.levels")
-    if "deltas" in raw:
-        deltas = raw["deltas"]
-        if not isinstance(deltas, (list, tuple)) or not deltas:
-            raise ConfigError("experiment.deltas must be a non-empty list")
-        out["deltas"] = tuple(
-            _as_float(d, "experiment.deltas") for d in deltas
-        )
-    if "norm" in raw:
-        if raw["norm"] not in TRAJECTORY_NORMS:
-            raise ConfigError(
-                f"experiment.norm must be one of {TRAJECTORY_NORMS}, "
-                f"got {raw['norm']!r}"
-            )
-        out["norm"] = raw["norm"]
-    if "ratio_window" in raw:
-        win = raw["ratio_window"]
-        if not isinstance(win, (list, tuple)) or len(win) != 2:
-            raise ConfigError("experiment.ratio_window must be a two-number list")
-        lo = _as_float(win[0], "experiment.ratio_window")
-        hi = _as_float(win[1], "experiment.ratio_window")
-        if not 0 < lo < hi:
-            raise ConfigError("experiment.ratio_window must be increasing positives")
-        out["ratio_window"] = (lo, hi)
-    for key in ("decay_threshold", "control_floor", "t_switch", "nu_new"):
+def _as_window(value, where: str) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{where} must be a two-number list")
+    lo, hi = (_as_float(v, where) for v in value)
+    if not 0 < lo < hi:
+        raise ConfigError(f"{where} must be increasing positives")
+    return lo, hi
+
+
+# Each table maps a key to (converter, default).  Nested blocks pass through
+# as-is and are parsed by their own tables.
+_TOP = {
+    "grid": (_as_is, _REQUIRED),
+    "physics": (_as_is, _REQUIRED),
+    "solver": (_as_is, _REQUIRED),
+    "system": (_as_is, None),
+    "initial": (_as_is, None),
+    "assimilated_initial": (_as_is, None),
+    "experiment": (_as_is, None),
+    "seed": (_as_int, 0),
+    "output_dir": (_as_path, "out"),
+}
+_GRID = {"n": (_as_int, _REQUIRED)}
+_PHYSICS = {
+    "nu1": (_as_float, _REQUIRED),
+    "nu2": (_as_float, _UNSET),  # nu1 when absent
+    "mu": (_as_float, 0.0),
+    "interpolant": (_as_is, None),
+    "forcing": (_as_is, None),
+    "allow_inadmissible": (_as_bool, False),
+}
+_SOLVER = {
+    "dt": (_as_float, _REQUIRED),
+    "t_end": (_as_float, _REQUIRED),
+    "sample_every": (_as_int, 1),
+}
+_SYSTEM = {
+    "kind": (_one_of(tuple(k.value for k in SystemKind)), None),
+    "linear_only": (_as_bool, False),
+}
+_EXPERIMENT = {
+    "levels": (_as_int, _UNSET),
+    "deltas": (_as_deltas, _UNSET),
+    "norm": (_one_of(TRAJECTORY_NORMS), _UNSET),
+    "ratio_window": (_as_window, _UNSET),
+    "decay_threshold": (_as_float, _UNSET),
+    "with_control": (_as_bool, _UNSET),
+    "control_floor": (_as_float, _UNSET),
+    "t_switch": (_as_float, _UNSET),
+    "nu_new": (_as_float, _UNSET),
+    "trials": (_as_count, _UNSET),
+    "ensemble": (_as_count, _UNSET),
+}
+
+# Each kind maps to its key table and its builder, called as
+# builder(grid, nu1, **parsed keys).  seed is always given: it derives from
+# the base seed unless pinned.
+_SPECTRUM = {"seed": (_as_int, _REQUIRED), "kmin": (_as_int, 1), "kmax": (_as_int, 6)}
+_FORCING_SPECTRUM = {**_SPECTRUM, "kmin": (_as_int, 2)}
+
+
+def _random(grid: GridSpec, nu: float, **spectrum) -> SpectralField:
+    return random_field(grid, **spectrum)
+
+
+_FIELD_KINDS = {
+    "taylor_green": ({}, lambda grid, nu: taylor_green(grid)),
+    "random_solenoidal": ({**_SPECTRUM, "l2_norm": (_as_float, 1.0)}, _random),
+    "zero": ({}, lambda grid, nu: SpectralField.zero(grid)),
+}
+_FORCING_KINDS = {
+    "none": ({}, lambda grid, nu: None),
+    "random_solenoidal": ({**_FORCING_SPECTRUM, "l2_norm": (_as_float, 1.0)}, _random),
+    "grashof": ({**_FORCING_SPECTRUM, "grashof": (_as_float, _REQUIRED)},
+                lambda grid, nu, grashof, **spectrum:
+                forcing_for_grashof(grid, nu, grashof, **spectrum)),
+}
+_INTERP_KINDS = {
+    "spectral_projection": ({"modes": (_as_int, _REQUIRED)},
+                            lambda grid, nu, modes: SpectralProjection(modes)),
+    "box_average": ({"boxes": (_as_int, _REQUIRED)}, lambda grid, nu, boxes: BoxAverage(boxes)),
+}
+
+
+def _walk(raw, table: dict, name: str | None = None, *, kind: str | None = None,
+          **fallback) -> dict:
+    """raw parsed by table: unknown keys rejected, values converted, defaults filled.
+
+    fallback overrides defaults with values derived from other keys.  A null
+    block reads as an empty one; name None is the configuration root.
+    """
+    raw = {} if raw is None else raw
+    if not isinstance(raw, dict):
+        raise ConfigError(f"block '{name}' must be a mapping" if name
+                          else "configuration root must be a mapping")
+    where = f"block '{name}'" + (f" of kind '{kind}'" if kind else "")
+    unknown = sorted(set(raw) - table.keys())
+    if unknown:
+        what = f"key '{unknown[0]}' in {where}" if name else f"top-level key '{unknown[0]}'"
+        raise ConfigError(f"unknown {what}; allowed keys: {sorted(table)}")
+    parsed = {}
+    for key, (convert, default) in table.items():
         if key in raw:
-            out[key] = _as_float(raw[key], f"experiment.{key}")
-    if "with_control" in raw:
-        out["with_control"] = _as_bool(raw["with_control"], "experiment.with_control")
-    for key in ("trials", "ensemble"):
-        if key in raw:
-            out[key] = _as_int(raw[key], f"experiment.{key}")
-    return out
+            parsed[key] = convert(raw[key], f"{name}.{key}" if name else key)
+        elif key in fallback:
+            parsed[key] = fallback[key]
+        elif default is _REQUIRED:
+            raise ConfigError(f"{where} needs '{key}'" if name
+                              else f"missing required block '{key}'")
+        elif default is not _UNSET:
+            parsed[key] = default
+    return parsed
+
+
+def _built(name: str, build, *args, **kwargs):
+    """build(*args, **kwargs), its ValueError raised as a ConfigError naming the block."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _kinded(raw, kinds: dict, name: str, default_kind, grid: GridSpec, nu1: float,
+            **fallback):
+    """(built object, parsed block) of a block whose kind picks its key table and builder."""
+    kind = raw.get("kind", default_kind) if isinstance(raw, dict) else default_kind
+    if kind not in kinds:
+        raise ConfigError(f"{name}.kind must be one of {tuple(kinds)}, got {kind!r}")
+    table, build = kinds[kind]
+    block = _walk(raw, {"kind": (_as_is, kind), **table}, name, kind=kind, **fallback)
+    params = {k: v for k, v in block.items() if k != "kind"}
+    return _built(name, build, grid, nu1, **params), block
 
 
 @dataclass(frozen=True)
@@ -254,155 +285,81 @@ class RunConfig:
 
 def load_config_data(data: dict, seed_override: int | None = None) -> RunConfig:
     """Validate an already-parsed configuration mapping."""
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
-        raise ConfigError("configuration root must be a mapping")
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(
-            f"unknown top-level key '{sorted(unknown)[0]}'; "
-            f"allowed keys: {sorted(_TOP_KEYS)}"
-        )
-    seed = _as_int(data.get("seed", 0), "seed")
+    top = _walk(data, _TOP)  # each block is replaced by its parsed form, the echo
     if seed_override is not None:
-        seed = seed_override
-    output_dir = data.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise ConfigError("output_dir must be a string path")
+        top["seed"] = seed_override
+    seed = top["seed"]
+    top["grid"] = _walk(top["grid"], _GRID, "grid")
+    grid = _built("grid", GridSpec, top["grid"]["n"])
 
-    grid_raw = _block(data, "grid", {"n"}, required=True)
-    if "n" not in grid_raw:
-        raise ConfigError("grid block needs 'n'")
-    try:
-        grid = GridSpec(_as_int(grid_raw["n"], "grid.n"))
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-
-    phys_raw = _block(data, "physics", _PHYSICS_KEYS, required=True)
-    if "nu1" not in phys_raw:
-        raise ConfigError("physics block needs 'nu1'")
-    nu1 = _as_float(phys_raw["nu1"], "physics.nu1")
-    nu2 = _as_float(phys_raw.get("nu2", nu1), "physics.nu2")
-    mu = _as_float(phys_raw.get("mu", 0.0), "physics.mu")
-    allow_inadmissible = _as_bool(
-        phys_raw.get("allow_inadmissible", False), "physics.allow_inadmissible"
-    )
-    interp = _build_interpolant(phys_raw.get("interpolant"), grid)
-    forcing, forcing_echo = _build_forcing(phys_raw.get("forcing"), grid, nu1, seed)
-    try:
-        physics = PhysicsParams(nu1=nu1, nu2=nu2, mu=mu, forcing=forcing,
-                                interp=interp)
-    except ValueError as exc:
-        raise ConfigError(f"physics: {exc}") from exc
-
-    solver_raw = _block(data, "solver", _SOLVER_KEYS, required=True)
-    for key in ("dt", "t_end"):
-        if key not in solver_raw:
-            raise ConfigError(f"solver block needs '{key}'")
-    try:
-        solver = SolverConfig(
-            dt=_as_float(solver_raw["dt"], "solver.dt"),
-            t_end=_as_float(solver_raw["t_end"], "solver.t_end"),
-            sample_every=_as_int(solver_raw.get("sample_every", 1),
-                                 "solver.sample_every"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from exc
-
-    system_raw = _block(data, "system", _SYSTEM_KEYS)
-    system_kind = None
-    if "kind" in system_raw:
-        try:
-            system_kind = SystemKind(system_raw["kind"])
-        except ValueError as exc:
+    phys = top["physics"] = _walk(top["physics"], _PHYSICS, "physics")
+    nu1 = phys["nu1"]
+    phys.setdefault("nu2", nu1)
+    interp = None
+    if phys["interpolant"] is not None:
+        interp, _ = _kinded(phys["interpolant"], _INTERP_KINDS, "physics.interpolant", None,
+                            grid, nu1)
+        if isinstance(interp, BoxAverage) and grid.n % interp.boxes != 0:
             raise ConfigError(
-                f"system.kind must be one of "
-                f"{[k.value for k in SystemKind]}, got {system_raw['kind']!r}"
-            ) from exc
-    linear_only = _as_bool(system_raw.get("linear_only", False),
-                           "system.linear_only")
+                f"box_average boxes = {interp.boxes} does not divide grid n = {grid.n}"
+            )
+        phys["interpolant"] = repr(interp)
+    forcing, phys["forcing"] = _kinded(phys["forcing"], _FORCING_KINDS, "physics.forcing",
+                                       "none", grid, nu1, seed=seed)
+    physics = _built("physics", PhysicsParams, nu1=nu1, nu2=phys["nu2"], mu=phys["mu"],
+                     forcing=forcing, interp=interp)
 
-    initial, initial_echo = _build_field(
-        data.get("initial"), grid, seed + 1, "initial"
-    )
+    top["solver"] = _walk(top["solver"], _SOLVER, "solver")
+    solver = _built("solver", SolverConfig, **top["solver"])
+    system = top["system"] = _walk(top["system"], _SYSTEM, "system")
+
+    initial, top["initial"] = _kinded(top["initial"], _FIELD_KINDS, "initial",
+                                      "taylor_green", grid, nu1, seed=seed + 1)
     assimilated = None
-    assim_echo = None
-    if data.get("assimilated_initial") is not None:
-        assimilated, assim_echo = _build_field(
-            data["assimilated_initial"], grid, seed + 2, "assimilated_initial",
-            default_kind="zero",
+    if top["assimilated_initial"] is not None:
+        assimilated, top["assimilated_initial"] = _kinded(
+            top["assimilated_initial"], _FIELD_KINDS, "assimilated_initial", "zero",
+            grid, nu1, seed=seed + 2,
         )
 
-    experiment = _build_experiment(_block(data, "experiment", _EXPERIMENT_KEYS))
+    experiment = _walk(top["experiment"], _EXPERIMENT, "experiment")
+    if {"levels", "deltas"} <= experiment.keys():
+        raise ConfigError("experiment takes levels or deltas, not both")
+    top["experiment"] = {k: list(v) if isinstance(v, tuple) else v
+                         for k, v in experiment.items()}
 
-    echo_admissibility = None
-    if mu > 0:
-        nus = [nu1, nu2]
-        if "nu_new" in experiment:
-            nus.append(experiment["nu_new"])
-        nu_min = min(nus)
-        ok = admissibility(nu_min, mu, interp)
-        echo_admissibility = {
+    top["admissibility"] = None
+    if phys["mu"] > 0:
+        nu_min = min(nu1, phys["nu2"], experiment.get("nu_new", nu1))
+        ok = _built("experiment", admissibility, nu_min, phys["mu"], interp)
+        top["admissibility"] = {
             "nonstrict": ok,
-            "strict": admissibility(nu_min, mu, interp, strict=True),
+            "strict": admissibility(nu_min, phys["mu"], interp, strict=True),
         }
-        if not ok and not allow_inadmissible:
+        if not ok and not phys["allow_inadmissible"]:
             raise ConfigError(
                 f"nudging gain violates the admissibility condition "
-                f"mu * c0 * h^2 <= nu at nu = {nu_min}, mu = {mu}; "
+                f"mu * c0 * h^2 <= nu at nu = {nu_min}, mu = {phys['mu']}; "
                 f"set physics.allow_inadmissible to run anyway"
             )
 
-    effective = {
-        "grid": {"n": grid.n},
-        "physics": {
-            "nu1": nu1,
-            "nu2": nu2,
-            "mu": mu,
-            "interpolant": None if interp is None else repr(interp),
-            "forcing": forcing_echo,
-            "allow_inadmissible": allow_inadmissible,
-        },
-        "solver": {
-            "dt": solver.dt,
-            "t_end": solver.t_end,
-            "sample_every": solver.sample_every,
-        },
-        "system": {
-            "kind": None if system_kind is None else system_kind.value,
-            "linear_only": linear_only,
-        },
-        "initial": initial_echo,
-        "assimilated_initial": assim_echo,
-        "experiment": {
-            k: list(v) if isinstance(v, tuple) else v
-            for k, v in experiment.items()
-        },
-        "admissibility": echo_admissibility,
-        "seed": seed,
-        "output_dir": output_dir,
-    }
     run = RunConfig(
         grid=grid,
         physics=physics,
         solver=solver,
-        system_kind=system_kind,
-        linear_only=linear_only,
+        system_kind=None if system["kind"] is None else SystemKind(system["kind"]),
+        linear_only=system["linear_only"],
         initial=initial,
         assimilated_initial=assimilated,
         experiment=experiment,
         seed=seed,
-        output_dir=output_dir,
-        allow_inadmissible=allow_inadmissible,
-        effective=effective,
+        output_dir=top["output_dir"],
+        allow_inadmissible=phys["allow_inadmissible"],
+        effective=top,
     )
-    try:
-        sweep_spec(run)
-        if {"t_switch", "nu_new"} <= experiment.keys():
-            check_switch(solver, experiment["t_switch"], experiment["nu_new"])
-    except ValueError as exc:
-        raise ConfigError(f"experiment: {exc}") from exc
+    _built("experiment", sweep_spec, run)
+    if {"t_switch", "nu_new"} <= experiment.keys():
+        _built("experiment", check_switch, solver, experiment["t_switch"], experiment["nu_new"])
     return run
 
 

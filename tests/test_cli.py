@@ -92,6 +92,33 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out"), "--quiet"]) == 2
         assert "bogus_block" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, block", [
+        ({"physics": {"nu1": 0.01, "mu": 0.5,
+                      "interpolant": {"kind": "box_average", "boxes": 0}}}, "physics.interpolant"),
+        ({"physics": {"nu1": 0.01, "mu": 0.5,
+                      "interpolant": {"kind": "box_average", "boxes": -4}}}, "physics.interpolant"),
+        ({"physics": {"nu1": 0.01, "mu": 0.5,
+                      "interpolant": {"kind": "spectral_projection", "modes": 0}}},
+         "physics.interpolant"),
+        ({"initial": {"kind": "random_solenoidal", "kmin": 6, "kmax": 2}}, "initial"),
+        ({"physics": {"nu1": 0.01, "forcing": {"kind": "random_solenoidal",
+                                               "kmin": 6, "kmax": 2}}}, "physics.forcing"),
+        ({"physics": {"nu1": 0.01, "forcing": {"kind": "grashof", "grashof": -5}}},
+         "physics.forcing"),
+        ({"experiment": {"trials": 0}}, "experiment.trials"),
+        ({"experiment": {"ensemble": 0}}, "experiment.ensemble"),
+        ({"physics": {"nu1": 0.01, "mu": 0.5,
+                      "interpolant": {"kind": "spectral_projection", "modes": 2}},
+          "experiment": {"nu_new": -0.01}}, "experiment"),
+    ])
+    def test_bad_block_value_is_exit_2(self, tmp_path, capsys, overrides, block):
+        # Each value is rejected at load, with the block named and no echo written.
+        cfg = _write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+        assert f"configuration error: {block}" in capsys.readouterr().err
+        assert not (out / "config_echo.yaml").exists()
+
     def test_kind_conflict_is_exit_2(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, system={"kind": "da"})
         assert main(["simulate", "--config", str(cfg),

@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import json
 import platform
+import re
 import sys
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from ns2dsens.runconfig import ConfigError, load_config, load_config_data
 from ns2dsens.spectral import norm
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+README = BENCH.parent / "README.md"
 
 
 def _minimal(**overrides):
@@ -205,6 +207,35 @@ class TestExperimentBlock:
     def test_bad_window_rejected(self):
         with pytest.raises(ConfigError, match="ratio_window"):
             load_config_data(_minimal(experiment={"ratio_window": [0.6, 0.4]}))
+
+
+class TestKindKeys:
+    """A key that the block's kind does not read is an unknown key, not a dropped one."""
+
+    @pytest.mark.parametrize("block, raw, key", [
+        ("initial", {"kind": "taylor_green", "seed": 5, "kmax": 99}, "kmax"),
+        ("assimilated_initial", {"kind": "zero", "l2_norm": 2.0}, "l2_norm"),
+        ("forcing", {"kind": "none", "seed": 3}, "seed"),
+        ("forcing", {"kind": "grashof", "grashof": 250.0, "l2_norm": 2.0}, "l2_norm"),
+        ("interpolant", {"kind": "spectral_projection", "modes": 4, "boxes": 4}, "boxes"),
+        ("interpolant", {"kind": "box_average", "boxes": 4, "modes": 4}, "modes"),
+    ])
+    def test_key_the_kind_ignores_is_rejected(self, block, raw, key):
+        data = _minimal()
+        if block in ("initial", "assimilated_initial"):
+            data[block] = raw
+        else:
+            data["physics"].update(mu=0.5, **{block: raw})
+        with pytest.raises(ConfigError, match=f"unknown key '{key}' in block .* of kind "
+                                              f"'{raw['kind']}'"):
+            load_config_data(data)
+
+
+def test_readme_yaml_blocks_load():
+    blocks = re.findall(r"```yaml\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+    assert blocks
+    for text in blocks:
+        load_config_data(yaml.safe_load(text))
 
 
 class TestSeeds:
