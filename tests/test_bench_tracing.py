@@ -5,14 +5,18 @@ tests install it as the benchmark does, on a small flow-plus-sensitivity run,
 on a small box-nudged run with its a-priori checks, on a small assimilated
 quotient sweep and on one op of two unmodified benchmark workloads, so that a
 rename, a removed call site or a changed integration fails here rather than
-in a benchmark run.  They only read bench/.
+in a benchmark run.  One op of each of the three workloads is also digested
+and compared with committed values, so a change that moves any bit of their
+outputs fails here.  They only read bench/.
 """
 
 import importlib.util
 import math
+import platform
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ns2dsens import experiments, timestepper
@@ -240,3 +244,28 @@ def test_workload_op_repeats_bit_for_bit(bench, tmp_path, name):
     (ok, first), (again, second) = (workload.check(workload.op()) for _ in range(2))
     assert ok and again
     assert first == second
+
+
+# First 16 hex digits of each workload's op digest (its `check`) at seed 901,
+# and the numpy version and machine they were computed under: pocketfft and
+# numpy's SIMD loops may change bits across numpy versions or CPUs.  A change
+# that moves bits on purpose updates these values and states the move.
+GOLDEN_ENV = {"numpy": "2.4.6", "machine": "x86_64"}
+GOLDEN_DIGESTS = {
+    "sens_flow_n256": "d52b25062ea21ad7",
+    "cli_sync_box_n48": "914560add66e71fe",
+    "da_sweep_n32": "f3231fc37b6feeee",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_workload_op_digest_is_golden(bench, tmp_path, name):
+    here = {"numpy": np.__version__, "machine": platform.machine()}
+    if here != GOLDEN_ENV:
+        pytest.skip(f"golden digests were computed under numpy {GOLDEN_ENV['numpy']} on "
+                    f"{GOLDEN_ENV['machine']}, not numpy {here['numpy']} on {here['machine']}")
+    _, workloads = bench
+    workload = workloads.WORKLOADS[name](901, tmp_path / "work")
+    ok, digest = workload.check(workload.op())
+    assert ok
+    assert digest[:16] == GOLDEN_DIGESTS[name]
