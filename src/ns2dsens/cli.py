@@ -6,12 +6,22 @@ quotient convergence), sync (nudging synchronization with optional control),
 switch (mid-run viscosity change), taylor-green (closed-form oracles), and
 verify (operator identities, interpolant bounds, and the oracle suite).
 
+Each command is one row of `_COMMANDS`: the system it runs, the experiment
+keys its runner reads, its call of the runner and its help text.  A config
+is required except for taylor-green and verify, which otherwise run on
+built-in grids of n = 64 and n = 32.  Only the experiment keys the config
+sets are passed on, so each default is written once: in the runner's
+signature, or in `DQSweepSpec` for the sweeps' levels and norm.  The one
+default set here is sync's with_control, true.  An experiment key the
+command does not read, and a pinned system.kind other than the command's,
+are configuration errors.
+
 Exit codes: 0 all verdicts passed, 1 a verdict or bound check failed,
 2 configuration problem, 3 runtime blow-up.  Artifacts land in --out (or the
-config's output_dir): report.json always, plus diagnostics.csv, final-state
-snapshots, and config_echo.yaml for the single-trajectory commands.  Every
-report is built by `experiments.reported`: it records the warnings raised,
-the runtime and a digest of the run's inputs.
+config's output_dir): report.json always, config_echo.yaml whenever a config
+is given, and diagnostics.csv and final-state snapshots for the commands
+that return a trajectory.  Every report is built by `experiments.reported`:
+it records the warnings raised, the runtime and a digest of the run's inputs.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import sys
 from pathlib import Path
 
 from .diagnostics import check_apriori, identity_suite, trajectory_grashof
-from .dynamics import PhysicsParams, SystemKind, SystemSpec
+from .dynamics import SystemKind, SystemSpec
 from .experiments import (
     ExperimentReport,
     _jsonify,
@@ -34,10 +44,10 @@ from .experiments import (
     run_taylor_green_suite,
 )
 from .interpolants import BoxAverage, SpectralProjection, verify_bound
-from .runconfig import ConfigError, RunConfig, load_config, sweep_spec
+from .runconfig import SWEEP_KEYS, ConfigError, RunConfig, load_config, sweep_spec
 from .spectral import GridSpec, SpectralField, norm
 from .storage import emit_diagnostics_csv, save_report, write_snapshot
-from .timestepper import AdmissibilityError, BlowupError, SolverConfig, integrate
+from .timestepper import AdmissibilityError, BlowupError, integrate
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -52,26 +62,21 @@ def _write_run_artifacts(traj, out_dir: Path) -> None:
         write_snapshot(traj.final(name), t_end, out_dir / f"snapshot_{name}.bin")
 
 
-def _require_kind(cfg: RunConfig, required: SystemKind) -> None:
-    if cfg.system_kind is not None and cfg.system_kind is not required:
-        raise ConfigError(
-            f"this command runs the '{required.value}' system but the config "
-            f"pins system.kind = '{cfg.system_kind.value}'"
-        )
+def _v0(cfg: RunConfig) -> SpectralField:
+    """The assimilated copy's start: the config's, or a zero field."""
+    if cfg.assimilated_initial is not None:
+        return cfg.assimilated_initial
+    return SpectralField.zero(cfg.grid)
 
 
-def _single_run(cfg: RunConfig, kind: SystemKind, name: str) -> ExperimentReport:
-    _require_kind(cfg, kind)
-    system = SystemSpec(kind, linear_only=cfg.linear_only)
+def _single_run(cfg: RunConfig, args) -> ExperimentReport:
+    """One checked integration of the command's system, named after the command."""
+    system = SystemSpec(_COMMANDS[args.command][0], linear_only=cfg.linear_only)
     init = {"u": cfg.initial}
     if "v" in system.fields:
-        init["v"] = (
-            cfg.assimilated_initial
-            if cfg.assimilated_initial is not None
-            else SpectralField.zero(cfg.grid)
-        )
+        init["v"] = _v0(cfg)
     return _checked_run(
-        name, system, init, cfg.physics, cfg.solver, not cfg.allow_inadmissible
+        args.command, system, init, cfg.physics, cfg.solver, not cfg.allow_inadmissible
     )
 
 
@@ -99,84 +104,25 @@ def _checked_run(name, system, init, p, solver, enforce_admissibility) -> dict:
                 artifacts={"trajectory": traj})
 
 
-def _cmd_simulate(cfg, args):
-    return _single_run(cfg, SystemKind.NSE, "simulate")
-
-
-def _cmd_assimilate(cfg, args):
-    return _single_run(cfg, SystemKind.DA, "assimilate")
-
-
-def _cmd_sensitivity(cfg, args):
-    return _single_run(cfg, SystemKind.NSE_SENS, "sensitivity")
-
-
-def _cmd_dq_sweep(cfg, args):
-    _require_kind(cfg, SystemKind.DQ_DIRECT)
-    return run_dq_convergence(
-        sweep_spec(cfg), cfg.physics, cfg.solver,
-        ratio_window=cfg.experiment.get("ratio_window"),
-    )
-
-
-def _cmd_da_dq_sweep(cfg, args):
-    _require_kind(cfg, SystemKind.DA_DQ_DIRECT)
-    return run_da_dq_convergence(
-        sweep_spec(cfg), cfg.physics, cfg.solver,
-        v0=cfg.assimilated_initial,
-        ratio_window=cfg.experiment.get("ratio_window"),
-    )
-
-
-def _cmd_sync(cfg, args):
-    _require_kind(cfg, SystemKind.DA)
-    exp = cfg.experiment
-    v0 = (cfg.assimilated_initial if cfg.assimilated_initial is not None
-          else SpectralField.zero(cfg.grid))
-    return run_da_sync(
-        cfg.physics, cfg.solver, cfg.initial, v0,
-        decay_threshold=exp.get("decay_threshold", 1e-3),
-        with_control=exp.get("with_control", True),
-        control_floor=exp.get("control_floor", 0.1),
-    )
-
-
-def _cmd_switch(cfg, args):
-    _require_kind(cfg, SystemKind.DA)
-    exp = cfg.experiment
+def _switch(cfg: RunConfig, args, **experiment) -> ExperimentReport:
+    """run_reynolds_switch on cfg; t_switch and nu_new have no default."""
     for key in ("t_switch", "nu_new"):
-        if key not in exp:
+        if key not in experiment:
             raise ConfigError(f"switch needs experiment.{key}")
-    return run_reynolds_switch(
-        cfg.physics, cfg.solver, exp["t_switch"], exp["nu_new"],
-        u0=cfg.initial, v0=cfg.assimilated_initial,
-    )
+    return run_reynolds_switch(cfg.physics, cfg.solver, u0=cfg.initial,
+                               v0=cfg.assimilated_initial, **experiment)
 
 
-def _cmd_taylor_green(cfg, args):
+def _verify_command(cfg: RunConfig | None, args, **experiment) -> ExperimentReport:
+    """_verify on cfg, or on its own defaults with --seed when no config is given."""
     if cfg is None:
-        return run_taylor_green_suite()
-    return run_taylor_green_suite(
-        cfg.solver, grid=cfg.grid, nu=cfg.physics.nu1,
-        deltas=cfg.experiment.get("deltas"),
-        ratio_window=cfg.experiment.get("ratio_window", (0.4, 0.6)),
-    )
-
-
-def _cmd_verify(cfg, args):
-    if cfg is None:
-        return _verify(GridSpec(32), 100, 100, args.seed if args.seed is not None else 0)
-    return _verify(
-        cfg.grid,
-        cfg.experiment.get("trials", 100),
-        cfg.experiment.get("ensemble", 100),
-        cfg.seed,
-        taylor_green_args=(cfg.solver, cfg.grid, cfg.physics.nu1),
-    )
+        return _verify() if args.seed is None else _verify(seed=args.seed)
+    return _verify(cfg.grid, seed=cfg.seed, **experiment,
+                   taylor_green_args=(cfg.solver, cfg.grid, cfg.physics.nu1))
 
 
 @reported
-def _verify(grid, trials, ensemble, seed, taylor_green_args=()) -> dict:
+def _verify(grid=GridSpec(32), trials=100, ensemble=100, seed=0, taylor_green_args=()) -> dict:
     """Identities and interpolant bounds on grid; the oracle suite on taylor_green_args."""
     tg_report = run_taylor_green_suite(*taylor_green_args)
     identities = identity_suite(grid, trials=trials, seed=seed)
@@ -206,19 +152,48 @@ def _verify(grid, trials, ensemble, seed, taylor_green_args=()) -> dict:
     return dict(name="verify", verdicts=verdicts, data=data, checks=checks)
 
 
+# The quotient-sweep systems; their commands also read sweep_spec's keys.
+_SWEEPS = (SystemKind.DQ_DIRECT, SystemKind.DA_DQ_DIRECT)
+
+# command: (the system it runs, or None for a command that needs no config;
+# the experiment keys its runner reads; its call(cfg, args, **the keys the
+# config sets), so the runner's own defaults fill the rest; its help text).
+# The calls look runners up as this module's globals when they run, so a
+# wrapper set on this module's attribute sees every call.
 _COMMANDS = {
-    "simulate": (_cmd_simulate, True, "integrate the plain flow"),
-    "assimilate": (_cmd_assimilate, True, "integrate the nudged pair"),
-    "sensitivity": (_cmd_sensitivity, True,
+    "simulate": (SystemKind.NSE, (), _single_run, "integrate the plain flow"),
+    "assimilate": (SystemKind.DA, (), _single_run, "integrate the nudged pair"),
+    "sensitivity": (SystemKind.NSE_SENS, (), _single_run,
                     "integrate the flow and its viscosity sensitivity"),
-    "dq-sweep": (_cmd_dq_sweep, True,
-                 "difference-quotient convergence sweep"),
-    "da-dq-sweep": (_cmd_da_dq_sweep, True,
-                    "assimilated difference-quotient convergence sweep"),
-    "sync": (_cmd_sync, True, "nudging synchronization experiment"),
-    "switch": (_cmd_switch, True, "mid-run viscosity switch experiment"),
-    "taylor-green": (_cmd_taylor_green, False, "closed-form oracle suite"),
-    "verify": (_cmd_verify, False,
+    "dq-sweep": (
+        SystemKind.DQ_DIRECT, ("ratio_window",),
+        lambda cfg, args, **kw: run_dq_convergence(sweep_spec(cfg), cfg.physics, cfg.solver, **kw),
+        "difference-quotient convergence sweep",
+    ),
+    "da-dq-sweep": (
+        SystemKind.DA_DQ_DIRECT, ("ratio_window",),
+        lambda cfg, args, **kw: run_da_dq_convergence(
+            sweep_spec(cfg), cfg.physics, cfg.solver, v0=cfg.assimilated_initial, **kw),
+        "assimilated difference-quotient convergence sweep",
+    ),
+    # The one default the CLI sets itself: the zero-gain control runs unless
+    # with_control is false.  run_da_sync's own default stays False, since
+    # flipping it would change the reports of callers of the API.
+    "sync": (
+        SystemKind.DA, ("decay_threshold", "with_control", "control_floor"),
+        lambda cfg, args, with_control=True, **kw: run_da_sync(
+            cfg.physics, cfg.solver, cfg.initial, _v0(cfg), with_control=with_control, **kw),
+        "nudging synchronization experiment",
+    ),
+    "switch": (SystemKind.DA, ("t_switch", "nu_new"), _switch,
+               "mid-run viscosity switch experiment"),
+    "taylor-green": (
+        None, ("deltas", "ratio_window"),
+        lambda cfg, args, **kw: run_taylor_green_suite() if cfg is None else
+        run_taylor_green_suite(cfg.solver, grid=cfg.grid, nu=cfg.physics.nu1, **kw),
+        "closed-form oracle suite",
+    ),
+    "verify": (None, ("trials", "ensemble"), _verify_command,
                "operator identities, interpolant bounds, and oracles"),
 }
 
@@ -230,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "viscosity-sensitivity experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, help_text) in _COMMANDS.items():
+    for name, (*_, help_text) in _COMMANDS.items():
         s = sub.add_parser(name, help=help_text)
         s.add_argument("--config", metavar="PATH",
                        help="YAML run configuration")
@@ -244,20 +219,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler, needs_config, _ = _COMMANDS[args.command]
+    args = build_parser().parse_args(argv)
+    system, keys, call, _ = _COMMANDS[args.command]
 
     try:
-        if args.config is None and needs_config:
+        cfg, given = None, {}
+        if args.config is not None:
+            cfg = load_config(args.config, seed_override=args.seed)
+            reads = keys + (SWEEP_KEYS if system in _SWEEPS else ())
+            unread = sorted(cfg.experiment.keys() - set(reads))
+            if unread:
+                raise ConfigError(f"'{args.command}' does not read experiment.{unread[0]}; "
+                                  f"it reads {sorted(reads)}")
+            given = {k: v for k, v in cfg.experiment.items() if k in keys}
+        elif system is not None:
             raise ConfigError(
                 f"'{args.command}' requires --config PATH; "
                 f"usage: ns2dsens {args.command} --config PATH [--out DIR] "
                 f"[--seed INT] [--quiet]"
             )
-        cfg = None
-        if args.config is not None:
-            cfg = load_config(args.config, seed_override=args.seed)
         out_dir = Path(
             args.out if args.out is not None
             else (cfg.output_dir if cfg is not None else "out")
@@ -265,12 +245,17 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         if cfg is not None:
             (out_dir / "config_echo.yaml").write_text(cfg.echo(), encoding="utf-8")
+            if system is not None and cfg.system_kind not in (None, system):
+                raise ConfigError(
+                    f"this command runs the '{system.value}' system but the config "
+                    f"pins system.kind = '{cfg.system_kind.value}'"
+                )
     except (ConfigError, AdmissibilityError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
-        report = handler(cfg, args)
+        report = call(cfg, args, **given)
     except (ConfigError, AdmissibilityError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

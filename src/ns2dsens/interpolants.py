@@ -77,7 +77,7 @@ class SpectralProjection:
 
 @dataclass(frozen=True)
 class BoxAverage:
-    """Average over an boxes x boxes partition of the torus; resolution 1/boxes."""
+    """Average over a boxes x boxes partition of the torus; resolution 1/boxes."""
 
     boxes: int
 

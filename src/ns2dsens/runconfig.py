@@ -21,7 +21,7 @@ default ("required" where there is none):
     experiment           levels or deltas (not both), norm, ratio_window,
                          decay_threshold, with_control, control_floor,
                          t_switch, nu_new, trials, ensemble: each absent unless
-                         set, and the command's default applies
+                         set; the command's runner holds the default
     seed                                     0
     output_dir                               out
 
@@ -38,9 +38,10 @@ The `kind` of an initial field, forcing or interpolant picks the keys it reads:
 
 Parsing is strict: unknown keys anywhere are fatal, a key that the chosen
 kind does not read included, so a misspelled physics parameter cannot be
-silently ignored.  Every invariant of the mirrored types is re-validated on
-load, the quotient sweep (`sweep_spec`) and a viscosity switch
-(`check_switch`) included, and a nudged run whose gain violates the
+silently ignored, and a number must be finite (NaN, infinities and integers
+beyond float range are rejected).  Every invariant of the mirrored types is
+re-validated on load, the quotient sweep (`sweep_spec`) and a viscosity
+switch (`check_switch`) included, and a nudged run whose gain violates the
 admissibility condition mu * c0 * h^2 <= nu is rejected unless
 physics.allow_inadmissible is set.  Unpinned seeds derive from the top-level
 seed: forcing uses it directly, the initial field uses seed + 1, and the
@@ -50,6 +51,7 @@ The parsed blocks, defaults filled, are the echo (`RunConfig.effective`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .dynamics import PhysicsParams, SystemKind
@@ -74,14 +76,14 @@ def _as_is(value, where: str):
 def _as_float(value, where: str) -> float:
     if isinstance(value, bool):
         raise ConfigError(f"{where}: expected a number, got a boolean")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, float, str)):
         try:
-            return float(value)
-        except ValueError:
-            pass
-    raise ConfigError(f"{where}: expected a number, got {value!r}")
+            number = float(value)
+        except (ValueError, OverflowError):  # OverflowError: an int beyond float range
+            number = math.nan
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"{where}: expected a finite number, got {value!r}")
 
 
 def _as_int(value, where: str) -> int:
@@ -363,15 +365,20 @@ def load_config_data(data: dict, seed_override: int | None = None) -> RunConfig:
     return run
 
 
+# The experiment keys that sweep_spec reads.
+SWEEP_KEYS = ("levels", "deltas", "norm")
+
+
 def sweep_spec(cfg: RunConfig) -> DQSweepSpec:
-    """The quotient sweep of cfg: its experiment deltas, or else halving levels (default 5)."""
-    exp = cfg.experiment
-    norm_key = exp.get("norm", "l2_v")
-    if "deltas" in exp:
-        return DQSweepSpec(cfg.physics.nu1, exp["deltas"], cfg.initial, norm=norm_key)
-    return DQSweepSpec.halving(
-        cfg.physics.nu1, cfg.initial, levels=exp.get("levels", 5), norm=norm_key
-    )
+    """The quotient sweep of cfg: its experiment deltas, or else halving levels.
+
+    Only the keys cfg sets are passed on; `DQSweepSpec.halving` and
+    `DQSweepSpec` hold the defaults (5 levels, norm l2_v).
+    """
+    given = {k: v for k, v in cfg.experiment.items() if k in SWEEP_KEYS}
+    if "deltas" in given:
+        return DQSweepSpec(cfg.physics.nu1, initial=cfg.initial, **given)
+    return DQSweepSpec.halving(cfg.physics.nu1, cfg.initial, **given)
 
 
 def load_config(path, seed_override: int | None = None) -> RunConfig:

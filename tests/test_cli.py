@@ -7,7 +7,7 @@ import time
 import pytest
 import yaml
 
-from ns2dsens import cli
+from ns2dsens import cli, runconfig
 from ns2dsens.cli import main
 from ns2dsens.spectral import GridSpec
 from ns2dsens.storage import read_snapshot
@@ -117,6 +117,43 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
         assert f"configuration error: {block}" in capsys.readouterr().err
+        assert not (out / "config_echo.yaml").exists()
+
+    @pytest.mark.parametrize("command, overrides, key", [
+        ("simulate", {"solver": {"dt": 2e-3, "t_end": float("inf")}}, "solver.t_end"),
+        ("simulate", {"physics": {"nu1": 0.01, "nu2": 10**400}}, "physics.nu2"),
+        ("simulate", {"physics": {"nu1": float("nan")}}, "physics.nu1"),
+        ("simulate", {"physics": {"nu1": 0.01, "forcing": {"kind": "random_solenoidal",
+                                                           "l2_norm": float("nan")}}},
+         "physics.forcing.l2_norm"),
+        ("dq-sweep", {"experiment": {"ratio_window": [0.4, float("inf")]}},
+         "experiment.ratio_window"),
+    ])
+    def test_non_finite_number_is_exit_2(self, tmp_path, capsys, command, overrides, key):
+        cfg = _write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+        assert f"configuration error: {key}: expected a finite number" in capsys.readouterr().err
+        assert not (out / "config_echo.yaml").exists()
+
+    @pytest.mark.parametrize("command, experiment", [
+        ("taylor-green", {"levels": 3}),
+        ("taylor-green", {"norm": "l2_h"}),
+        ("sync", {"trials": 5}),
+        ("verify", {"ratio_window": [0.4, 0.6]}),
+        ("switch", {"t_switch": 0.06, "nu_new": 0.008, "with_control": True}),
+        *(("simulate", {key: value}) for key, value in [
+            ("levels", 2), ("deltas", [1e-3]), ("norm", "l2_v"), ("ratio_window", [0.4, 0.6]),
+            ("decay_threshold", 0.5), ("with_control", False), ("control_floor", 0.2),
+            ("t_switch", 0.05), ("nu_new", 0.008), ("trials", 5), ("ensemble", 5),
+        ]),
+    ])
+    def test_unread_experiment_key_is_exit_2(self, tmp_path, capsys, command, experiment):
+        cfg = _write_config(tmp_path, experiment=experiment)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: '{command}' does not read experiment." in err
         assert not (out / "config_echo.yaml").exists()
 
     def test_kind_conflict_is_exit_2(self, tmp_path, capsys):
@@ -352,3 +389,38 @@ class TestReports:
         monkeypatch.setattr(cli, "verify_bound", slow)
         report = _report(tmp_path, "verify", **_COMMAND_CONFIGS["verify"])
         assert report["runtime_seconds"] >= 0.2
+
+
+def _without_runtimes(report):
+    """report with its runtimes dropped, at any depth."""
+    if isinstance(report, dict):
+        return {k: _without_runtimes(v) for k, v in report.items()
+                if k not in ("runtime_seconds", "timings")}
+    if isinstance(report, list):
+        return [_without_runtimes(v) for v in report]
+    return report
+
+
+# Each experiment default of a command's runner, spelt out.  The runner's
+# signature holds it; the CLI passes on only the keys a config sets.
+_SPELT_DEFAULTS = {
+    "dq-sweep": {"levels": 5, "norm": "l2_v"},
+    "da-dq-sweep": {"levels": 5, "norm": "l2_v"},
+    "sync": {"decay_threshold": 1e-3, "with_control": True, "control_floor": 0.1},
+    "taylor-green": {"ratio_window": [0.4, 0.6]},
+    "verify": {"trials": 100, "ensemble": 100},
+}
+
+
+class TestExperimentKeys:
+    def test_commands_read_every_experiment_key(self):
+        read = {key for _, keys, _, _ in cli._COMMANDS.values() for key in keys}
+        assert read | set(runconfig.SWEEP_KEYS) == set(runconfig._EXPERIMENT)
+
+    @pytest.mark.parametrize("command", sorted(_SPELT_DEFAULTS))
+    def test_spelt_defaults_give_the_same_report(self, tmp_path, command):
+        overrides = {k: v for k, v in _COMMAND_CONFIGS[command].items() if k != "experiment"}
+        omitted = _report(tmp_path, command, out="omitted", **overrides)
+        spelt = _report(tmp_path, command, out="spelt", **overrides,
+                        experiment=_SPELT_DEFAULTS[command])
+        assert _without_runtimes(spelt) == _without_runtimes(omitted)
