@@ -250,11 +250,6 @@ def main(argv=None) -> int:
                     f"this command runs the '{system.value}' system but the config "
                     f"pins system.kind = '{cfg.system_kind.value}'"
                 )
-    except (ConfigError, AdmissibilityError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         report = call(cfg, args, **given)
     except (ConfigError, AdmissibilityError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
