@@ -221,7 +221,12 @@ def _cumulative_trapezoid(values: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def _sup_check(name: str, lhs_series: np.ndarray, rhs_series: np.ndarray) -> BoundCheck:
-    i = int(np.argmax(lhs_series - rhs_series))
+    """lhs <= rhs at every sample, reported where it comes closest after t = 0.
+
+    Each sup bound holds at t = 0 by construction (h1_sup with lhs = rhs),
+    so that sample cannot decide `passed` and would only hide the margin.
+    """
+    i = 1 + int(np.argmax(lhs_series[1:] - rhs_series[1:]))
     return BoundCheck.from_inequality(name, lhs_series[i], rhs_series[i])
 
 

@@ -113,6 +113,23 @@ class TestAprioriFlow:
         traj, _ = _nse_run(forcing=f)
         assert all(c.passed for c in check_apriori(traj))
 
+    def test_h1_sup_reports_its_closest_approach_after_t0(self):
+        # At t = 0 the H1 bound is an equality, so a report there would
+        # read margin 0 on every run.  It reads a later sample instead, and
+        # its margin is that sample's gap between the two sides.
+        f = random_field(GRID, seed=11, kmin=2, kmax=6, l2_norm=2.0)
+        traj, p = _nse_run(forcing=f)
+        (check,) = [c for c in check_apriori(traj) if c.name == "u_h1_sup"]
+        h1_sq = traj.norm_series("u", "h1") ** 2
+        rhs = h1_sq[0] + diagnostics._cumulative_trapezoid(
+            diagnostics._forcing_l2(p, GRID, traj.times) ** 2, traj.times) / p.nu1
+        i = int(np.flatnonzero(h1_sq == check.lhs)[0])
+        assert i >= 1
+        assert check.passed and check.margin > 0
+        assert check.rhs == rhs[i]
+        assert check.margin == rhs[i] - h1_sq[i]
+        assert check.margin == min(rhs[1:] - h1_sq[1:])
+
     def test_corrupted_series_fails(self):
         traj, _ = _nse_run()
         series = {k: v.copy() for k, v in traj.series.items()}
