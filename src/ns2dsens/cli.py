@@ -13,8 +13,9 @@ built-in grids of n = 64 and n = 32.  Only the experiment keys the config
 sets are passed on, so each default is written once: in the runner's
 signature, or in `DQSweepSpec` for the sweeps' levels and norm.  The one
 default set here is sync's with_control, true.  An experiment key the
-command does not read, and a pinned system.kind other than the command's,
-are configuration errors.
+command does not read, a key its runner has no default for (switch's
+t_switch and nu_new) left out, and a pinned system.kind other than the
+command's are configuration errors, raised before anything is written.
 
 Exit codes: 0 all verdicts passed, 1 a verdict or bound check failed,
 2 configuration problem, 3 runtime blow-up.  Artifacts land in --out (or the
@@ -104,15 +105,6 @@ def _checked_run(name, system, init, p, solver, enforce_admissibility) -> dict:
                 artifacts={"trajectory": traj})
 
 
-def _switch(cfg: RunConfig, args, **experiment) -> ExperimentReport:
-    """run_reynolds_switch on cfg; t_switch and nu_new have no default."""
-    for key in ("t_switch", "nu_new"):
-        if key not in experiment:
-            raise ConfigError(f"switch needs experiment.{key}")
-    return run_reynolds_switch(cfg.physics, cfg.solver, u0=cfg.initial,
-                               v0=cfg.assimilated_initial, **experiment)
-
-
 def _verify_command(cfg: RunConfig | None, args, **experiment) -> ExperimentReport:
     """_verify on cfg, or on its own defaults with --seed when no config is given."""
     if cfg is None:
@@ -185,8 +177,12 @@ _COMMANDS = {
             cfg.physics, cfg.solver, cfg.initial, _v0(cfg), with_control=with_control, **kw),
         "nudging synchronization experiment",
     ),
-    "switch": (SystemKind.DA, ("t_switch", "nu_new"), _switch,
-               "mid-run viscosity switch experiment"),
+    "switch": (
+        SystemKind.DA, ("t_switch", "nu_new"),
+        lambda cfg, args, **kw: run_reynolds_switch(
+            cfg.physics, cfg.solver, u0=cfg.initial, v0=cfg.assimilated_initial, **kw),
+        "mid-run viscosity switch experiment",
+    ),
     "taylor-green": (
         None, ("deltas", "ratio_window"),
         lambda cfg, args, **kw: run_taylor_green_suite() if cfg is None else
@@ -196,6 +192,8 @@ _COMMANDS = {
     "verify": (None, ("trials", "ensemble"), _verify_command,
                "operator identities, interpolant bounds, and oracles"),
 }
+# The experiment keys a command's runner has no default for.
+_NEEDED = {"switch": ("t_switch", "nu_new")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,6 +229,14 @@ def main(argv=None) -> int:
             if unread:
                 raise ConfigError(f"'{args.command}' does not read experiment.{unread[0]}; "
                                   f"it reads {sorted(reads)}")
+            missing = [k for k in _NEEDED.get(args.command, ()) if k not in cfg.experiment]
+            if missing:
+                raise ConfigError(f"{args.command} needs experiment.{missing[0]}")
+            if system is not None and cfg.system_kind not in (None, system):
+                raise ConfigError(
+                    f"this command runs the '{system.value}' system but the config "
+                    f"pins system.kind = '{cfg.system_kind.value}'"
+                )
             given = {k: v for k, v in cfg.experiment.items() if k in keys}
         elif system is not None:
             raise ConfigError(
@@ -245,11 +251,6 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         if cfg is not None:
             (out_dir / "config_echo.yaml").write_text(cfg.echo(), encoding="utf-8")
-            if system is not None and cfg.system_kind not in (None, system):
-                raise ConfigError(
-                    f"this command runs the '{system.value}' system but the config "
-                    f"pins system.kind = '{cfg.system_kind.value}'"
-                )
         report = call(cfg, args, **given)
     except (ConfigError, AdmissibilityError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -162,6 +162,22 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out"), "--quiet"]) == 2
         assert "system.kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, overrides, key", [
+        ("switch", {"experiment": {"t_switch": 0.06}}, "experiment.nu_new"),
+        ("switch", {"experiment": {"nu_new": 0.008}}, "experiment.t_switch"),
+        ("simulate", {"system": {"kind": "nse_sens"}}, "system.kind"),
+        ("switch", {"system": {"kind": "nse"},
+                    "experiment": {"t_switch": 0.06, "nu_new": 0.008}}, "system.kind"),
+    ])
+    def test_missing_key_or_kind_conflict_writes_no_echo(
+        self, tmp_path, capsys, command, overrides, key
+    ):
+        cfg = _write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+        assert key in capsys.readouterr().err
+        assert not (out / "config_echo.yaml").exists()
+
     @pytest.mark.filterwarnings("ignore::ns2dsens.timestepper.CFLWarning")
     def test_blowup_is_exit_3(self, tmp_path, capsys):
         cfg = _write_config(
