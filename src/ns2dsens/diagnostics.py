@@ -15,7 +15,7 @@ relative residual, in report order:
     poincare_h1_h2                      lambda_1 ||f||^2 <= |Af|^2       1e-12
 
 Residuals are relative to the natural scale of each identity, so they certify
-cancellation rather than smallness; a NaN residual fails.
+cancellation rather than smallness.
 
 The a-priori validators check three bounds along the samples of a run, for
 every flow and assimilated row, with g the row's source:
@@ -197,7 +197,7 @@ def identity_suite(grid: GridSpec, trials: int = 100, seed: int = 0) -> Identity
     included), takes the worst relative residual of each identity over the
     trials, and reports the observed constant of the advective interpolation
     inequality |<B(u,v), w>| <= c (|u| ||u||)^(1/2) ||v|| (|w| ||w||)^(1/2),
-    which is recorded but not asserted.  A NaN residual fails its check.
+    which is recorded but not asserted.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -225,6 +225,7 @@ def _sup_check(name: str, lhs_series: np.ndarray, rhs_series: np.ndarray) -> Bou
 
     Each sup bound holds at t = 0 by construction (h1_sup with lhs = rhs),
     so that sample cannot decide `passed` and would only hide the margin.
+    A run, and a window of one, has at least two samples.
     """
     i = 1 + int(np.argmax(lhs_series[1:] - rhs_series[1:]))
     return BoundCheck.from_inequality(name, lhs_series[i], rhs_series[i])
