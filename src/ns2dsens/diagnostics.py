@@ -277,11 +277,12 @@ def check_apriori(traj, p: PhysicsParams | None = None, label: str = "") -> list
         # factor, and which bounds are checked (those whose gate holds) in
         # which order.
         if row.role == "assimilated" and p.mu > 0:
+            if not admissibility(nu, p.mu, p.interp):
+                continue  # strict implies non-strict: no bound is checked
             source = effective_source_l2(traj, row.nudge_to, p)
             l2_denom, dissipation = p.mu * nu * LAMBDA_1, 0.5 * nu
             strict = admissibility(nu, p.mu, p.interp, strict=True)
-            gated = (("l2_sup", admissibility(nu, p.mu, p.interp)),
-                     ("h1_sup", strict), ("dissipation_integral", strict))
+            gated = (("l2_sup", True), ("h1_sup", strict), ("dissipation_integral", strict))
         else:
             source, l2_denom, dissipation = f_l2, (LAMBDA_1 * nu) ** 2, nu
             gated = (("h1_sup", True), ("l2_sup", True), ("dissipation_integral", True))

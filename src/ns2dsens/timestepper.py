@@ -18,11 +18,11 @@ call inside.  Each step is one whole-stack update with per-row viscosities,
 then one divergence-free re-projection that suppresses rounding drift, and
 the three norms of every field, all on the band half.  Sampled states stay
 band halves too: each sample copies the state into one (S, F, 2, 2K + 1,
-K + 1) array, allocated once (populated at once from 4 MiB) and read-only
-after the run; the `Trajectory` expands a field only when it is read.
-Every per-mode operation is the one the full stack would do on the same
-mode, so the states are those of a full-stack step; the norms sum the same
-terms in another order.
+K + 1) numpy array, allocated once per run and read-only after it; the
+`Trajectory` expands a field only when it is read.  Every per-mode
+operation is the one the full stack would do on the same mode, so the
+states are those of a full-stack step; the norms sum the same terms in
+another order.
 
 Guards: the nudging stability condition dt * mu <= 1 and the admissibility
 condition mu * c0 * h**2 <= nu are checked before marching (the latter can be
@@ -42,7 +42,6 @@ norm history.  Identical inputs produce bit-identical trajectories.
 
 from __future__ import annotations
 
-import mmap
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
@@ -320,13 +319,7 @@ def integrate(
     # Norms <= limit pass in one comparison; NaN and +inf fail it (the cap
     # keeps +inf failing where the limit overflows), and only then is a row blown.
     limit = np.minimum(_BLOWUP_FACTOR * ref_l2, np.finfo(np.float64).max)
-    # numpy advises arrays of 4 MiB and more into huge pages; on the malloc heap
-    # that advice outlives the array, so such samples get a private, populated mapping.
-    nbytes = len(times) * state.nbytes
-    populate = getattr(mmap, "MAP_POPULATE", None)  # Linux; elsewhere the default mapping
-    flags = {} if populate is None else {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | populate}
-    buffer = mmap.mmap(-1, nbytes, **flags) if nbytes >= 4 << 20 else None
-    samples = np.ndarray((len(times),) + state.shape, state.dtype, buffer)
+    samples = np.empty((len(times),) + state.shape, state.dtype)
     samples[0] = state
     taken = 1
     drift_max = 0.0

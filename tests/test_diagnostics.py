@@ -15,8 +15,8 @@ from ns2dsens.diagnostics import (
     identity_suite,
     trajectory_grashof,
 )
-from ns2dsens.dynamics import PhysicsParams, SystemKind, SystemSpec, forcing_at
-from ns2dsens.interpolants import BoxAverage, SpectralProjection, interpolate
+from ns2dsens.dynamics import PhysicsParams, SystemKind, SystemSpec, forcing_at, with_viscosity2
+from ns2dsens.interpolants import BoxAverage, SpectralProjection, admissibility, interpolate
 from ns2dsens.spectral import (
     GridSpec,
     SpectralField,
@@ -183,6 +183,34 @@ class TestAprioriAssimilated:
         traj, _ = self._da_traj(mu=1.0, interp=BoxAverage(boxes=8))
         names = {c.name for c in check_apriori(traj, label="pre_switch_")}
         assert all(n.startswith("pre_switch_") for n in names)
+
+    def test_inadmissible_row_forms_no_source(self, monkeypatch):
+        # Run at nu2 = 0.1, checked at nu2 = 0.02 where even the non-strict
+        # gate fails: mu c0 h^2 = 5/(16 pi^2) ~ 3.2e-2.  The nudged row gets
+        # no check, so its effective source (one interpolate call per block
+        # of samples) is never formed; the flow row's checks ignore nu2.
+        grid = GridSpec(32)
+        f = random_field(grid, seed=13, kmin=2, kmax=6, l2_norm=2.0)
+        p = PhysicsParams(nu1=0.1, nu2=0.1, mu=5.0, interp=BoxAverage(boxes=4), forcing=f)
+        init = {
+            "u": random_field(grid, seed=14, kmin=1, kmax=6, l2_norm=0.5),
+            "v": random_field(grid, seed=15, kmin=1, kmax=6, l2_norm=0.5),
+        }
+        traj = integrate(SystemSpec(SystemKind.DA), init, p, SolverConfig(dt=1e-3, t_end=0.05))
+        q = with_viscosity2(p, 0.02)
+        assert traj.n_samples == 51 and not admissibility(q.nu2, q.mu, q.interp)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return interpolate(*args)
+
+        monkeypatch.setattr(diagnostics, "interpolate", counting)
+        checks = check_apriori(traj, q)
+        assert calls == []
+        monkeypatch.undo()
+        assert checks == [c for c in check_apriori(traj) if c.name.startswith("u_")]
+        assert [c.name for c in checks] == ["u_h1_sup", "u_l2_sup", "u_dissipation_integral"]
 
     def test_zero_gain_treated_as_flow(self):
         traj, _ = self._da_traj(mu=0.0, interp=None)

@@ -358,25 +358,48 @@ class TestDASync:
         assert rep.data["control_decay_factor"] == pytest.approx(control, rel=3e-14)
         assert rep.verdicts["control_no_comparable_decay"] == (control > 0.1)
 
-    def test_control_samples_die_before_nudged_run(self, monkeypatch):
-        # The control runs first and is reduced to its gap and checks, so its
-        # sample array is gone when the nudged run starts: one run's samples
-        # are alive at a time.  Each entry is (gain, whether each earlier
-        # run's sample array is still alive) at the start of an integration.
-        u0 = random_field(GRID, seed=6, kmin=1, kmax=4, l2_norm=0.5)
-        v0 = random_field(GRID, seed=7, kmin=1, kmax=4, l2_norm=0.5)
-        arrays, starts = [], []
+    @staticmethod
+    def _integration_starts(monkeypatch, p, cfg, u0, v0):
+        """Run `sync` with its control; per integration, (gain, whether each
+        earlier run's sample array is still alive) at its start, and the
+        bytes of each run's sample array.  Only weak references are held."""
+        arrays, starts, sizes = [], [], []
 
         def tracked(system, init, p, cfg, **kwargs):
             starts.append((p.mu, [ref() is not None for ref in arrays]))
             traj = integrate(system, init, p, cfg, **kwargs)
-            arrays.append(weakref.ref(traj.snapshots["u"].coeffs.base))
+            samples = traj.snapshots["u"].coeffs.base
+            arrays.append(weakref.ref(samples))
+            sizes.append(samples.nbytes)
             return traj
 
         monkeypatch.setattr(experiments, "integrate", tracked)
-        run_da_sync(self._params(20.0), CFG, u0, v0, with_control=True)
+        run_da_sync(p, cfg, u0, v0, with_control=True)
+        return starts, sizes
+
+    def test_control_samples_die_before_nudged_run(self, monkeypatch):
+        # The control runs first and is reduced to its gap and checks, so its
+        # sample array is gone when the nudged run starts: one run's samples
+        # are alive at a time.
+        u0 = random_field(GRID, seed=6, kmin=1, kmax=4, l2_norm=0.5)
+        v0 = random_field(GRID, seed=7, kmin=1, kmax=4, l2_norm=0.5)
+        starts, _ = self._integration_starts(monkeypatch, self._params(20.0), CFG, u0, v0)
         assert starts == [(0.0, []), (20.0, [False])]
 
+    def test_one_workload_sized_sample_array_alive_at_a_time(self, monkeypatch):
+        # The `sync` benchmark's setup: n = 48, box nudging, every step
+        # sampled, so each run's samples are 301 x 35,904 bytes, 10.8 MB.
+        # The sample store relies on the control's array being dead before
+        # the nudged run allocates; two such arrays would be alive otherwise.
+        grid = GridSpec(48)
+        forcing = forcing_for_grashof(grid, NU, 1e3, seed=2)
+        p = PhysicsParams(NU, NU, mu=5.0, forcing=forcing, interp=BoxAverage(boxes=8))
+        u0 = random_field(grid, seed=3, kmin=1, kmax=6, l2_norm=1.0)
+        v0 = random_field(grid, seed=4, kmin=1, kmax=6, l2_norm=1.0)
+        cfg = SolverConfig(dt=1e-3, t_end=0.3)
+        starts, sizes = self._integration_starts(monkeypatch, p, cfg, u0, v0)
+        assert starts == [(0.0, []), (5.0, [False])]
+        assert sizes == [301 * 35_904] * 2
 
     def test_control_u_checks_equal_nudged_u_checks(self):
         # The control reuses the nudged run's projected forcing object, so its

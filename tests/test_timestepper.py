@@ -1,6 +1,5 @@
 """Integrator tests: closed-form decay, observed order, guards, reproducibility."""
 
-import mmap
 import warnings
 from dataclasses import replace
 
@@ -555,73 +554,27 @@ class TestSampleStorage:
             assert np.array_equal(traj.final(name).coeffs, last)
             assert np.array_equal(snaps[-1].coeffs, last)
 
-    def test_arrays_of_4_mib_and_more_get_their_own_mapping(self):
-        # numpy advises arrays of 4 MiB and more into huge pages, which on the
-        # malloc heap outlive the array; such a sample array gets an anonymous
-        # mapping of its own, a smaller one stays on numpy's allocator.  At
-        # n = 48 a DA sample is 35,904 bytes: 121 samples make 4.34 MB, 61
-        # make 2.19 MB.  Both hold the same bits, read-only.
+    def test_samples_are_one_numpy_array_at_every_size(self):
+        # At n = 48 a DA sample is 35,904 bytes: 121 samples make 4.34 MB, 61
+        # make 2.19 MB, on either side of numpy's 4 MiB huge-page advice.
+        # Both are arrays numpy allocated, read-only, holding the same bits.
         grid = GridSpec(48)
         p = PhysicsParams(nu1=0.01, nu2=0.01, mu=1.0, interp=SpectralProjection(modes=4))
         init = {
             "u": random_field(grid, seed=93, kmin=1, kmax=6),
             "v": random_field(grid, seed=94, kmin=1, kmax=6, l2_norm=0.5),
         }
-        runs = {
-            every: integrate(
-                SystemSpec(SystemKind.DA), init, p,
-                SolverConfig(dt=1e-3, t_end=0.12, sample_every=every),
-            )
-            for every in (1, 2)
-        }
-
-        def owner(a):
-            while isinstance(a, np.ndarray) and a.base is not None:
-                a = a.base
-            return a
-
-        big, small = runs[1].snapshots["u"].coeffs, runs[2].snapshots["u"].coeffs
-        assert big.base.nbytes >= 4 << 20 > small.base.nbytes
-        assert isinstance(owner(big), mmap.mmap)
-        assert isinstance(owner(small), np.ndarray)
-        for name in ("u", "v"):
-            each, every_other = (runs[k].snapshots[name].coeffs for k in (1, 2))
-            assert not each.flags.writeable and not every_other.flags.writeable
-            assert np.array_equal(each[::2], every_other)
-
-    @pytest.mark.parametrize("populate", [True, False])
-    def test_sample_mapping_is_populated_where_mmap_can(self, monkeypatch, populate):
-        # With MAP_POPULATE the mapping is private and made present when it is
-        # created; without it (mmap off Linux) the default mapping is kept.
-        # Either way the 4.34 MB sample array of a DA run at n = 48 holds the
-        # bits its every-other-step run holds on numpy's allocator, read-only.
-        if populate and not hasattr(mmap, "MAP_POPULATE"):
-            pytest.skip("mmap has no MAP_POPULATE here")
-        if not populate:
-            monkeypatch.delattr(mmap, "MAP_POPULATE", raising=False)
-        real, calls = mmap.mmap, []
-
-        def recording(*args, **kwargs):
-            calls.append((args, kwargs))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(mmap, "mmap", recording)
-        grid = GridSpec(48)
-        p = PhysicsParams(nu1=0.01, nu2=0.01, mu=1.0, interp=SpectralProjection(modes=4))
-        init = {
-            "u": random_field(grid, seed=95, kmin=1, kmax=6),
-            "v": random_field(grid, seed=96, kmin=1, kmax=6, l2_norm=0.5),
-        }
         each, every_other = (
             integrate(SystemSpec(SystemKind.DA), init, p,
                       SolverConfig(dt=1e-3, t_end=0.12, sample_every=k)).snapshots
             for k in (1, 2)
         )
-        nbytes = each["u"].coeffs.base.nbytes
-        flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | mmap.MAP_POPULATE if populate else None
-        assert calls == [((-1, nbytes), {} if flags is None else {"flags": flags})]
+        big, small = each["u"].coeffs.base, every_other["u"].coeffs.base
+        assert big.nbytes >= 4 << 20 > small.nbytes
+        for samples in (big, small):
+            assert samples.base is None and samples.flags.owndata
+            assert not samples.flags.writeable
         for name in ("u", "v"):
-            assert not each[name].coeffs.flags.writeable
             assert np.array_equal(each[name].coeffs[::2], every_other[name].coeffs)
 
 
