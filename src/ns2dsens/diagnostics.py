@@ -30,12 +30,15 @@ the effective source g = f + mu P_sigma(I_h u_ref), D = mu nu lambda_1 and
 c = 1/2; its L2 bound is checked first and only under the admissibility
 condition, its H1 and dissipation bounds only under its strict (factor 4)
 form.  The source norms |g| come from the sampled reference states after the
-run, on their band halves, in stacked blocks of `SAMPLE_BLOCK` samples: one
-`interpolate` call, one projection and one `norms` call per block.  Each
-temporary of a block holds SAMPLE_BLOCK x 2(2K + 1)(K + 1) complex values,
-16 B each, whatever the sample count.  A constant forcing is measured once;
-a callable one at every sample time.  A failed check is a result, not
-an error.
+run, through `sample_norms`: one `interpolate` call and one projection per
+block of samples.  A constant forcing is measured once; a callable one at
+every sample time.  A failed check is a result, not an error.
+
+`sample_norms` is the one pass that reads a per-sample norm of an expression
+of a run's sampled band halves: the nudged source here, and the quotient
+sweeps' errors and two-path gaps and the synchronization gap of the
+experiments.  It forms the expression `SAMPLE_BLOCK` samples at a time into
+one reused block buffer, so no array of the whole run is ever formed.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .dynamics import PhysicsParams, forcing_at, forcing_band
 from .interpolants import admissibility, interpolate
 from .spectral import (
     LAMBDA_1,
+    NORM_KINDS,
     BandStack,
     GridSpec,
     bilinear,
@@ -61,9 +65,9 @@ from .spectral import (
 )
 
 APRIORI_REL_TOL = 1e-8
-# Samples per stacked call of the post-run checks.  Each temporary is
-# SAMPLE_BLOCK x 2(2K + 1)(K + 1) x 16 B whatever the sample count: 0.29 MB
-# at n = 48, 7.5 MB at n = 256.
+# Samples per block of `sample_norms`.  Its buffer, and each temporary of a
+# block, is SAMPLE_BLOCK x 2(2K + 1)(K + 1) x 16 B whatever the sample count:
+# 0.29 MB at n = 48, 7.5 MB at n = 256.
 SAMPLE_BLOCK = 16
 IDENTITY_TOL = 1e-10
 PROJECTION_TOL = 1e-12
@@ -81,9 +85,8 @@ class BoundCheck:
     passed: bool
 
     @classmethod
-    def from_inequality(
-        cls, name: str, lhs: float, rhs: float, rel_tol: float = APRIORI_REL_TOL
-    ) -> "BoundCheck":
+    def from_inequality(cls, name: str, lhs: float, rhs: float) -> "BoundCheck":
+        """lhs <= rhs up to `APRIORI_REL_TOL` of the larger magnitude."""
         margin = rhs - lhs
         scale = max(abs(lhs), abs(rhs))
         return cls(
@@ -91,8 +94,8 @@ class BoundCheck:
             lhs=float(lhs),
             rhs=float(rhs),
             margin=float(margin),
-            tolerance=rel_tol,
-            passed=bool(margin >= -rel_tol * scale),
+            tolerance=APRIORI_REL_TOL,
+            passed=bool(margin >= -APRIORI_REL_TOL * scale),
         )
 
     @classmethod
@@ -124,11 +127,10 @@ def _forcing_l2(p: PhysicsParams, grid: GridSpec, times: np.ndarray) -> np.ndarr
     return np.full(len(times), norm(forcing_at(p, grid, 0.0)))
 
 
-def trajectory_grashof(traj, nu: float | None = None) -> float:
-    """Grashof number of a run, taking sup |f| over its sample times."""
+def trajectory_grashof(traj) -> float:
+    """Grashof number of a run at its nu1, taking sup |f| over its sample times."""
     p = traj.params
-    sup = float(_forcing_l2(p, traj.grid, traj.times).max())
-    return grashof(sup, p.nu1 if nu is None else nu)
+    return grashof(float(_forcing_l2(p, traj.grid, traj.times).max()), p.nu1)
 
 
 @dataclass(frozen=True)
@@ -231,27 +233,42 @@ def _sup_check(name: str, lhs_series: np.ndarray, rhs_series: np.ndarray) -> Bou
     return BoundCheck.from_inequality(name, lhs_series[i], rhs_series[i])
 
 
+def sample_norms(traj, form, kind: str = "l2") -> np.ndarray:
+    """One norm column, L2 or H1, of a band-half expression at every sample of a run.
+
+    form(block, out) writes the expression's band halves at the samples of
+    the slice block into out, a view of one block buffer reused for every
+    block of `SAMPLE_BLOCK` samples.  The L2 column is `norms(...,
+    l2_only=True)`, any other the named column of `norms`.
+    """
+    n, K = traj.n_samples, traj.grid.cutoff
+    buf = np.empty((min(n, SAMPLE_BLOCK), 2, 2 * K + 1, K + 1), dtype=np.complex128)
+    out = np.empty(n)
+    for i in range(0, n, SAMPLE_BLOCK):
+        stack = BandStack(traj.grid, buf[: n - i])
+        form(slice(i, i + len(stack)), stack.coeffs)
+        out[i : i + len(stack)] = (norms(stack, l2_only=True) if kind == "l2"
+                                     else norms(stack)[:, NORM_KINDS.index(kind)])
+    return out
+
+
 def effective_source_l2(traj, ref: str, p: PhysicsParams | None = None) -> np.ndarray:
     """|f + mu P_sigma(I_h u_ref)|_L2 at every sample of a run, u_ref the field named ref.
 
-    Stacked on the band halves of the samples, `SAMPLE_BLOCK` at a time.  A
-    constant forcing's band half is the one p holds (`forcing_band`), a
+    A constant forcing's band half is the one p holds (`forcing_band`), a
     callable's is formed per time.
     """
     p = traj.params if p is None else p
-    grid, times = traj.grid, traj.times
-    refs = traj.snapshots[ref].coeffs
-    constant = not callable(p.forcing)
-    f = forcing_band(p, grid, 0.0) if constant else None
-    out = np.empty(len(times))
-    for i in range(0, len(times), SAMPLE_BLOCK):
-        block = slice(i, i + SAMPLE_BLOCK)
-        if not constant:
-            f = np.stack([forcing_band(p, grid, t) for t in times[block]])
+    grid, times, refs = traj.grid, traj.times, traj.snapshots[ref].coeffs
+    f = None if callable(p.forcing) else forcing_band(p, grid, 0.0)
+
+    def source(block: slice, out: np.ndarray) -> None:
         seen = interpolate(BandStack(grid, refs[block]), p.interp).coeffs
-        g = f + p.mu * project_coeffs(seen, *grid.band_projector)
-        out[block] = norms(BandStack(grid, g), l2_only=True)
-    return out
+        np.multiply(p.mu, project_coeffs(seen, *grid.band_projector), out=out)
+        np.add(np.stack([forcing_band(p, grid, t) for t in times[block]]) if f is None else f,
+               out, out=out)
+
+    return sample_norms(traj, source)
 
 
 def check_apriori(traj, p: PhysicsParams | None = None, label: str = "") -> list[BoundCheck]:

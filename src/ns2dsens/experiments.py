@@ -12,6 +12,10 @@ over nu2 = nu1 (the sensitivity, on the nu1 flows) and each nu1 + delta, and
 one half-step run.  Trajectory-in-time norms are trapezoid quadratures over
 the sampled diagnostics; each sweep reports a cadence deviation so the
 quadrature error can be seen to be negligible next to the measured errors.
+The per-sample norms a runner reads of its sampled band halves (each copy's
+error and two-path gap, the synchronization gap |u - v|) come from
+`diagnostics.sample_norms`, which forms each expression a block of samples
+at a time.
 
 Every report takes one path, `reported`: a runner returns the report's
 parts, and the decorator times the whole call, records every warning raised
@@ -38,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import SAMPLE_BLOCK, BoundCheck, check_apriori
+from .diagnostics import BoundCheck, check_apriori, sample_norms
 from .dynamics import (
     PhysicsParams,
     SystemKind,
@@ -50,13 +54,10 @@ from .dynamics import (
 from .interpolants import BoxAverage, SpectralProjection, admissibility
 from .spectral import (
     LAMBDA_1,
-    NORM_KINDS,
-    BandStack,
     GridSpec,
     SpectralField,
     band_half,
     norm,
-    norms,
     random_field,
     taylor_green,
 )
@@ -64,7 +65,6 @@ from .timestepper import (
     AdmissibilityError,
     BlowupError,
     SolverConfig,
-    Trajectory,
     integrate,
 )
 
@@ -406,15 +406,19 @@ def _run_quotient_sweep(
     checks = check_apriori(batch)
     times, snaps = batch.times, batch.snapshots
 
-    def copies(base: str) -> np.ndarray:
-        """The sampled band halves of base's copies 1..J, shape (J, S, ...)."""
-        return np.stack([snaps[f"{base}_{j}"].coeffs for j in range(1, len(spec.deltas) + 1)])
+    def quotient(j: int, b: slice, out: np.ndarray) -> np.ndarray:
+        """Copy j's algebraic quotient (u1 - u2_j) / (nu1 - nu2_j) at the samples b, in out."""
+        np.subtract(snaps[flow[0]].coeffs[b], snaps[f"{flow[1]}_{j}"].coeffs[b], out=out)
+        return np.divide(out, complex(spec.nu1 - spec.nu2_values[j - 1]), out=out)
 
-    dnu = np.array([complex(spec.nu1 - nu2) for nu2 in spec.nu2_values])
-    alg = (snaps[flow[0]].coeffs - copies(flow[1])) / dnu.reshape(-1, 1, 1, 1, 1)
-    col = NORM_KINDS.index(_NORM_KIND[spec.norm])
-    err_vals = norms(BandStack(grid, alg - snaps[f"{evolved}_0"].coeffs))[..., col]
-    gap_vals = norms(BandStack(grid, copies(evolved) - alg))[..., col]
+    # Per copy j, the quotient against the sensitivity dq_0 (the error) and
+    # against the evolved quotient dq_j (the two-path gap), a block at a time.
+    dq = [snaps[f"{evolved}_{j}"].coeffs for j in range(len(spec.deltas) + 1)]
+    js, norm_kind = range(1, len(dq)), _NORM_KIND[spec.norm]
+    err_vals = [sample_norms(batch, lambda b, out, j=j: np.subtract(
+        quotient(j, b, out), dq[0][b], out=out), norm_kind) for j in js]
+    gap_vals = [sample_norms(batch, lambda b, out, j=j: np.subtract(
+        dq[j][b], quotient(j, b, out), out=out), norm_kind) for j in js]
     half_idx = np.unique(np.r_[0 : len(times) : 2, len(times) - 1])
     errors = [_reduce_series(times, e, spec.norm) for e in err_vals]
     gaps = [_reduce_series(times, g, spec.norm) for g in gap_vals]
@@ -512,22 +516,15 @@ def run_da_dq_convergence(
     )
 
 
-def _sync_gap(traj: Trajectory) -> np.ndarray:
-    """L2 norm of u - v at every sample, on band halves, per `SAMPLE_BLOCK` block in one buffer."""
-    u, v = traj.snapshots["u"].coeffs, traj.snapshots["v"].coeffs
-    diff = np.empty(u[:SAMPLE_BLOCK].shape, dtype=u.dtype)
-    diffs = (np.subtract(u[i : i + SAMPLE_BLOCK], v[i : i + SAMPLE_BLOCK], out=diff[: len(u) - i])
-             for i in range(0, len(u), SAMPLE_BLOCK))
-    return np.concatenate([norms(BandStack(traj.grid, d), l2_only=True) for d in diffs])
-
-
 def _sync_control(system, init, p, cfg) -> tuple[np.ndarray, list[BoundCheck]]:
     """The zero-gain control's gap series and checks; its samples die on return.
 
     The control shares p's forcing object, so its u is the nudged run's u bit for bit.
     """
     control = integrate(system, init, without_nudging(p), cfg)
-    return _sync_gap(control), check_apriori(control, label="control_")
+    u, v = control.snapshots["u"].coeffs, control.snapshots["v"].coeffs
+    gap = sample_norms(control, lambda b, out: np.subtract(u[b], v[b], out=out))
+    return gap, check_apriori(control, label="control_")
 
 
 @reported
@@ -559,7 +556,8 @@ def run_da_sync(
     init = {"u": u0, "v": v0}
     control = _sync_control(system, init, p, cfg) if with_control and p.mu > 0 else None
     traj = integrate(system, init, p, cfg, enforce_admissibility=False)
-    diff = _sync_gap(traj)
+    u, v = traj.snapshots["u"].coeffs, traj.snapshots["v"].coeffs
+    diff = sample_norms(traj, lambda b, out: np.subtract(u[b], v[b], out=out))
     initial_gap = float(diff[0])
     decay_factor = float(diff[-1] / diff[0]) if initial_gap > 0 else 0.0
     mask = diff > 1e-12

@@ -7,21 +7,26 @@ import pytest
 
 from ns2dsens import diagnostics
 from ns2dsens.diagnostics import (
+    APRIORI_REL_TOL,
     SAMPLE_BLOCK,
     BoundCheck,
     check_apriori,
     effective_source_l2,
     grashof,
     identity_suite,
+    sample_norms,
     trajectory_grashof,
 )
 from ns2dsens.dynamics import PhysicsParams, SystemKind, SystemSpec, forcing_at, with_viscosity2
 from ns2dsens.interpolants import BoxAverage, SpectralProjection, admissibility, interpolate
 from ns2dsens.spectral import (
+    BandStack,
     GridSpec,
     SpectralField,
     leray_project,
     norm,
+    norms,
+    project_coeffs,
     random_field,
     taylor_green,
 )
@@ -37,9 +42,10 @@ class TestBoundCheck:
         assert c.margin == pytest.approx(1.0)
 
     def test_tolerance_boundary(self):
-        ok = BoundCheck.from_inequality("x", lhs=1.0 + 0.5e-8, rhs=1.0, rel_tol=1e-8)
-        bad = BoundCheck.from_inequality("x", lhs=1.0 + 3e-8, rhs=1.0, rel_tol=1e-8)
-        assert ok.passed
+        assert APRIORI_REL_TOL == 1e-8
+        ok = BoundCheck.from_inequality("x", lhs=1.0 + 0.5e-8, rhs=1.0)
+        bad = BoundCheck.from_inequality("x", lhs=1.0 + 3e-8, rhs=1.0)
+        assert ok.passed and ok.tolerance == APRIORI_REL_TOL
         assert not bad.passed
 
     def test_zero_zero_passes(self):
@@ -293,3 +299,43 @@ class TestStackedSource:
         monkeypatch.setattr(diagnostics, "_forcing_l2", lambda *args: per_time)
         assert check_apriori(traj) == checks
         assert trajectory_grashof(traj) == grashof_number
+
+
+def head(traj, samples):
+    """A run's first samples as a trajectory; `Trajectory.window` needs at least two."""
+    return dataclasses.replace(traj, times=traj.times[:samples],
+                               snapshots={k: v[:samples] for k, v in traj.snapshots.items()})
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestSampleNorms:
+    """The one blocked pass against one sample at a time, bit for bit."""
+
+    SIZES = (1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1)
+
+    def test_columns_of_a_difference(self):
+        traj, _ = TestStackedSource()._run(BoxAverage(boxes=8), 1.0, None)
+        u, v = traj.snapshots["u"].coeffs, traj.snapshots["v"].coeffs
+        for kind, col in (("l2", 0), ("h1", 1)):
+            want = [norms(BandStack(traj.grid, u[i : i + 1] - v[i : i + 1]))[0, col]
+                    for i in range(max(self.SIZES))]
+            for samples in self.SIZES:
+                got = sample_norms(head(traj, samples),
+                                   lambda b, out: np.subtract(u[b], v[b], out=out), kind)
+                assert np.array_equal(bits(got), bits(want[:samples]))
+
+    def test_effective_source(self):
+        for traj, p in TestStackedSource().cases():
+            grid, refs = traj.grid, traj.snapshots["u"].coeffs
+            want = []
+            for i, t in enumerate(traj.times[: max(self.SIZES)]):
+                seen = interpolate(BandStack(grid, refs[i : i + 1]), p.interp).coeffs
+                f = diagnostics.forcing_band(p, grid, t)
+                g = f + p.mu * project_coeffs(seen, *grid.band_projector)
+                want.append(norms(BandStack(grid, g), l2_only=True)[0])
+            for samples in self.SIZES:
+                got = effective_source_l2(head(traj, samples), "u")
+                assert np.array_equal(bits(got), bits(want[:samples]))

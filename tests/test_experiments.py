@@ -10,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
-from ns2dsens import experiments
+from ns2dsens import diagnostics, experiments
 from ns2dsens.diagnostics import SAMPLE_BLOCK, BoundCheck, grashof
 from ns2dsens.dynamics import PhysicsParams
 from ns2dsens.experiments import (
@@ -418,6 +418,105 @@ class TestDASync:
         for name in control_u:
             nudged = checks[name.removeprefix("control_")]
             assert checks[name] == dataclasses.replace(nudged, name=name)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestSamplePass:
+    """The runners read their per-sample norms through the one blocked pass of `diagnostics`."""
+
+    SIZES = (1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1)
+    CFG = SolverConfig(dt=2e-3, t_end=SAMPLE_BLOCK * 2e-3)  # SAMPLE_BLOCK + 1 samples
+    U0 = random_field(GRID, seed=6, kmin=1, kmax=4, l2_norm=0.5)
+    V0 = random_field(GRID, seed=7, kmin=1, kmax=4, l2_norm=0.5)
+
+    @staticmethod
+    def _passes(monkeypatch, run):
+        """run()'s report and its pass calls, each as (trajectory, form, kind, series)."""
+        calls = []
+
+        def recording(traj, form, kind="l2"):
+            series = diagnostics.sample_norms(traj, form, kind)
+            calls.append((traj, form, kind, series))
+            return series
+
+        monkeypatch.setattr(experiments, "sample_norms", recording)
+        report = run()
+        monkeypatch.undo()
+        return report, calls
+
+    def _assert_per_sample(self, calls, want):
+        """Each call's series, and the pass of its form over the first S samples
+        for each S in SIZES, equal the per-sample reference bit for bit."""
+        for (traj, form, kind, series), ref in zip(calls, want, strict=True):
+            assert traj.n_samples == max(self.SIZES)
+            assert np.array_equal(_bits(series), _bits(ref))
+            for samples in self.SIZES:
+                head = dataclasses.replace(traj, times=traj.times[:samples], snapshots={
+                    k: v[:samples] for k, v in traj.snapshots.items()})
+                got = diagnostics.sample_norms(head, form, kind)
+                assert np.array_equal(_bits(got), _bits(ref[:samples]))
+
+    @staticmethod
+    def _per_sample(a, b, col):
+        """Column col of `norms` of a - b, one sample at a time."""
+        return [norms(BandStack(GRID, a[i : i + 1] - b[i : i + 1]))[0, col] for i in range(len(a))]
+
+    @pytest.mark.parametrize("assimilated", [False, True])
+    @pytest.mark.parametrize("norm_key, col", [("l2_h", 0), ("l2_v", 1)])
+    def test_quotient_sweep(self, monkeypatch, assimilated, norm_key, col):
+        spec = DQSweepSpec.halving(NU, self.U0, levels=3, norm=norm_key)
+        p = PhysicsParams(NU, NU, forcing=forcing_for_grashof(GRID, NU, 200.0, seed=5))
+        if assimilated:
+            p = dataclasses.replace(p, mu=1.0, interp=SpectralProjection(modes=4))
+            sweep, flow1, flow2, evolved = run_da_dq_convergence, "v1", "v2", "dp"
+        else:
+            sweep, flow1, flow2, evolved = run_dq_convergence, "u1", "u2", "d"
+        rep, calls = self._passes(monkeypatch, lambda: sweep(spec, p, self.CFG))
+        s = {k: v.coeffs for k, v in rep.artifacts["reference"].snapshots.items()}
+        errors, gaps = [], []
+        for j, nu2 in enumerate(spec.nu2_values, start=1):
+            alg = np.concatenate([(s[flow1][i : i + 1] - s[f"{flow2}_{j}"][i : i + 1])
+                                  / complex(spec.nu1 - nu2) for i in range(len(s[flow1]))])
+            errors.append(self._per_sample(alg, s[f"{evolved}_0"], col))
+            gaps.append(self._per_sample(s[f"{evolved}_{j}"], alg, col))
+        self._assert_per_sample(calls, errors + gaps)
+
+    def test_sync_gap(self, monkeypatch):
+        p = PhysicsParams(NU, NU, mu=20.0, forcing=forcing_for_grashof(GRID, NU, 200.0, seed=5),
+                          interp=SpectralProjection(modes=4))
+        rep, calls = self._passes(
+            monkeypatch, lambda: run_da_sync(p, self.CFG, self.U0, self.V0, with_control=True))
+        want = [self._per_sample(traj.snapshots["u"].coeffs, traj.snapshots["v"].coeffs, 0)
+                for traj, *_ in calls]
+        self._assert_per_sample(calls, want)
+        (control, *_, control_gap), (traj, *_, gap) = calls
+        assert control.params.mu == 0.0 and traj is rep.artifacts["trajectory"]
+        assert rep.data["control_difference_l2"] is control_gap
+        assert rep.data["difference_l2"] is gap
+
+    def test_no_norms_call_gets_more_than_a_block(self, monkeypatch):
+        # Spies on the `norms` of the runners and the post-run checks, not
+        # the stepper's: the sweep's errors and gaps, the synchronization gaps
+        # and the nudged sources are all formed a block of samples at a time.
+        sizes = []
+
+        def spy(stack, l2_only=False):
+            sizes.append(int(np.prod(stack.coeffs.shape[:-3])))
+            return norms(stack, l2_only)
+
+        for module in (experiments, diagnostics):
+            if hasattr(module, "norms"):
+                monkeypatch.setattr(module, "norms", spy)
+        cfg = SolverConfig(dt=2e-3, t_end=0.1)  # 51 samples
+        run_dq_convergence(DQSweepSpec.halving(NU, self.U0, levels=2), PhysicsParams(NU, NU), cfg)
+        sweep = len(sizes)
+        p = PhysicsParams(NU, NU, mu=20.0, interp=SpectralProjection(modes=4))
+        run_da_sync(p, cfg, self.U0, self.V0, with_control=True)
+        assert 0 < sweep < len(sizes)
+        assert max(sizes) <= SAMPLE_BLOCK
 
 
 class TestReynoldsSwitch:
