@@ -23,6 +23,9 @@ config's output_dir): report.json always, config_echo.yaml whenever a config
 is given, and diagnostics.csv and final-state snapshots for the commands
 that return a trajectory.  Every report is built by `experiments.reported`:
 it records the warnings raised, the runtime and a digest of the run's inputs.
+A single run's numbers are norms of its band halves: the per-sample series
+the stepper kept, and `final_difference_l2` from the final band halves of u
+and v.  Only the snapshot files expand the final samples to full spectra.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .experiments import (
 )
 from .interpolants import BoxAverage, SpectralProjection, verify_bound
 from .runconfig import SWEEP_KEYS, ConfigError, RunConfig, load_config, sweep_spec
-from .spectral import GridSpec, SpectralField, norm
+from .spectral import BandStack, GridSpec, SpectralField, norms
 from .storage import emit_diagnostics_csv, save_report, write_snapshot
 from .timestepper import AdmissibilityError, BlowupError, integrate
 
@@ -98,8 +101,8 @@ def _checked_run(name, system, init, p, solver, enforce_admissibility) -> dict:
     if p.forcing is not None:
         data["grashof"] = trajectory_grashof(traj)
     if "v" in system.fields:
-        gap = norm(traj.final("u") - traj.final("v"))
-        data["final_difference_l2"] = float(gap)
+        u, v = traj.snapshots["u"].coeffs[-1], traj.snapshots["v"].coeffs[-1]
+        data["final_difference_l2"] = float(norms(BandStack(traj.grid, u - v), l2_only=True))
     verdicts = {"apriori_bounds": all(c.passed for c in checks)}
     return dict(name=name, verdicts=verdicts, data=data, checks=checks,
                 artifacts={"trajectory": traj})

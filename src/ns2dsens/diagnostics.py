@@ -35,10 +35,12 @@ block of samples.  A constant forcing is measured once; a callable one at
 every sample time.  A failed check is a result, not an error.
 
 `sample_norms` is the one pass that reads a per-sample norm of an expression
-of a run's sampled band halves: the nudged source here, and the quotient
-sweeps' errors and two-path gaps and the synchronization gap of the
-experiments.  It forms the expression `SAMPLE_BLOCK` samples at a time into
-one reused block buffer, so no array of the whole run is ever formed.
+of a run's sampled band halves: the nudged source here, and in the
+experiments the quotient sweeps' errors, two-path gaps and integrator
+tolerance, the synchronization gap and the Taylor-Green flow oracle.  No
+runner expands a sample to full spectra to take a norm.  It forms the
+expression `SAMPLE_BLOCK` samples at a time into one reused block buffer,
+so no array of the whole run is ever formed.
 """
 
 from __future__ import annotations

@@ -12,10 +12,13 @@ over nu2 = nu1 (the sensitivity, on the nu1 flows) and each nu1 + delta, and
 one half-step run.  Trajectory-in-time norms are trapezoid quadratures over
 the sampled diagnostics; each sweep reports a cadence deviation so the
 quadrature error can be seen to be negligible next to the measured errors.
-The per-sample norms a runner reads of its sampled band halves (each copy's
-error and two-path gap, the synchronization gap |u - v|) come from
-`diagnostics.sample_norms`, which forms each expression a block of samples
-at a time.
+Every number a runner derives from a run's samples is a norm of their band
+halves: the per-sample series (each copy's error and two-path gap, the
+integrator tolerance's gap to the half-step run, the synchronization gap
+|u - v|, the Taylor-Green flow oracle) come from `diagnostics.sample_norms`,
+which forms each expression a block of samples at a time, and the
+Taylor-Green values at the final time from `norms` of the final band
+halves.  No sample is expanded to a `SpectralField`.
 
 Every report takes one path, `reported`: a runner returns the report's
 parts, and the decorator times the whole call, records every warning raised
@@ -26,7 +29,7 @@ every half step of the run.
 The Taylor-Green vortex supplies closed forms used as oracles throughout:
 the flow decays as exp(-8 pi^2 nu t), its viscosity sensitivity is
 -8 pi^2 t times the flow, and the two-viscosity difference quotient is the
-corresponding exponential quotient.
+corresponding exponential quotient.  The suite reads them as band halves.
 """
 
 from __future__ import annotations
@@ -47,17 +50,17 @@ from .dynamics import (
     PhysicsParams,
     SystemKind,
     SystemSpec,
-    dq_field,
     with_viscosity2,
     without_nudging,
 )
 from .interpolants import BoxAverage, SpectralProjection, admissibility
 from .spectral import (
     LAMBDA_1,
+    BandStack,
     GridSpec,
     SpectralField,
     band_half,
-    norm,
+    norms,
     random_field,
     taylor_green,
 )
@@ -75,6 +78,10 @@ TRAJECTORY_NORMS = ("l2_h", "l2_v", "linf_h")
 _NORM_KIND = {"l2_h": "l2", "l2_v": "h1", "linf_h": "l2"}
 
 _DECAY_RATE = 8.0 * np.pi**2
+# The Taylor-Green suite's oracle tolerances: the flow's relative error at
+# every sample, the sensitivity's at the final time.
+TAYLOR_GREEN_FLOW_TOL = 1e-5
+TAYLOR_GREEN_SENSITIVITY_TOL = 1e-4
 
 
 def taylor_green_flow(grid: GridSpec, nu: float, t: float) -> SpectralField:
@@ -117,28 +124,13 @@ def forcing_for_grashof(
 def _reduce_series(
     times: np.ndarray, vals: np.ndarray, norm_key: str, idx: np.ndarray | None = None
 ) -> float:
-    if norm_key not in TRAJECTORY_NORMS:
-        raise ValueError(f"unknown trajectory norm {norm_key!r}")
+    """The trajectory norm norm_key of a per-sample norm series, over the samples idx."""
     if idx is not None:
         times = times[idx]
         vals = vals[idx]
     if norm_key == "linf_h":
         return float(vals.max())
     return float(np.sqrt(np.trapezoid(vals**2, x=times)))
-
-
-def trajectory_distance(
-    times: np.ndarray,
-    fields_a,
-    fields_b,
-    norm_key: str = "l2_v",
-) -> float:
-    """Trajectory-norm distance between two sampled field sequences."""
-    if norm_key not in TRAJECTORY_NORMS:
-        raise ValueError(f"unknown trajectory norm {norm_key!r}")
-    kind = _NORM_KIND[norm_key]
-    vals = np.array([norm(a - b, kind) for a, b in zip(fields_a, fields_b)])
-    return _reduce_series(times, vals, norm_key)
 
 
 @dataclass(frozen=True)
@@ -431,10 +423,9 @@ def _run_quotient_sweep(
     # between the working step and a halved step at the finest delta.
     cfg_half = dataclasses.replace(cfg, dt=0.5 * cfg.dt, sample_every=2 * cfg.sample_every)
     p_fine = with_viscosity2(p, spec.nu2_values[-1])
-    half_run = integrate(SystemSpec(kind), init, p_fine, cfg_half)
-    integrator_tol = trajectory_distance(
-        times, snaps[f"{evolved}_{len(spec.deltas)}"], half_run.snapshots[evolved], spec.norm
-    )
+    half = integrate(SystemSpec(kind), init, p_fine, cfg_half).snapshots[evolved].coeffs
+    integrator_tol = _reduce_series(times, sample_norms(batch, lambda b, out: np.subtract(
+        dq[-1][b], half[b], out=out), norm_kind), spec.norm)
 
     ratios = [errors[i + 1] / errors[i] for i in range(len(errors) - 1)]
     table = tuple(
@@ -683,18 +674,19 @@ def run_taylor_green_suite(
     grid: GridSpec | None = None,
     nu: float = 0.01,
     deltas: tuple[float, ...] | None = None,
-    flow_tol: float = 1e-5,
-    sensitivity_tol: float = 1e-4,
     ratio_window: tuple[float, float] = (0.4, 0.6),
 ) -> dict:
     """Closed-form vortex oracles for the flow, sensitivity, and quotient.
 
     Certifies the full assembly end to end: the integrated flow against the
-    exponential decay, the integrated sensitivity against its closed form at
-    the final time, and the final-time difference quotient against the
-    sensitivity with first-order shrinkage in the viscosity increment.  All
-    come from one `DQ_DIRECT` run batched over nu2 = nu and each nu + delta
-    (`artifacts["sweep"]`), whose flows u1 and u2_j the a-priori checks cover.
+    exponential decay to `TAYLOR_GREEN_FLOW_TOL` relative at every sample,
+    the integrated sensitivity against its closed form at the final time to
+    `TAYLOR_GREEN_SENSITIVITY_TOL`, and the final-time difference quotient
+    against the sensitivity with first-order shrinkage in the viscosity
+    increment.  All come from one `DQ_DIRECT` run batched over nu2 = nu and
+    each nu + delta (`artifacts["sweep"]`), whose flows u1 and u2_j the
+    a-priori checks cover.  The closed forms enter as band halves, the decay
+    factors formed as in `taylor_green_flow` and `taylor_green_sensitivity`.
     """
     grid = GridSpec(64) if grid is None else grid
     cfg = SolverConfig(dt=1e-3, t_end=1.0, sample_every=50) if cfg is None else cfg
@@ -707,20 +699,30 @@ def run_taylor_green_suite(
     t0 = time.perf_counter()
     batch = integrate(system, {"u1": u0, "u2": u0}, p, cfg)
     flow_seconds = time.perf_counter() - t0
-    exact = [taylor_green_flow(grid, nu, t) for t in batch.times]
-    flow_errs = np.array([norm(u - e) / norm(e) for u, e in zip(batch.snapshots["u1"], exact)])
     checks = check_apriori(batch)
-    sens_exact = taylor_green_sensitivity(grid, nu, float(batch.times[-1]))
-    sens_err = norm(batch.final("d_0") - sens_exact) / norm(sens_exact)
-    dq_errs = [
-        float(norm(dq_field(batch.final("u1"), batch.final(f"u2_{j}"), nu, nu2) - sens_exact))
-        for j, nu2 in enumerate(system.nu2s[1:], start=1)
-    ]
+    times, u1 = batch.times, batch.snapshots["u1"].coeffs
+    tg = band_half(u0.coeffs, grid.cutoff)
+    decay = np.array([math.exp(-_DECAY_RATE * nu * t) for t in times], dtype=np.complex128)
+
+    def exact(b: slice, out: np.ndarray) -> np.ndarray:
+        return np.multiply(tg, decay[b, None, None, None], out=out)
+
+    flow_errs = sample_norms(batch, lambda b, out: np.subtract(
+        u1[b], exact(b, out), out=out)) / sample_norms(batch, exact)
+    # At T: the sensitivity's error, its closed form, and each quotient's error.
+    sens_exact = tg * decay[-1] * complex(-_DECAY_RATE * float(times[-1]))
+    final = {k: v.coeffs[-1] for k, v in batch.snapshots.items()}
+    at_T = norms(BandStack(grid, np.stack(
+        [final["d_0"] - sens_exact, sens_exact]
+        + [(final["u1"] - final[f"u2_{j}"]) / complex(nu - nu2) - sens_exact
+           for j, nu2 in enumerate(system.nu2s[1:], start=1)])), l2_only=True)
+    sens_err = at_T[0] / at_T[1]
+    dq_errs = [float(e) for e in at_T[2:]]
     dq_ratios = [dq_errs[i + 1] / dq_errs[i] for i in range(len(dq_errs) - 1)]
 
     verdicts = {
-        "flow_oracle": bool(flow_errs.max() < flow_tol),
-        "sensitivity_oracle": bool(sens_err < sensitivity_tol),
+        "flow_oracle": bool(flow_errs.max() < TAYLOR_GREEN_FLOW_TOL),
+        "sensitivity_oracle": bool(sens_err < TAYLOR_GREEN_SENSITIVITY_TOL),
         "dq_limit_decreasing": all(b < a for a, b in zip(dq_errs, dq_errs[1:])),
         "dq_limit_ratio": all(
             ratio_window[0] <= r <= ratio_window[1] for r in dq_ratios

@@ -195,6 +195,25 @@ class TestExitCodes:
         assert any(w.startswith("CFLWarning: ") for w in blowup["warnings"])
         assert "blow-up" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::ns2dsens.timestepper.CFLWarning")
+    def test_reported_blowup_is_exit_3(self, tmp_path, capsys):
+        # switch reports a blow-up as a failed verdict rather than raising it;
+        # the CLI still exits 3 and names the report.
+        cfg = _write_config(
+            tmp_path,
+            physics={"nu1": 1e-4},
+            solver={"dt": 0.01, "t_end": 0.2, "sample_every": 1},
+            initial={"kind": "random_solenoidal", "l2_norm": 20.0, "kmax": 4},
+            experiment={"t_switch": 0.1, "nu_new": 5e-5},
+        )
+        out = tmp_path / "out"
+        code = main(["switch", "--config", str(cfg), "--out", str(out), "--quiet"])
+        assert code == 3
+        assert f"blow-up reported; see {out / 'report.json'}" in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report["verdicts"] == {"no_blowup": False}
+        assert not (out / "blowup_report.json").exists()
+
     @pytest.mark.parametrize("command, experiment, message", [
         ("dq-sweep", {"levels": 0}, "levels"),
         ("dq-sweep", {"deltas": [1e-3, 2e-3]}, "strictly decreasing"),

@@ -60,6 +60,10 @@ class TestPhysicsParams:
         with pytest.raises(ValueError, match="interpolant"):
             PhysicsParams(nu1=0.01, nu2=0.01, mu=1.0)
 
+    def test_rejects_forcing_of_another_type(self):
+        with pytest.raises(ValueError, match="a field or a callable"):
+            PhysicsParams(nu1=0.01, nu2=0.01, forcing=random_field(GRID, seed=1).coeffs)
+
     def test_constant_forcing_projected_on_ingestion(self):
         raw = random_field(GRID, seed=1, solenoidal=False)
         assert raw.divergence_max() > 1e-6

@@ -25,7 +25,6 @@ from ns2dsens.experiments import (
     taylor_green_flow,
     taylor_green_quotient,
     taylor_green_sensitivity,
-    trajectory_distance,
 )
 from ns2dsens.interpolants import BoxAverage, SpectralProjection
 from ns2dsens.spectral import (
@@ -80,28 +79,6 @@ class TestForcingForGrashof:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive"):
             forcing_for_grashof(GRID, NU, 0.0)
-
-
-class TestTrajectoryDistance:
-    def test_norm_reductions(self):
-        tg = taylor_green(GRID)
-        zero = SpectralField.zero(GRID)
-        times = np.array([0.0, 0.5, 1.0])
-        a = [tg, tg, tg]
-        b = [zero, zero, zero]
-        assert trajectory_distance(times, a, b, "l2_v") == pytest.approx(
-            2 * np.pi, rel=1e-12
-        )
-        assert trajectory_distance(times, a, b, "l2_h") == pytest.approx(
-            np.sqrt(0.5), rel=1e-12
-        )
-        assert trajectory_distance(times, a, b, "linf_h") == pytest.approx(
-            np.sqrt(0.5), rel=1e-12
-        )
-
-    def test_unknown_norm(self):
-        with pytest.raises(ValueError, match="trajectory norm"):
-            trajectory_distance(np.array([0.0, 1.0]), [], [], "bogus")
 
 
 class TestDQSweepSpec:
@@ -474,6 +451,13 @@ class TestSamplePass:
             sweep, flow1, flow2, evolved = run_da_dq_convergence, "v1", "v2", "dp"
         else:
             sweep, flow1, flow2, evolved = run_dq_convergence, "u1", "u2", "d"
+        runs = []
+
+        def kept(*args, **kwargs):
+            runs.append(integrate(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(experiments, "integrate", kept)
         rep, calls = self._passes(monkeypatch, lambda: sweep(spec, p, self.CFG))
         s = {k: v.coeffs for k, v in rep.artifacts["reference"].snapshots.items()}
         errors, gaps = [], []
@@ -482,7 +466,13 @@ class TestSamplePass:
                                   / complex(spec.nu1 - nu2) for i in range(len(s[flow1]))])
             errors.append(self._per_sample(alg, s[f"{evolved}_0"], col))
             gaps.append(self._per_sample(s[f"{evolved}_{j}"], alg, col))
-        self._assert_per_sample(calls, errors + gaps)
+        # The integrator tolerance: the finest copy's evolved quotient against
+        # the half-step run's, whose samples fall at the same times.
+        batch, half = runs
+        assert batch is rep.artifacts["reference"] and np.array_equal(half.times, batch.times)
+        finest = f"{evolved}_{len(spec.deltas)}"
+        tolerance = self._per_sample(s[finest], half.snapshots[evolved].coeffs, col)
+        self._assert_per_sample(calls, errors + gaps + [tolerance])
 
     def test_sync_gap(self, monkeypatch):
         p = PhysicsParams(NU, NU, mu=20.0, forcing=forcing_for_grashof(GRID, NU, 200.0, seed=5),
@@ -517,6 +507,41 @@ class TestSamplePass:
         run_da_sync(p, cfg, self.U0, self.V0, with_control=True)
         assert 0 < sweep < len(sizes)
         assert max(sizes) <= SAMPLE_BLOCK
+
+
+class TestNoFieldPerSample:
+    """The runners read their samples as band halves: a run's `SpectralField`s,
+    counted as the benchmark's `spectral.field_new` layer counts them, do not
+    grow with its number of samples."""
+
+    U0 = random_field(GRID, seed=6, kmin=1, kmax=4, l2_norm=0.5)
+
+    @staticmethod
+    def _fields_made(monkeypatch, run) -> int:
+        made = []
+        post_init = SpectralField.__post_init__
+
+        def counted(self):
+            made.append(self.grid.n)
+            post_init(self)
+
+        monkeypatch.setattr(SpectralField, "__post_init__", counted)
+        run()
+        monkeypatch.undo()
+        return len(made)
+
+    @pytest.mark.parametrize("runner", ["dq_convergence", "taylor_green_suite"])
+    def test_count_does_not_depend_on_samples(self, monkeypatch, runner):
+        spec = DQSweepSpec.halving(NU, self.U0, levels=2)
+        runs = {
+            "dq_convergence": lambda cfg: run_dq_convergence(spec, PhysicsParams(NU, NU), cfg),
+            "taylor_green_suite": lambda cfg: run_taylor_green_suite(cfg, grid=GRID, nu=NU),
+        }
+        counts = []
+        for every in (1, 5):  # 11 and 3 samples
+            cfg = SolverConfig(dt=2e-3, t_end=0.02, sample_every=every)
+            counts.append(self._fields_made(monkeypatch, lambda: runs[runner](cfg)))
+        assert counts[0] == counts[1] > 0
 
 
 class TestReynoldsSwitch:
@@ -649,10 +674,9 @@ class TestReportPath:
              dict(p=PhysicsParams(NU, 0.012, mu=1.0, interp=cls.INTERP), cfg=cls.CFG,
                   t_switch=0.012, nu_new=0.009, u0=cls.V0, v0=cls.U0)),
             (run_taylor_green_suite,
-             dict(cfg=cls.CFG, grid=GRID, nu=NU, deltas=None, flow_tol=1e-5,
-                  sensitivity_tol=1e-4, ratio_window=(0.4, 0.6)),
+             dict(cfg=cls.CFG, grid=GRID, nu=NU, deltas=None, ratio_window=(0.4, 0.6)),
              dict(cfg=cfg_alt, grid=GridSpec(18), nu=0.02, deltas=(NU / 2, NU / 4),
-                  flow_tol=1e-6, sensitivity_tol=1e-3, ratio_window=(0.3, 0.7))),
+                  ratio_window=(0.3, 0.7))),
         ]
 
     @pytest.mark.parametrize("case", range(5))
@@ -748,6 +772,10 @@ class TestReportPath:
             run_dq_convergence(spec, PhysicsParams(NU, NU), self.CFG, ratio_window=object())
         with pytest.raises(TypeError, match="cannot digest"):
             run_da_sync(PhysicsParams(NU, NU), self.CFG, self.U0, self.V0.coeffs)
+        # A callable forcing is hashed at a run's times, which only a SolverConfig gives.
+        p = PhysicsParams(NU, NU, forcing=lambda t: self.F)
+        with pytest.raises(TypeError, match="no SolverConfig given"):
+            experiments._digest(run_da_sync, {"p": p})
 
     def test_warnings_are_recorded_in_the_order_raised(self):
         # An inadmissible gain warns in the nudged run; the control, which

@@ -74,6 +74,11 @@ class TestSpectralProjection:
         with pytest.raises(ValueError, match="at least one mode"):
             SpectralProjection(modes=0)
 
+    def test_unknown_spec_rejected(self):
+        f = random_field(GridSpec(16), seed=3)
+        with pytest.raises(TypeError, match="unknown interpolant spec"):
+            interpolate(f, "modes=4")
+
 
 class TestBoxAverage:
     def test_reproduces_piecewise_constants(self):

@@ -200,6 +200,13 @@ class TestSpectralField:
         with pytest.raises(ValueError, match="conjugate symmetry"):
             SpectralField(g, c).validate()
 
+    def test_validate_flags_nonzero_mean(self):
+        g = GridSpec(8)
+        c = np.zeros((2, 8, 8), dtype=np.complex128)
+        c[1, 0, 0] = 1.0  # real, so conjugate symmetric
+        with pytest.raises(ValueError, match="mean mode"):
+            SpectralField(g, c).validate()
+
     def test_validate_flags_out_of_band(self):
         g = GridSpec(8)
         c = np.zeros((2, 8, 8), dtype=np.complex128)

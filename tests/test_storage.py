@@ -104,6 +104,19 @@ class TestSnapshotErrors:
         with pytest.raises(SnapshotFormatError, match=rf"N = {n}\b"):
             read_snapshot(path)
 
+    @pytest.mark.parametrize("version, coeff_bytes, message", [
+        (2, 2 * 8 * 8 * 16, "unsupported snapshot version 2"),
+        (1, 2 * 8 * 8 * 16 - 16, "N = 8 requires"),
+    ])
+    def test_crc_valid_header_or_size_refused(self, tmp_path, version, coeff_bytes, message):
+        # Only the version, or the payload size, is wrong.
+        payload = struct.pack("<IId", version, 8, 0.0) + bytes(coeff_bytes)
+        crc = struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+        path = tmp_path / "s.bin"
+        path.write_bytes(SNAPSHOT_MAGIC + payload + crc)
+        with pytest.raises(SnapshotFormatError, match=message):
+            read_snapshot(path)
+
 
 def _small_run():
     grid = GridSpec(16)

@@ -95,6 +95,15 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="exceeds"):
             SolverConfig(dt=2.0, t_end=1.0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(dt=0.0, t_end=1.0), "dt must be positive"),
+        (dict(dt=0.1, t_end=0.0), "t_end must be positive"),
+        (dict(dt=0.1, t_end=1.0, sample_every=0), "sample_every must be a positive integer"),
+    ])
+    def test_rejects_nonpositive(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(**kwargs)
+
     def test_step_count(self):
         assert SolverConfig(dt=1e-3, t_end=1.0).n_steps == 1000
 
@@ -467,6 +476,15 @@ class TestStateHandling:
         with pytest.raises(ValueError, match="unknown fields"):
             integrate(SystemSpec(SystemKind.NSE), init, p, cfg)
 
+    def test_no_field_or_a_field_on_another_grid_rejected(self):
+        p = PhysicsParams(nu1=0.01, nu2=0.01)
+        cfg = SolverConfig(dt=1e-3, t_end=0.01, sample_every=10)
+        with pytest.raises(ValueError, match="at least one field"):
+            integrate(SystemSpec(SystemKind.DA), {}, p, cfg)
+        init = {"u": taylor_green(GRID), "v": taylor_green(GridSpec(16))}
+        with pytest.raises(ValueError, match="field 'v' is on grid 16, expected 32"):
+            integrate(SystemSpec(SystemKind.DA), init, p, cfg)
+
     def test_quotient_fields_default_to_zero(self):
         p = PhysicsParams(nu1=0.01, nu2=0.005)
         cfg = SolverConfig(dt=1e-3, t_end=0.01, sample_every=10)
@@ -507,6 +525,12 @@ class TestStateHandling:
         assert win.n_samples == 3
         assert win.times[0] == traj.times[1]
         assert np.array_equal(win.norm_series("u"), traj.norm_series("u")[1:4])
+        assert traj.index_at_time(0.015) == 3
+        with pytest.raises(ValueError, match="not a sample time"):
+            traj.index_at_time(0.0125)
+        for i0, i1 in ((2, 2), (3, 1), (0, traj.n_samples)):
+            with pytest.raises(ValueError, match="bad window"):
+                traj.window(i0, i1)
 
 
 class TestSampleStorage:
