@@ -14,8 +14,9 @@ sets are passed on, so each default is written once: in the runner's
 signature, or in `DQSweepSpec` for the sweeps' levels and norm.  The one
 default set here is sync's with_control, true.  An experiment key the
 command does not read, a key its runner has no default for (switch's
-t_switch and nu_new) left out, and a pinned system.kind other than the
-command's are configuration errors, raised before anything is written.
+t_switch and nu_new) left out, a pinned system.kind other than the
+command's, and a da-dq-sweep gain that is not strictly admissible are
+configuration errors, raised before anything is written.
 
 Exit codes: 0 all verdicts passed, 1 a verdict or bound check failed,
 2 configuration problem, 3 runtime blow-up.  Artifacts land in --out (or the
@@ -39,6 +40,7 @@ from .diagnostics import check_apriori, identity_suite, trajectory_grashof
 from .dynamics import SystemKind, SystemSpec
 from .experiments import (
     ExperimentReport,
+    _check_strict_gain,
     _jsonify,
     reported,
     run_da_dq_convergence,
@@ -48,7 +50,7 @@ from .experiments import (
     run_taylor_green_suite,
 )
 from .interpolants import BoxAverage, SpectralProjection, verify_bound
-from .runconfig import SWEEP_KEYS, ConfigError, RunConfig, load_config, sweep_spec
+from .runconfig import SWEEP_KEYS, ConfigError, RunConfig, _built, load_config, sweep_spec
 from .spectral import BandStack, GridSpec, SpectralField, norms
 from .storage import emit_diagnostics_csv, save_report, write_snapshot
 from .timestepper import AdmissibilityError, BlowupError, integrate
@@ -240,6 +242,8 @@ def main(argv=None) -> int:
                     f"this command runs the '{system.value}' system but the config "
                     f"pins system.kind = '{cfg.system_kind.value}'"
                 )
+            if system is SystemKind.DA_DQ_DIRECT:
+                _built("physics", _check_strict_gain, cfg.physics.nu1, cfg.physics)
             given = {k: v for k, v in cfg.experiment.items() if k in keys}
         elif system is not None:
             raise ConfigError(

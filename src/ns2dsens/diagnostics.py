@@ -29,18 +29,22 @@ D = (lambda_1 nu)^2 and c = 1, and is checked in that order.  A nudged row has
 the effective source g = f + mu P_sigma(I_h u_ref), D = mu nu lambda_1 and
 c = 1/2; its L2 bound is checked first and only under the admissibility
 condition, its H1 and dissipation bounds only under its strict (factor 4)
-form.  The source norms |g| come from the sampled reference states after the
-run, through `sample_norms`: one `interpolate` call and one projection per
-block of samples.  A constant forcing is measured once; a callable one at
-every sample time.  A failed check is a result, not an error.
+form.  The source norms |g| are L2 norms of band halves for both roles, the
+forcing read as its projected band half (`forcing_band`).  A flow row's |f|
+is measured once for a constant forcing, and for a callable one at every
+sample time through `sample_norms`; a nudged row's |g| comes from the sampled
+reference states after the run, through `sample_norms`: one `interpolate`
+call and one projection per block of samples.  A failed check is a result,
+not an error.
 
 `sample_norms` is the one pass that reads a per-sample norm of an expression
-of a run's sampled band halves: the nudged source here, and in the
-experiments the quotient sweeps' errors, two-path gaps and integrator
-tolerance, the synchronization gap and the Taylor-Green flow oracle.  No
-runner expands a sample to full spectra to take a norm.  It forms the
-expression `SAMPLE_BLOCK` samples at a time into one reused block buffer,
-so no array of the whole run is ever formed.
+of a run's sampled band halves: a callable forcing and the nudged source
+here, and in the experiments the quotient sweeps' errors, two-path gaps and
+integrator tolerance, the synchronization gap and the Taylor-Green flow
+oracle.  No runner or certificate expands a sample or a forcing value to full
+spectra to take a norm.  It forms the expression `SAMPLE_BLOCK` samples at a
+time into one reused block buffer, so no array of the whole run is ever
+formed.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PhysicsParams, forcing_at, forcing_band
+from .dynamics import PhysicsParams, forcing_band
 from .interpolants import admissibility, interpolate
 from .spectral import (
     LAMBDA_1,
@@ -122,17 +126,9 @@ def grashof(f_norm_sup: float, nu: float) -> float:
     return f_norm_sup / (nu**2 * LAMBDA_1)
 
 
-def _forcing_l2(p: PhysicsParams, grid: GridSpec, times: np.ndarray) -> np.ndarray:
-    """|f(t)|_L2 at each time; a constant forcing is measured once."""
-    if callable(p.forcing):
-        return np.asarray([norm(forcing_at(p, grid, t)) for t in times])
-    return np.full(len(times), norm(forcing_at(p, grid, 0.0)))
-
-
 def trajectory_grashof(traj) -> float:
     """Grashof number of a run at its nu1, taking sup |f| over its sample times."""
-    p = traj.params
-    return grashof(float(_forcing_l2(p, traj.grid, traj.times).max()), p.nu1)
+    return grashof(float(_forcing_l2(traj, traj.params).max()), traj.params.nu1)
 
 
 @dataclass(frozen=True)
@@ -254,21 +250,34 @@ def sample_norms(traj, form, kind: str = "l2") -> np.ndarray:
     return out
 
 
-def effective_source_l2(traj, ref: str, p: PhysicsParams | None = None) -> np.ndarray:
-    """|f + mu P_sigma(I_h u_ref)|_L2 at every sample of a run, u_ref the field named ref.
+def _forcing_halves(p: PhysicsParams, grid: GridSpec, times: np.ndarray, out=None) -> np.ndarray:
+    """`forcing_band` at each of times, stacked, into out when given."""
+    return np.stack([forcing_band(p, grid, t) for t in times], out=out)
+
+
+def _forcing_l2(traj, p: PhysicsParams) -> np.ndarray:
+    """|f|_L2 of the forcing's band half at every sample of a run, a constant one measured once."""
+    grid, times = traj.grid, traj.times
+    if p.forcing is None:
+        return np.zeros(len(times))
+    if callable(p.forcing):
+        return sample_norms(traj, lambda block, out: _forcing_halves(p, grid, times[block], out))
+    return np.full(len(times), norms(BandStack(grid, forcing_band(p, grid, 0.0)), l2_only=True))
+
+
+def effective_source_l2(traj, ref: str, p: PhysicsParams) -> np.ndarray:
+    """|f + mu P_sigma(I_h u_ref)|_L2 under p at every sample of a run, u_ref the field named ref.
 
     A constant forcing's band half is the one p holds (`forcing_band`), a
     callable's is formed per time.
     """
-    p = traj.params if p is None else p
     grid, times, refs = traj.grid, traj.times, traj.snapshots[ref].coeffs
     f = None if callable(p.forcing) else forcing_band(p, grid, 0.0)
 
     def source(block: slice, out: np.ndarray) -> None:
         seen = interpolate(BandStack(grid, refs[block]), p.interp).coeffs
         np.multiply(p.mu, project_coeffs(seen, *grid.band_projector), out=out)
-        np.add(np.stack([forcing_band(p, grid, t) for t in times[block]]) if f is None else f,
-               out, out=out)
+        np.add(_forcing_halves(p, grid, times[block]) if f is None else f, out, out=out)
 
     return sample_norms(traj, source)
 
@@ -286,7 +295,7 @@ def check_apriori(traj, p: PhysicsParams | None = None, label: str = "") -> list
     """
     p = traj.params if p is None else p
     system, times = traj.system, traj.times
-    f_l2 = _forcing_l2(p, traj.grid, times)
+    f_l2 = _forcing_l2(traj, p)
     checks: list[BoundCheck] = []
     for field, row in system.rows.items():
         if row.role == "derivative":

@@ -28,8 +28,10 @@ round on the band halves of the whole stack (`spectral.BandStack`): one
 `bilinear` call forms all advective products of the table, one
 `interpolate` call observes the differences of all nudged rows on the band
 half (only the band half of I_h of a difference survives the truncation),
-and one loop writes the rows in place into one array: forcing (formed once
-per `PhysicsParams` when constant), products, Stokes source, nudging.
+and one loop writes the rows in place into one array: forcing, products,
+Stokes source, nudging.  The forcing is read only as its projected band half
+(`forcing_band`): a constant one's is formed once per `PhysicsParams`, a
+callable's value is cut to the band and projected there at every evaluation.
 """
 
 from __future__ import annotations
@@ -67,8 +69,8 @@ class PhysicsParams:
     nu1 is the viscosity of the reference flow, nu2 the second viscosity used
     by perturbed and assimilating systems.  Forcing may be None (unforced), a
     constant field, or a callable of time; constant fields are projected
-    (band-limited, divergence-free, mean-free) on ingestion, callables on
-    every evaluation.
+    (band-limited, divergence-free, mean-free) on ingestion, a callable's
+    value on its band half at every evaluation (`forcing_band`).
     """
 
     nu1: float
@@ -121,26 +123,23 @@ def without_nudging(p: PhysicsParams) -> PhysicsParams:
     return _replace_params(p, mu=0.0, interp=None)
 
 
-def forcing_at(p: PhysicsParams, grid: GridSpec, t: float) -> SpectralField:
-    """Projected forcing field at time t on the given grid."""
+def forcing_band(p: PhysicsParams, grid: GridSpec, t: float) -> np.ndarray | float:
+    """The projected forcing's band half at time t on grid, the scalar 0.0 when unforced.
+
+    The one reader of `PhysicsParams.forcing` after ingestion.  A constant
+    forcing's band half is p's own, formed once; a callable's value is cut to
+    its band half and projected there, the bits of the band half of
+    `leray_project` of its band-limited field.
+    """
     f = p.forcing
     if f is None:
-        return SpectralField.zero(grid)
-    if isinstance(f, SpectralField):
-        field = f
-    else:
-        field = leray_project(f(t).band_limited())
+        return 0.0
+    field = f(t) if callable(f) else f
     if field.grid.n != grid.n:
         raise ValueError(f"forcing grid {field.grid.n} does not match state grid {grid.n}")
-    return field
-
-
-def forcing_band(p: PhysicsParams, grid: GridSpec, t: float) -> np.ndarray | float:
-    """Band half of `forcing_at`, the scalar 0.0 when unforced; a constant one's is p's own."""
-    if p.forcing is None:
-        return 0.0
-    f = forcing_at(p, grid, t)  # raises for a forcing on another grid
-    return band_half(f.coeffs, grid.cutoff) if callable(p.forcing) else p._forcing_band
+    if field is f:
+        return p._forcing_band
+    return project_coeffs(band_half(field.coeffs, grid.cutoff), *grid.band_projector)
 
 
 def dq_field(a: SpectralField, b: SpectralField, nu_a: float, nu_b: float) -> SpectralField:

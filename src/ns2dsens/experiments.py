@@ -358,6 +358,20 @@ def reported(runner):
     return run
 
 
+def _check_strict_gain(nu1: float, p: PhysicsParams) -> None:
+    """Raise AdmissibilityError unless the assimilated sweep at nu1 is strictly admissible.
+
+    Quotient convergence under nudging is only guaranteed with the strict
+    gain condition at the smallest viscosity in the sweep; nu2 = nu1 + delta
+    > nu1, so nu1 is the binding case.  mu = 0 always passes.
+    """
+    if not admissibility(nu1, p.mu, p.interp, strict=True):
+        raise AdmissibilityError(
+            f"strict admissibility fails for nu = {nu1}, mu = {p.mu}: "
+            "the sweep's convergence guarantee does not apply"
+        )
+
+
 def _run_quotient_sweep(
     name: str,
     spec: DQSweepSpec,
@@ -379,16 +393,8 @@ def _run_quotient_sweep(
         kind, flow, evolved = SystemKind.DA_DQ_DIRECT, ("v1", "v2"), "dp"
         if v0 is None:
             v0 = SpectralField.zero(grid)
-        # Quotient convergence under nudging is only guaranteed with the
-        # strict gain condition at the smallest viscosity in the sweep;
-        # nu2 = nu1 + delta > nu1 here, so nu1 is the binding case.
-        strict_ok = admissibility(spec.nu1, p.mu, p.interp, strict=True)
-        data["strict_admissible"] = strict_ok
-        if p.mu > 0 and not strict_ok:
-            raise AdmissibilityError(
-                f"strict admissibility fails for nu = {spec.nu1}, mu = {p.mu}: "
-                "the sweep's convergence guarantee does not apply"
-            )
+        _check_strict_gain(spec.nu1, p)
+        data["strict_admissible"] = True
         init.update(v1=v0, v2=v0)
     else:
         kind, flow, evolved = SystemKind.DQ_DIRECT, ("u1", "u2"), "d"

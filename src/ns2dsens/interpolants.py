@@ -173,9 +173,8 @@ def admissibility(
     mu: float,
     spec: InterpolantSpec,
     strict: bool = False,
-    c0: float | None = None,
 ) -> bool:
-    """Evaluate mu * c0 * h**2 <= nu (times 4 when strict), boundary inclusive.
+    """Evaluate mu * c0 * h**2 <= nu (times 4 when strict), boundary inclusive, c0 the spec's.
 
     mu = 0 is always admissible.  The non-strict form is the synchronization
     condition; the strict form is what the assimilated difference-quotient
@@ -187,9 +186,8 @@ def admissibility(
         raise ValueError(f"nudging gain must be nonnegative, got {mu}")
     if mu == 0:
         return True
-    c0 = spec.default_c0 if c0 is None else c0
     factor = 4.0 if strict else 1.0
-    return factor * mu * c0 * spec.h**2 <= nu
+    return factor * mu * spec.default_c0 * spec.h**2 <= nu
 
 
 @dataclass(frozen=True)
@@ -211,9 +209,8 @@ def verify_bound(
     grid: GridSpec,
     ensemble: int = 100,
     seed: int = 0,
-    c0: float | None = None,
 ) -> InterpolantBoundReport:
-    """Check ||phi - I_h(phi)||^2 <= c0 h^2 ||phi||_H1^2 over a random ensemble.
+    """Check ||phi - I_h(phi)||^2 <= c0 h^2 ||phi||_H1^2 over a random ensemble, c0 the spec's.
 
     Draws divergence-free fields alternating between the full dealiased band
     and a low-mode annulus, tracks the worst ratio, and passes when it stays
@@ -222,7 +219,7 @@ def verify_bound(
     """
     if ensemble < 1:
         raise ValueError(f"ensemble size must be positive, got {ensemble}")
-    c0 = spec.default_c0 if c0 is None else c0
+    c0 = spec.default_c0
     rng = np.random.default_rng(seed)
     h_sq = spec.h**2
     max_ratio = 0.0

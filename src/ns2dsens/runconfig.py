@@ -41,8 +41,9 @@ kind does not read included, so a misspelled physics parameter cannot be
 silently ignored, and a number must be finite (NaN, infinities and integers
 beyond float range are rejected).  Every invariant of the mirrored types is
 re-validated on load, the quotient sweep (`sweep_spec`) and a viscosity
-switch (`check_switch`) included, and a nudged run whose gain violates the
-admissibility condition mu * c0 * h^2 <= nu is rejected unless
+switch (`check_switch`) included.  A nudged run (mu > 0) whose step violates
+the stability condition dt * mu <= 1 is rejected, and one whose gain violates
+the admissibility condition mu * c0 * h^2 <= nu is rejected unless
 physics.allow_inadmissible is set.  Unpinned seeds derive from the top-level
 seed: forcing uses it directly, the initial field uses seed + 1, and the
 assimilated initial uses seed + 2, so one integer reproduces a whole run.
@@ -58,7 +59,7 @@ from .dynamics import PhysicsParams, SystemKind
 from .experiments import TRAJECTORY_NORMS, DQSweepSpec, check_switch, forcing_for_grashof
 from .interpolants import BoxAverage, SpectralProjection, admissibility
 from .spectral import GridSpec, SpectralField, random_field, taylor_green
-from .timestepper import SolverConfig
+from .timestepper import SolverConfig, _check_nudging_step
 
 
 class ConfigError(ValueError):
@@ -332,6 +333,7 @@ def load_config_data(data: dict, seed_override: int | None = None) -> RunConfig:
 
     top["admissibility"] = None
     if phys["mu"] > 0:
+        _built("solver", _check_nudging_step, solver.dt, phys["mu"])
         nu_min = min(nu1, phys["nu2"], experiment.get("nu_new", nu1))
         ok = _built("experiment", admissibility, nu_min, phys["mu"], interp)
         top["admissibility"] = {

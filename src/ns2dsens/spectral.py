@@ -219,18 +219,18 @@ class SpectralField:
         vals = self.physical()
         return float(np.sqrt(vals[0] ** 2 + vals[1] ** 2).max())
 
-    def validate(self, tol: float = 1e-12, require_band: bool = False) -> None:
-        """Raise ValueError on any invariant violation beyond tol (relative)."""
+    def validate(self, require_band: bool = False) -> None:
+        """Raise ValueError on any invariant violation beyond 1e-12 (relative)."""
         c = self.coeffs
-        scale = max(float(np.abs(c).max()), 1.0)
+        tol = 1e-12 * max(float(np.abs(c).max()), 1.0)
         if np.abs(c[:, 0, 0]).max() != 0.0:
             raise ValueError("mean mode is not zero")
         sym_err = float(np.abs(c - _conj_flip(c)).max())
-        if sym_err > tol * scale:
+        if sym_err > tol:
             raise ValueError(f"conjugate symmetry violated by {sym_err:.3e}")
         if require_band:
             out = float(np.abs(c * ~self.grid.band_mask).max())
-            if out > tol * scale:
+            if out > tol:
                 raise ValueError(f"energy outside the dealiased band: {out:.3e}")
 
     def divergence_max(self) -> float:

@@ -227,6 +227,12 @@ def _prepare_state(
     return BandStack.of(fields).coeffs
 
 
+def _check_nudging_step(dt: float, mu: float) -> None:
+    """Raise ValueError unless dt * mu <= 1, the nudging term's stability condition."""
+    if dt * mu > 1.0 + 1e-12:
+        raise ValueError(f"nudging stability requires dt * mu <= 1, got {dt * mu:.6g}")
+
+
 def _check_gates(
     system: SystemSpec,
     p: PhysicsParams,
@@ -236,10 +242,7 @@ def _check_gates(
 ) -> None:
     if not system.uses_nudging(p):
         return
-    if cfg.dt * p.mu > 1.0 + 1e-12:
-        raise ValueError(
-            f"nudging stability requires dt * mu <= 1, got {cfg.dt * p.mu:.6g}"
-        )
+    _check_nudging_step(cfg.dt, p.mu)
     nus = [system.viscosity(name, p) for name in system.nudged_fields]
     if nu_extra is not None:
         nus.append(nu_extra)
@@ -413,7 +416,7 @@ def step_convergence_order(
     reference_refinement, which must refine at least twice beyond the ladder.
     Returns the least-squares slope of log error against log dt.
     """
-    if len(refinements) < 2 or sorted(set(refinements)) != sorted(refinements):
+    if len(refinements) < 2 or list(refinements) != sorted(set(refinements)):
         raise ValueError(f"refinements must be distinct and increasing, got {refinements}")
     if exact is None and reference_refinement < 2 * max(refinements):
         raise ValueError(

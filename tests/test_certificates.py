@@ -102,6 +102,6 @@ def test_apriori_records_match_pins(pins, kind, nudging, n):
 
 
 if __name__ == "__main__":
-    PINS.write_text(json.dumps({"numpy": np.__version__, "machine": platform.machine(),
-                                "records": _pins()}, indent=1, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    from pin_files import rewrite
+
+    rewrite(PINS, "records", _pins())

@@ -42,6 +42,11 @@ class TestSimulate:
         assert t == pytest.approx(0.1)
         echo = yaml.safe_load((out / "config_echo.yaml").read_text())
         assert echo["physics"]["nu2"] == 0.01
+        # Without --out the artifacts land in the config's output_dir.
+        there = tmp_path / "there"
+        cfg = _write_config(tmp_path, name="there.yaml", output_dir=str(there))
+        assert main(["simulate", "--config", str(cfg), "--quiet"]) == 0
+        assert sorted(f.name for f in there.iterdir()) == sorted(f.name for f in out.iterdir())
 
     def test_summary_printed_unless_quiet(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
@@ -110,6 +115,13 @@ class TestExitCodes:
         ({"physics": {"nu1": 0.01, "mu": 0.5,
                       "interpolant": {"kind": "spectral_projection", "modes": 2}},
           "experiment": {"nu_new": -0.01}}, "experiment"),
+        ({"grid": {"n": 32.5}}, "grid.n: expected an integer"),
+        ({"system": {"linear_only": "yes"}}, "system.linear_only: expected true or false"),
+        ({"experiment": {"deltas": []}}, "experiment.deltas must be a non-empty list"),
+        ({"experiment": {"ratio_window": [0.2, 0.4, 0.6]}},
+         "experiment.ratio_window must be a two-number list"),
+        ({"initial": {"kind": "vortex"}}, "initial.kind must be one of"),
+        ({"output_dir": 5}, "output_dir must be a string path"),
     ])
     def test_bad_block_value_is_exit_2(self, tmp_path, capsys, overrides, block):
         # Each value is rejected at load, with the block named and no echo written.
@@ -168,6 +180,17 @@ class TestExitCodes:
         ("simulate", {"system": {"kind": "nse_sens"}}, "system.kind"),
         ("switch", {"system": {"kind": "nse"},
                     "experiment": {"t_switch": 0.06, "nu_new": 0.008}}, "system.kind"),
+        # dt mu = 2 > 1: admissible (mu c0 h^2 = 0.62 <= nu = 1), unstable.
+        *((command, {"grid": {"n": 24}, "solver": {"dt": 1e-3, "t_end": 0.01},
+                     "physics": {"nu1": 1.0, "mu": 2000.0, "interpolant": {
+                         "kind": "spectral_projection", "modes": 8}}},
+           "solver: nudging stability requires dt * mu <= 1")
+          for command in ("assimilate", "sync")),
+        # mu c0 h^2 = 6.2e-3 <= nu = 0.01 < 4 mu c0 h^2: admissible, not strictly.
+        ("da-dq-sweep", {"grid": {"n": 24}, "solver": {"dt": 1e-3, "t_end": 0.01},
+                         "physics": {"nu1": 0.01, "mu": 20.0, "interpolant": {
+                             "kind": "spectral_projection", "modes": 8}}},
+         "physics: strict admissibility fails"),
     ])
     def test_missing_key_or_kind_conflict_writes_no_echo(
         self, tmp_path, capsys, command, overrides, key

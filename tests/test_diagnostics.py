@@ -17,7 +17,13 @@ from ns2dsens.diagnostics import (
     sample_norms,
     trajectory_grashof,
 )
-from ns2dsens.dynamics import PhysicsParams, SystemKind, SystemSpec, forcing_at, with_viscosity2
+from ns2dsens.dynamics import (
+    PhysicsParams,
+    SystemKind,
+    SystemSpec,
+    forcing_band,
+    with_viscosity2,
+)
 from ns2dsens.interpolants import BoxAverage, SpectralProjection, admissibility, interpolate
 from ns2dsens.spectral import (
     BandStack,
@@ -127,8 +133,9 @@ class TestAprioriFlow:
         traj, p = _nse_run(forcing=f)
         (check,) = [c for c in check_apriori(traj) if c.name == "u_h1_sup"]
         h1_sq = traj.norm_series("u", "h1") ** 2
+        f_l2 = norms(BandStack(GRID, forcing_band(p, GRID, 0.0)), l2_only=True)
         rhs = h1_sq[0] + diagnostics._cumulative_trapezoid(
-            diagnostics._forcing_l2(p, GRID, traj.times) ** 2, traj.times) / p.nu1
+            np.full(traj.n_samples, f_l2) ** 2, traj.times) / p.nu1
         i = int(np.flatnonzero(h1_sq == check.lhs)[0])
         assert i >= 1
         assert check.passed and check.margin > 0
@@ -245,7 +252,7 @@ class TestStackedSource:
         p = traj.params if p is None else p
         return np.array([
             norm(
-                forcing_at(p, traj.grid, t)
+                forcing_field(p, t)
                 + p.mu * leray_project(interpolate(traj.snapshot(ref, i), p.interp).band_limited())
             )
             for i, t in enumerate(traj.times)
@@ -264,7 +271,7 @@ class TestStackedSource:
         assert self.SAMPLES > SAMPLE_BLOCK and self.SAMPLES % SAMPLE_BLOCK
         for traj, p in self.cases():
             assert traj.n_samples == self.SAMPLES
-            got = effective_source_l2(traj, "u")
+            got = effective_source_l2(traj, "u", p)
             want = self.per_sample_source(traj, "u")
             assert np.abs(got - want).max() <= 1e-13 * want.max()
 
@@ -287,18 +294,25 @@ class TestStackedSource:
 
         def counting(*args):
             calls.append(args[-1])
-            return forcing_at(*args)
+            return forcing_band(*args)
 
-        monkeypatch.setattr(diagnostics, "forcing_at", counting)
+        monkeypatch.setattr(diagnostics, "forcing_band", counting)
         checks = check_apriori(traj)
         grashof_number = trajectory_grashof(traj)
         assert len(calls) <= 3  # f_l2, the source's band half, the Grashof sup
         monkeypatch.undo()
         # Bit-identical to measuring the forcing at every sample time.
-        per_time = np.asarray([norm(forcing_at(p, traj.grid, t)) for t in traj.times])
+        per_time = np.asarray([norms(BandStack(traj.grid, forcing_band(p, traj.grid, t)),
+                                     l2_only=True) for t in traj.times])
         monkeypatch.setattr(diagnostics, "_forcing_l2", lambda *args: per_time)
         assert check_apriori(traj) == checks
         assert trajectory_grashof(traj) == grashof_number
+
+
+def forcing_field(p, t):
+    """The projected forcing at time t as a full field: the reference for its band half."""
+    f = p.forcing
+    return f if isinstance(f, SpectralField) else leray_project(f(t).band_limited())
 
 
 def head(traj, samples):
@@ -337,5 +351,5 @@ class TestSampleNorms:
                 g = f + p.mu * project_coeffs(seen, *grid.band_projector)
                 want.append(norms(BandStack(grid, g), l2_only=True)[0])
             for samples in self.SIZES:
-                got = effective_source_l2(head(traj, samples), "u")
+                got = effective_source_l2(head(traj, samples), "u", p)
                 assert np.array_equal(bits(got), bits(want[:samples]))

@@ -9,7 +9,6 @@ from ns2dsens.dynamics import (
     SystemKind,
     SystemSpec,
     dq_field,
-    forcing_at,
     forcing_band,
     with_viscosity2,
     without_nudging,
@@ -40,6 +39,19 @@ SENS = SystemSpec(SystemKind.NSE_SENS)
 DA_SENS = SystemSpec(SystemKind.DA_SENS)
 DQ = SystemSpec(SystemKind.DQ_DIRECT)
 DA_DQ = SystemSpec(SystemKind.DA_DQ_DIRECT)
+
+
+def projected_band(p, grid, t):
+    """The reference for `forcing_band`: the band half of the projected full field.
+
+    A constant forcing is the field projected on ingestion, a callable's
+    value is band-limited and projected at full size; zeros when unforced.
+    """
+    f = p.forcing
+    if f is None:
+        return band_half(SpectralField.zero(grid).coeffs, grid.cutoff)
+    field = f if isinstance(f, SpectralField) else leray_project(f(t).band_limited())
+    return band_half(field.coeffs, grid.cutoff)
 
 
 def coeffs_close(a, b, tol=1e-12):
@@ -73,18 +85,20 @@ class TestPhysicsParams:
     def test_callable_forcing_projected_per_call(self):
         raw = random_field(GRID, seed=2, solenoidal=False)
         p = PhysicsParams(nu1=0.01, nu2=0.01, forcing=lambda t: raw * (1.0 + t))
-        f = forcing_at(p, GRID, 0.5)
+        f, f0 = (BandStack(GRID, forcing_band(p, GRID, t)[None])[0] for t in (0.5, 0.0))
         assert f.divergence_max() < 1e-13
-        assert norm(f) == pytest.approx(1.5 * norm(forcing_at(p, GRID, 0.0)), rel=1e-12)
+        assert norm(f) == pytest.approx(1.5 * norm(f0), rel=1e-12)
 
     def test_no_forcing_is_zero_field(self):
         p = PhysicsParams(nu1=0.01, nu2=0.01)
-        assert norm(forcing_at(p, GRID, 3.0)) == 0.0
+        assert forcing_band(p, GRID, 3.0) == 0.0
 
     def test_forcing_grid_mismatch(self):
-        p = PhysicsParams(nu1=0.01, nu2=0.01, forcing=random_field(GridSpec(16), seed=3))
-        with pytest.raises(ValueError, match="grid"):
-            forcing_at(p, GRID, 0.0)
+        other = random_field(GridSpec(16), seed=3)
+        for forcing in (other, lambda t: other):
+            p = PhysicsParams(nu1=0.01, nu2=0.01, forcing=forcing)
+            with pytest.raises(ValueError, match="forcing grid 16 does not match state grid 32"):
+                forcing_band(p, GRID, 0.0)
 
 
 class TestForcingBand:
@@ -95,11 +109,23 @@ class TestForcingBand:
         zero = BandStack.of([SpectralField.zero(GRID)])
         rounds = {t: NSE.explicit_rhs(zero, p, t)[0][0] for t in (0.0, 0.5)}
         for t, got in rounds.items():
-            want = band_half(forcing_at(p, GRID, t).coeffs, GRID.cutoff)
-            assert np.array_equal(got, want)
+            assert np.array_equal(got, projected_band(p, GRID, t))
         assert np.allclose(rounds[0.5], 1.5 * rounds[0.0], rtol=0, atol=1e-15)
         assert not np.array_equal(rounds[0.5], rounds[0.0])
         assert "_forcing_band" not in vars(p)
+
+    @pytest.mark.parametrize("n", [16, 24, 48])
+    def test_callable_band_half_has_the_bits_of_the_full_projection(self, n):
+        # A callable's value is projected on its band half, never at full size.
+        grid = GridSpec(n)
+        raw = SpectralField.from_physical(grid, np.random.default_rng(n).standard_normal((2, n, n)))
+        assert raw.divergence_max() > 1e-6 and (raw.coeffs * ~grid.band_mask).any()
+        values = (random_field(grid, seed=n), random_field(grid, seed=n, solenoidal=False), raw)
+        for value in values:
+            p = PhysicsParams(nu1=0.01, nu2=0.01, forcing=lambda t, v=value: v * (1.0 + t))
+            for t in (0.0, 0.37):
+                got, want = forcing_band(p, grid, t), projected_band(p, grid, t)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_copies_form_their_own_band_and_give_the_same_rounds(self):
         p = PhysicsParams(
@@ -371,7 +397,7 @@ class TestSystemSpec:
         }
         u, ut, v, vt, u1, u2, d, v1, v2, dp = s.values()
         nu1, nu2, A = p.nu1, p.nu2, stokes_apply
-        f = forcing_at(p, GRID, 0.5)
+        f = p.forcing  # constant: projected on ingestion
 
         def nudge(target, current):
             diff = interpolate(target - current, p.interp)
@@ -504,7 +530,7 @@ def assembled_rows(spec, state, p, t):
     g, c = state.grid, state.coeffs
     k, inv_k_sq, lam = g.band_tables
     at = {name: i for i, name in enumerate(spec.fields)}
-    f = band_half(forcing_at(p, g, t).coeffs, g.cutoff)
+    f = projected_band(p, g, t)
     pairs = [row.products or ((name, name),) for name, row in spec.rows.items()]
     flat = tuple((at[a], at[b]) for row_pairs in pairs for a, b in row_pairs)
     if spec.linear_only:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ns2dsens import diagnostics, experiments
-from ns2dsens.diagnostics import SAMPLE_BLOCK, BoundCheck, grashof
+from ns2dsens.diagnostics import SAMPLE_BLOCK, BoundCheck, check_apriori, grashof
 from ns2dsens.dynamics import PhysicsParams
 from ns2dsens.experiments import (
     DQSweepSpec,
@@ -101,6 +101,17 @@ class TestDQSweepSpec:
     def test_rejects_bad_norm(self):
         with pytest.raises(ValueError, match="norm"):
             DQSweepSpec(NU, (1e-3,), taylor_green(GRID), norm="h3")
+
+    @pytest.mark.parametrize("nu1, deltas, initial, error, match", [
+        (0.0, (1e-3,), "field", ValueError, "nu1 must be positive"),
+        (NU, (), "field", ValueError, "at least one delta"),
+        (NU, (2e-3, -1e-3), "field", ValueError, "deltas must be positive"),
+        (NU, (1e-3,), "coeffs", TypeError, "initial must be a SpectralField"),
+    ])
+    def test_rejects_invalid_arguments(self, nu1, deltas, initial, error, match):
+        u0 = taylor_green(GRID)
+        with pytest.raises(error, match=match):
+            DQSweepSpec(nu1, deltas, u0 if initial == "field" else u0.coeffs)
 
 
 class TestExperimentReport:
@@ -442,7 +453,7 @@ class TestSamplePass:
         return [norms(BandStack(GRID, a[i : i + 1] - b[i : i + 1]))[0, col] for i in range(len(a))]
 
     @pytest.mark.parametrize("assimilated", [False, True])
-    @pytest.mark.parametrize("norm_key, col", [("l2_h", 0), ("l2_v", 1)])
+    @pytest.mark.parametrize("norm_key, col", [("l2_h", 0), ("l2_v", 1), ("linf_h", 0)])
     def test_quotient_sweep(self, monkeypatch, assimilated, norm_key, col):
         spec = DQSweepSpec.halving(NU, self.U0, levels=3, norm=norm_key)
         p = PhysicsParams(NU, NU, forcing=forcing_for_grashof(GRID, NU, 200.0, seed=5))
@@ -473,6 +484,9 @@ class TestSamplePass:
         finest = f"{evolved}_{len(spec.deltas)}"
         tolerance = self._per_sample(s[finest], half.snapshots[evolved].coeffs, col)
         self._assert_per_sample(calls, errors + gaps + [tolerance])
+        if norm_key == "linf_h":  # the sup over the samples
+            assert rep.data["errors"] == [max(e) for e in errors]
+            assert rep.data["integrator_tolerance"] == max(tolerance)
 
     def test_sync_gap(self, monkeypatch):
         p = PhysicsParams(NU, NU, mu=20.0, forcing=forcing_for_grashof(GRID, NU, 200.0, seed=5),
@@ -542,6 +556,33 @@ class TestNoFieldPerSample:
             cfg = SolverConfig(dt=2e-3, t_end=0.02, sample_every=every)
             counts.append(self._fields_made(monkeypatch, lambda: runs[runner](cfg)))
         assert counts[0] == counts[1] > 0
+
+    def test_callable_forcing_adds_only_its_own_field_per_evaluation(self, monkeypatch):
+        # The stepper and the certificates read the forcing as band halves, so
+        # each evaluation builds one field: the one the callable returns.
+        f = forcing_for_grashof(GRID, NU, 200.0, seed=5)
+        evaluations = []
+
+        def forcing(t):
+            evaluations.append(t)
+            return f * (1.0 + t)
+
+        p, nse = PhysicsParams(NU, NU, forcing=forcing), SystemSpec(SystemKind.NSE)
+
+        def made_beyond_evaluations(run) -> int:
+            evaluations.clear()
+            made = self._fields_made(monkeypatch, run)
+            assert evaluations
+            return made - len(evaluations)
+
+        runs = [SolverConfig(dt=2e-3, t_end=steps * 2e-3) for steps in (10, 20)]
+        stepper = [made_beyond_evaluations(lambda: integrate(nse, {"u": self.U0}, p, cfg))
+                   for cfg in runs]
+        assert stepper[0] == stepper[1]
+        trajs = [integrate(nse, {"u": self.U0}, p, dataclasses.replace(runs[1], sample_every=every))
+                 for every in (1, 5)]  # 21 and 5 samples
+        checks = [made_beyond_evaluations(lambda: check_apriori(traj)) for traj in trajs]
+        assert checks == [0, 0]
 
 
 class TestReynoldsSwitch:

@@ -227,19 +227,18 @@ class TestAdmissibility:
 
     def test_boundary_equality_admissible(self):
         spec = SpectralProjection(modes=1)
-        c0 = 1.0
-        h2 = spec.h**2
-        nu = 1.0 * c0 * h2
-        assert admissibility(nu=nu, mu=1.0, spec=spec, c0=c0) is True
+        nu = 1.0 * spec.default_c0 * spec.h**2
+        assert admissibility(nu=nu, mu=1.0, spec=spec) is True
 
     def test_boundary_inclusive_at_representable_gain(self):
-        # mu c0 h^2 = 16 * 0.25 * 0.25**2 = 0.25 exactly, 1.0 with the strict factor 4.
+        # nu = factor mu c0 h^2 at the spec's own c0, formed in the order
+        # admissibility forms it: admissible there, not one ulp below.
         spec = BoxAverage(boxes=4)
-        kw = dict(mu=16.0, spec=spec, c0=0.25)
-        assert admissibility(nu=0.25, **kw) is True
-        assert admissibility(nu=float(np.nextafter(0.25, 0.0)), **kw) is False
-        assert admissibility(nu=1.0, strict=True, **kw) is True
-        assert admissibility(nu=float(np.nextafter(1.0, 0.0)), strict=True, **kw) is False
+        for strict, factor in ((False, 1.0), (True, 4.0)):
+            nu = factor * 16.0 * spec.default_c0 * spec.h**2
+            kw = dict(mu=16.0, spec=spec, strict=strict)
+            assert admissibility(nu=nu, **kw) is True
+            assert admissibility(nu=float(np.nextafter(nu, 0.0)), **kw) is False
 
     def test_invalid_parameters(self):
         spec = BoxAverage(boxes=8)
@@ -260,8 +259,10 @@ class TestVerifyBound:
         assert report.passed
         assert report.max_ratio <= BOX_AVERAGE_C0
 
-    def test_fails_for_understated_constant(self):
-        report = verify_bound(BoxAverage(boxes=8), GridSpec(32), ensemble=20, seed=0, c0=1e-6)
+    def test_fails_for_understated_constant(self, monkeypatch):
+        monkeypatch.setattr(BoxAverage, "default_c0", 1e-6)
+        report = verify_bound(BoxAverage(boxes=8), GridSpec(32), ensemble=20, seed=0)
+        assert report.c0 == 1e-6
         assert not report.passed
 
     def test_deterministic(self):

@@ -422,9 +422,8 @@ class TestPinnedConfigs:
 if __name__ == "__main__":
     import tempfile
 
+    from pin_files import rewrite
+
     with tempfile.TemporaryDirectory() as tmp:
-        configs = {f"{i} seed={seed}": _pin(_load_case(tmp, i, seed))
-                   for i, seed in _pinned_cases()}
-    PINS.write_text(json.dumps({"numpy": np.__version__, "machine": platform.machine(),
-                                "configs": configs}, indent=1, sort_keys=True) + "\n",
-                    encoding="utf-8")
+        rewrite(PINS, "configs", {f"{i} seed={seed}": _pin(_load_case(tmp, i, seed))
+                                  for i, seed in _pinned_cases()})

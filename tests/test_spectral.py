@@ -178,6 +178,8 @@ class TestSpectralField:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             SpectralField(GridSpec(8), np.zeros((2, 4, 4), dtype=np.complex128))
+        with pytest.raises(ValueError, match=r"values of shape \(2, 8, 8\)"):
+            SpectralField.from_physical(GridSpec(8), np.zeros((8, 8)))
 
     def test_grid_mismatch_rejected(self):
         a = random_field(GridSpec(8), seed=1)

@@ -226,6 +226,6 @@ def test_short_run_keeps_field_invariants_and_repeats(setup):
         assert np.array_equal(first.series[name], again.series[name])
         for f, g in zip(first.snapshots[name], again.snapshots[name], strict=True):
             assert np.array_equal(f.coeffs, g.coeffs)
-            f.validate(tol=1e-12, require_band=True)
+            f.validate(require_band=True)
             scale = max(float(np.abs(f.coeffs).max()), 1.0)
             assert f.divergence_max() <= 1e-12 * scale

@@ -73,6 +73,6 @@ def test_run_digest_is_golden(golden, case):
 
 
 if __name__ == "__main__":
-    DIGESTS.write_text(json.dumps({"numpy": np.__version__, "machine": platform.machine(),
-                                   "digests": {_case_id(*c): _digest(*c) for c in CASES}},
-                                  indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    from pin_files import rewrite
+
+    rewrite(DIGESTS, "digests", {_case_id(*c): _digest(*c) for c in CASES})

@@ -165,6 +165,20 @@ class TestObservedOrder:
         result = step_convergence_order(SystemSpec(SystemKind.NSE), init, p, cfg)
         assert 1.7 <= result.order <= 2.3
 
+    @pytest.mark.parametrize("refinements, initial, match", [
+        ((1, 1), "taylor_green", "distinct and increasing"),
+        ((2, 1), "taylor_green", "distinct and increasing"),
+        ((1, 2), "zero", "refinement 1 hit the rounding floor"),
+    ])
+    def test_unfittable_ladder_rejected(self, refinements, initial, match):
+        # A zero start stays zero, and so does its error against the exact zero.
+        u0 = taylor_green(GRID) if initial == "taylor_green" else SpectralField.zero(GRID)
+        cfg = SolverConfig(dt=4e-3, t_end=0.02, sample_every=5)
+        with pytest.raises(ValueError, match=match):
+            step_convergence_order(SystemSpec(SystemKind.NSE), {"u": u0},
+                                   PhysicsParams(nu1=0.01, nu2=0.01), cfg,
+                                   exact=lambda t: u0, refinements=refinements)
+
     def test_degenerate_reference_rejected(self):
         p = PhysicsParams(nu1=0.01, nu2=0.01)
         cfg = SolverConfig(dt=4e-3, t_end=0.2, sample_every=50)
