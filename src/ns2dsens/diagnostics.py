@@ -17,8 +17,8 @@ relative residual, in report order:
 Residuals are relative to the natural scale of each identity, so they certify
 cancellation rather than smallness.
 
-The a-priori validators check three bounds along the samples of a run, for
-every flow and assimilated row, with g the row's source:
+The a-priori validators check three bounds on a run, for every flow and
+assimilated row, with g the row's source:
 
     h1_sup                sup_t ||u||_H1^2 <= ||u0||_H1^2 + (1/nu) int |g|^2
     l2_sup                sup_t  |u|_L2^2  <=  |u0|_L2^2  + sup_t |g|^2 / D
@@ -29,21 +29,20 @@ D = (lambda_1 nu)^2 and c = 1, and is checked in that order.  A nudged row has
 the effective source g = f + mu P_sigma(I_h u_ref), D = mu nu lambda_1 and
 c = 1/2; its L2 bound is checked first and only under the admissibility
 condition, its H1 and dissipation bounds only under its strict (factor 4)
-form.  The source norms |g| are L2 norms of band halves for both roles, the
-forcing read as its projected band half (`forcing_band`).  A flow row's |f|
-is measured once for a constant forcing, and for a callable one at every
-sample time through `sample_norms`; a nudged row's |g| comes from the sampled
-reference states after the run, through `sample_norms`: one `interpolate`
-call and one projection per block of samples.  A failed check is a result,
-not an error.
+form.  Every sup and integral runs over every step of the run: the checks
+read the per-step reductions `integrate` keeps (`Trajectory.reductions`),
+with |g| measured in each round of right-hand sides and once for the final
+state, so a verdict does not depend on the sampling cadence.  No check
+evaluates the forcing, interpolates or takes a norm.  A window reads its
+own span and the params its steps ran with; a run or window across a
+viscosity switch is refused.  A failed check is a result, not an error.
 
 `sample_norms` is the one pass that reads a per-sample norm of an expression
-of a run's sampled band halves: a callable forcing and the nudged source
-here, and in the experiments the quotient sweeps' errors, two-path gaps and
-integrator tolerance, the synchronization gap and the Taylor-Green flow
-oracle.  No runner or certificate expands a sample or a forcing value to full
-spectra to take a norm.  It forms the expression `SAMPLE_BLOCK` samples at a
-time into one reused block buffer, so no array of the whole run is ever
+of a run's sampled band halves: in the experiments the quotient sweeps'
+errors, two-path gaps and integrator tolerance, the synchronization gap and
+the Taylor-Green flow oracle.  No runner or certificate expands a sample to
+full spectra to take a norm.  It forms the expression `SAMPLE_BLOCK` samples
+at a time into one reused block buffer, so no array of the whole run is ever
 formed.
 """
 
@@ -53,8 +52,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PhysicsParams, forcing_band
-from .interpolants import admissibility, interpolate
+# `interpolate` and `leray_project` stay bound here by name although no check
+# calls `interpolate`: bench/tracing.py wraps both at this import site.
+from .interpolants import admissibility, interpolate  # noqa: F401
 from .spectral import (
     LAMBDA_1,
     NORM_KINDS,
@@ -65,7 +65,6 @@ from .spectral import (
     leray_project,
     norm,
     norms,
-    project_coeffs,
     random_field,
     stokes_apply,
 )
@@ -127,8 +126,12 @@ def grashof(f_norm_sup: float, nu: float) -> float:
 
 
 def trajectory_grashof(traj) -> float:
-    """Grashof number of a run at its nu1, taking sup |f| over its sample times."""
-    return grashof(float(_forcing_l2(traj, traj.params).max()), traj.params.nu1)
+    """Grashof number of a run at its nu1, taking sup |f| over every state of it.
+
+    Row 0 is a flow row, whose source is f (`Trajectory.reductions`).
+    """
+    f_sq_sup = traj.reductions[traj.system.fields[0]][1:, 3].max()
+    return grashof(float(np.sqrt(f_sq_sup)), traj.params.nu1)
 
 
 @dataclass(frozen=True)
@@ -212,23 +215,16 @@ def identity_suite(grid: GridSpec, trials: int = 100, seed: int = 0) -> Identity
     )
 
 
-def _cumulative_trapezoid(values: np.ndarray, times: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(values)
-    if len(values) > 1:
-        increments = 0.5 * (values[1:] + values[:-1]) * np.diff(times)
-        out[1:] = np.cumsum(increments)
-    return out
+def _sup_check(name: str, lhs: np.ndarray, rhs) -> BoundCheck:
+    """lhs <= rhs at every sample after the first, reported where it comes closest.
 
-
-def _sup_check(name: str, lhs_series: np.ndarray, rhs_series: np.ndarray) -> BoundCheck:
-    """lhs <= rhs at every sample, reported where it comes closest after t = 0.
-
-    Each sup bound holds at t = 0 by construction (h1_sup with lhs = rhs),
-    so that sample cannot decide `passed` and would only hide the margin.
-    A run, and a window of one, has at least two samples.
+    Each sup bound holds at a run's first state by construction (h1_sup
+    with lhs = rhs), so that state cannot decide `passed` and would only
+    hide the margin.  A run, and a window of one, has at least two samples.
     """
-    i = 1 + int(np.argmax(lhs_series[1:] - rhs_series[1:]))
-    return BoundCheck.from_inequality(name, lhs_series[i], rhs_series[i])
+    rhs = np.broadcast_to(rhs, lhs.shape)
+    i = int(np.argmax(lhs - rhs))
+    return BoundCheck.from_inequality(name, lhs[i], rhs[i])
 
 
 def sample_norms(traj, form, kind: str = "l2") -> np.ndarray:
@@ -250,80 +246,49 @@ def sample_norms(traj, form, kind: str = "l2") -> np.ndarray:
     return out
 
 
-def _forcing_halves(p: PhysicsParams, grid: GridSpec, times: np.ndarray, out=None) -> np.ndarray:
-    """`forcing_band` at each of times, stacked, into out when given."""
-    return np.stack([forcing_band(p, grid, t) for t in times], out=out)
-
-
-def _forcing_l2(traj, p: PhysicsParams) -> np.ndarray:
-    """|f|_L2 of the forcing's band half at every sample of a run, a constant one measured once."""
-    grid, times = traj.grid, traj.times
-    if p.forcing is None:
-        return np.zeros(len(times))
-    if callable(p.forcing):
-        return sample_norms(traj, lambda block, out: _forcing_halves(p, grid, times[block], out))
-    return np.full(len(times), norms(BandStack(grid, forcing_band(p, grid, 0.0)), l2_only=True))
-
-
-def effective_source_l2(traj, ref: str, p: PhysicsParams) -> np.ndarray:
-    """|f + mu P_sigma(I_h u_ref)|_L2 under p at every sample of a run, u_ref the field named ref.
-
-    A constant forcing's band half is the one p holds (`forcing_band`), a
-    callable's is formed per time.
-    """
-    grid, times, refs = traj.grid, traj.times, traj.snapshots[ref].coeffs
-    f = None if callable(p.forcing) else forcing_band(p, grid, 0.0)
-
-    def source(block: slice, out: np.ndarray) -> None:
-        seen = interpolate(BandStack(grid, refs[block]), p.interp).coeffs
-        np.multiply(p.mu, project_coeffs(seen, *grid.band_projector), out=out)
-        np.add(_forcing_halves(p, grid, times[block]) if f is None else f, out, out=out)
-
-    return sample_norms(traj, source)
-
-
-def check_apriori(traj, p: PhysicsParams | None = None, label: str = "") -> list[BoundCheck]:
+def check_apriori(traj, label: str = "") -> list[BoundCheck]:
     """A-priori bound checks for every flow and assimilated field of a run.
 
     Flow rows of the system table are checked against the three viscous
     bounds; assimilated rows against the nudged variants whose admissibility
     precondition holds, with the nudging source toward the row's target folded
-    into the effective forcing.  Derivative rows are not checked.  `p`
-    overrides the trajectory's stored parameters, which matters for windows
-    of a run whose viscosity was switched mid-flight; `label` prefixes check
-    names.
+    into the effective forcing.  Derivative rows are not checked.  Every
+    number is read off the run's reductions and its initial norms, under
+    the params its steps ran with; a run or window that spans a viscosity
+    switch raises ValueError.  `label` prefixes check names.
     """
-    p = traj.params if p is None else p
-    system, times = traj.system, traj.times
-    f_l2 = _forcing_l2(traj, p)
+    p, system, dt = traj.params, traj.system, traj.config.dt
+    t_switch = traj.nu2_switch and traj.nu2_switch[0]
+    if t_switch and round(traj.times[0] / dt) < round(t_switch / dt) < round(traj.times[-1] / dt):
+        raise ValueError(f"the run spans the viscosity switch at t_switch = {t_switch:.6g}; "
+                         "check the windows on either side of it")
     checks: list[BoundCheck] = []
     for field, row in system.rows.items():
         if row.role == "derivative":
             continue
         nu = system.viscosity(field, p)
-        # The role picks the source, the L2 denominator, the dissipation
-        # factor, and which bounds are checked (those whose gate holds) in
-        # which order.
+        # The role picks the L2 denominator, the dissipation factor, and
+        # which bounds are checked (those whose gate holds) in which order.
         if row.role == "assimilated" and p.mu > 0:
             if not admissibility(nu, p.mu, p.interp):
                 continue  # strict implies non-strict: no bound is checked
-            source = effective_source_l2(traj, row.nudge_to, p)
             l2_denom, dissipation = p.mu * nu * LAMBDA_1, 0.5 * nu
             strict = admissibility(nu, p.mu, p.interp, strict=True)
             gated = (("l2_sup", True), ("h1_sup", strict), ("dissipation_integral", strict))
         else:
-            source, l2_denom, dissipation = f_l2, (LAMBDA_1 * nu) ** 2, nu
+            l2_denom, dissipation = (LAMBDA_1 * nu) ** 2, nu
             gated = (("h1_sup", True), ("l2_sup", True), ("dissipation_integral", True))
-        h1_sq, l2_sq, h2_sq = (traj.norm_series(field, k) ** 2 for k in ("h1", "l2", "h2"))
-        source_int = _cumulative_trapezoid(source**2, times)
+        l2_0, h1_0, _ = traj.series[field][0] ** 2
+        reduced = traj.reductions[field]
+        l2_sup, h1_sup, _, source_sup = reduced[1:, :4].T
+        h2_int, source_int = (reduced[1:, 4:] - reduced[0, 4:]).T
         name = f"{label}{field}_"
         made = {
-            "h1_sup": _sup_check(name + "h1_sup", h1_sq, h1_sq[0] + source_int / nu),
-            "l2_sup": _sup_check(name + "l2_sup", l2_sq, np.full_like(
-                l2_sq, l2_sq[0] + source.max() ** 2 / l2_denom)),
+            "h1_sup": _sup_check(name + "h1_sup", h1_sup, h1_0 + source_int / nu),
+            "l2_sup": _sup_check(name + "l2_sup", l2_sup, l2_0 + source_sup.max() / l2_denom),
             "dissipation_integral": BoundCheck.from_inequality(
-                name + "dissipation_integral", dissipation * np.trapezoid(h2_sq, times),
-                h1_sq[0] + source_int[-1] / nu),
+                name + "dissipation_integral", dissipation * h2_int[-1],
+                h1_0 + source_int[-1] / nu),
         }
         checks += [made[bound] for bound, gate in gated if gate]
     return checks

@@ -32,6 +32,9 @@ and one loop writes the rows in place into one array: forcing, products,
 Stokes source, nudging.  The forcing is read only as its projected band half
 (`forcing_band`): a constant one's is formed once per `PhysicsParams`, a
 callable's value is cut to the band and projected there at every evaluation.
+The same round measures every row's source |g|, the datum of the a-priori
+bounds: |f|, or |f + mu P_sigma(I_h u_ref)| for a nudged assimilated row,
+whose reference rides in the same `interpolate` call as the differences.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from .spectral import (
     band_half,
     bilinear,
     leray_project,
+    norms,
     project_coeffs,
     row_index,
     stokes_apply,
@@ -96,6 +100,11 @@ class PhysicsParams:
     def _forcing_band(self) -> np.ndarray:
         """A constant forcing's band half, formed once per params (`forcing_band`)."""
         return _read_only(band_half(self.forcing.coeffs, self.forcing.grid.cutoff))
+
+    @cached_property
+    def _forcing_norm(self) -> float:
+        """A constant forcing's |f|, the L2 norm of its band half, measured once per params."""
+        return norms(BandStack(self.forcing.grid, self._forcing_band), l2_only=True)
 
 
 def _replace_params(p: PhysicsParams, **changes) -> PhysicsParams:
@@ -224,15 +233,18 @@ class RoundWiring(NamedTuple):
     assimilated row's self-product (a, a) included.  rows gives per row
     whether it starts from the forcing, how many of the products are its
     own, and its Stokes source row or None.  nudged and targets pair each
-    nudged row with its target, as slices where evenly spaced (`row_index`).
-    advecting lists the rows whose speeds drive the CFL estimate, none when
-    linear_only.
+    nudged row with its target, as slices where evenly spaced (`row_index`);
+    assimilated and references pair the nudged rows of role assimilated with
+    theirs, the rows whose source |g| reads the reference.  advecting lists
+    the rows whose speeds drive the CFL estimate, none when linear_only.
     """
 
     pairs: tuple[tuple[int, int], ...]
     rows: tuple[tuple[bool, int, int | None], ...]
     nudged: slice | list[int]
     targets: slice | list[int]
+    assimilated: slice | list[int]
+    references: slice | list[int]
     advecting: list[int]
 
 
@@ -332,6 +344,7 @@ class SystemSpec:
         """The rows as stack indices, computed once per `SystemSpec`."""
         at = {name: i for i, name in enumerate(self.fields)}
         pairs_of = [row.products or ((name, name),) for name, row in self.rows.items()]
+        assimilated = [n for n in self.nudged_fields if self.rows[n].role == "assimilated"]
         return RoundWiring(
             pairs=tuple((at[a], at[b]) for row_pairs in pairs_of for a, b in row_pairs),
             rows=tuple(
@@ -341,13 +354,15 @@ class SystemSpec:
             ),
             nudged=row_index(at[name] for name in self.nudged_fields),
             targets=row_index(at[target] for target in self.nudged_fields.values()),
+            assimilated=row_index(at[name] for name in assimilated),
+            references=row_index(at[self.rows[name].nudge_to] for name in assimilated),
             advecting=[] if self.linear_only else [at[n] for n in self.advecting_fields],
         )
 
     def explicit_rhs(
         self, state: BandStack, p: PhysicsParams, t: float
-    ) -> tuple[np.ndarray, float]:
-        """Every field's right-hand side except its own -nu A term, and the state's peak speed.
+    ) -> tuple[np.ndarray, float, np.ndarray]:
+        """Every field's right-hand side but its own -nu A term, the peak speed, and |g| per row.
 
         state holds the band halves of `fields`, in order; the right-hand
         sides come back as band halves in row order, written in place into
@@ -355,10 +370,9 @@ class SystemSpec:
         of the table (none when linear_only).  Each row starts from the
         forcing, or for a derivative row from its negated first product, and
         subtracts the remaining products in row order and the Stokes source;
-        one `interpolate` call on the band halves of all nudged rows'
-        differences then adds every nudging term when mu > 0.  The peak speed
-        is max|u| over the advecting rows on the product grid (see
-        `bilinear`), 0.0 when linear_only.
+        the nudging terms are then added, and each row's source |g| measured
+        (`_observe`).  The peak speed is max|u| over the advecting rows on the
+        product grid (see `bilinear`), 0.0 when linear_only.
         """
         g, c = state.grid, state.coeffs
         wiring = self.wiring
@@ -382,10 +396,33 @@ class SystemSpec:
                 row -= next(terms)
             if source is not None:
                 row -= c[source] * lam
+        return out, speed, self._observe(state, p, f, out)
+
+    def _observe(self, state: BandStack, p: PhysicsParams, f, out: np.ndarray) -> np.ndarray:
+        """Every row's source |g| at forcing f; the nudging terms are added into out.
+
+        g is f, but f + mu P_sigma(I_h u_ref) for an assimilated row nudged
+        toward u_ref when mu > 0.  One `interpolate` call observes, on the
+        band half, the nudged rows' differences c[targets] - c[nudged] and
+        the references of the assimilated rows, and one projection scales
+        them all by mu: the nudging terms, and the observed references to
+        which f is added.  A constant forcing's |f| is measured once per
+        params, a callable's at each call.
+        """
+        g, c, wiring = state.grid, state.coeffs, self.wiring
+        f_l2 = (0.0 if p.forcing is None else norms(BandStack(g, f), l2_only=True)
+                if callable(p.forcing) else p._forcing_norm)
+        source_l2 = np.full(len(c), f_l2)
         if p.mu > 0 and wiring.nudged:
-            seen = interpolate(BandStack(g, c[wiring.targets] - c[wiring.nudged]), p.interp).coeffs
-            out[wiring.nudged] += p.mu * project_coeffs(seen, *g.band_projector)
-        return out, speed
+            diffs = c[wiring.targets] - c[wiring.nudged]
+            seen = interpolate(BandStack(g, np.concatenate((diffs, c[wiring.references]))),
+                               p.interp).coeffs
+            seen = p.mu * project_coeffs(seen, *g.band_projector)
+            out[wiring.nudged] += seen[: len(diffs)]
+            sources = seen[len(diffs):]
+            sources += f
+            source_l2[wiring.assimilated] = norms(BandStack(g, sources), l2_only=True)
+        return source_l2
 
     def rhs(
         self, name: str, state: Mapping[str, SpectralField], p: PhysicsParams, t: float = 0.0

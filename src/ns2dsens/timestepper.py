@@ -24,6 +24,18 @@ operation is the one the full stack would do on the same mode, so the
 states are those of a full-stack step; the norms sum the same terms in
 another order.
 
+One table of per-state reductions is the single source of every number
+the a-priori bounds read.  Each state from t = 0 to t_end is folded in
+once, in a few whole-table ufunc calls: its norms, and its rows' sources
+|g| that the round of right-hand sides measures on it
+(`SystemSpec.explicit_rhs`; the final state, which no round sees, gets its
+sources from one more `interpolate` call).  Per row it keeps the sups of
+|u|^2, ||u||^2, |Au|^2 and |g|^2 since the last sample and the cumulative
+trapezoids of |Au|^2 and |g|^2, copied out at each sample
+(`Trajectory.reductions`), so they do not depend on the sampling cadence;
+per run, the peak CFL estimate and the largest projection drift.  The Heun
+midpoint is not a state and is not folded in.
+
 Guards: the nudging stability condition dt * mu <= 1 and the admissibility
 condition mu * c0 * h**2 <= nu are checked before marching (the latter can be
 demoted to a warning for deliberately inadmissible studies).  The advective
@@ -31,24 +43,24 @@ CFL estimate dt * n * max|u| <= 0.5, max|u| over the advecting rows, is
 checked on every state from t = 0 to t_end.  The first round of each step
 reads it off the self-products it forms (`SystemSpec.explicit_rhs`), with
 no transform; the Heun midpoint is not a state and is not checked; the
-final state, which no round sees, is checked once through
-`SpectralField.max_speed`.  On padded grids (n divisible by 3) the rounds
-take max|u| over the m = n + 2 product grid, the final check over the
-n-grid.  The first excursion of a run warns, and `Trajectory.peak_cfl`
-records the largest estimate with its time.  Blow-up (non-finite norms, or
-growth beyond 1e6 times the initial scale) raises BlowupError carrying the
-norm history.  Identical inputs produce bit-identical trajectories.
+final state is checked once through `SpectralField.max_speed`.  On padded
+grids (n divisible by 3) the rounds take max|u| over the m = n + 2 product
+grid, the final check over the n-grid.  The first excursion of a run warns,
+and `Trajectory.peak_cfl` records the largest estimate with its time.
+Blow-up (non-finite norms, or growth beyond 1e6 times the initial scale)
+raises BlowupError carrying the norm history.  Identical inputs produce
+bit-identical trajectories.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import PhysicsParams, SystemSpec, with_viscosity2
+from .dynamics import PhysicsParams, SystemSpec, forcing_band, with_viscosity2
 from .interpolants import admissibility
 from .spectral import (
     BandStack,
@@ -135,10 +147,22 @@ class Trajectory:
     sampled fields, a read-only `BandStack` over that field's band halves
     in the sample array, which expands a `SpectralField` on each read.
     Norms are summed on the band half at every step.
+
+    reductions maps each field name to an (n_samples, 6) array of what
+    every state of the run contributes, g being the row's source (see
+    `SystemSpec.explicit_rhs`).  At sample i >= 1 its columns are the sups
+    of |u|^2, ||u||^2 and |Au|^2 over the states after sample i - 1, the
+    sup of |g|^2 over the states from sample i - 1 on, and the cumulative
+    trapezoids of |Au|^2 and |g|^2 over every step from t = 0; row 0 holds
+    the values at t = 0 and zero integrals.  So the sups over rows 1 onward
+    of any window cover it whole, and its integrals are differences from
+    its first row.
+
     max_projection_drift is the largest per-step change the divergence-free
     re-projection made, a rounding-level health figure.  peak_cfl is the
     largest advective CFL estimate over every state of the run, with its
-    time, as (value, t).
+    time, as (value, t).  params are those the steps ran with; a window
+    after a viscosity switch carries the switched ones.
     """
 
     system: SystemSpec
@@ -150,6 +174,7 @@ class Trajectory:
     nu2_switch: tuple[float, float] | None = None
     max_projection_drift: float = 0.0
     peak_cfl: tuple[float, float] = (0.0, 0.0)
+    reductions: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def n_samples(self) -> int:
@@ -177,30 +202,19 @@ class Trajectory:
         return i
 
     def window(self, i0: int, i1: int) -> "Trajectory":
-        """Sub-trajectory over sample indices [i0, i1], keeping absolute times."""
+        """Sub-trajectory over sample indices [i0, i1], keeping absolute times.
+
+        A window from the viscosity switch on carries the params its steps
+        ran with.
+        """
         if not 0 <= i0 < i1 < self.n_samples:
             raise ValueError(f"bad window [{i0}, {i1}] for {self.n_samples} samples")
-        return Trajectory(
-            system=self.system,
-            params=self.params,
-            config=self.config,
-            times=self.times[i0 : i1 + 1],
-            snapshots={k: v[i0 : i1 + 1] for k, v in self.snapshots.items()},
-            series={k: v[i0 : i1 + 1] for k, v in self.series.items()},
-            nu2_switch=self.nu2_switch,
-            max_projection_drift=self.max_projection_drift,
-            peak_cfl=self.peak_cfl,
-        )
-
-
-def _cfl_guard(cfl: float, t: float, peak: tuple[float, float]) -> tuple[float, float]:
-    """Warn if cfl is the run's first estimate beyond the limit; return the peak (value, t)."""
-    if cfl > _CFL_LIMIT >= peak[0]:
-        warnings.warn(
-            f"advective CFL estimate {cfl:.3g} exceeds {_CFL_LIMIT} at t = {t:.6g}",
-            CFLWarning,
-        )
-    return (cfl, t) if cfl > peak[0] else peak
+        dt, switch = self.config.dt, self.nu2_switch
+        after = switch is not None and round(self.times[i0] / dt) >= round(switch[0] / dt)
+        params = with_viscosity2(self.params, switch[1]) if after else self.params
+        cut = {name: {k: v[i0 : i1 + 1] for k, v in getattr(self, name).items()}
+               for name in ("snapshots", "series", "reductions")}
+        return replace(self, params=params, times=self.times[i0 : i1 + 1], **cut)
 
 
 def _prepare_state(
@@ -315,25 +329,52 @@ def integrate(
     before, after = phase(p), phase(p_after)
 
     times = np.arange(0, cfg.n_steps + 1, cfg.sample_every) * dt
-    series = np.empty((len(names), len(times), 3))
-    series[:, 0] = norms(BandStack(grid, state))
-    l2_0 = series[:, 0, 0]
-    ref_l2 = np.where(l2_0 > 0, l2_0, max(l2_0.max(), 1.0))
+    # The norms (series) and the reductions at each sample share one array,
+    # so a run leaves one small array beside its samples.  A second one can
+    # split the heap block a freed sample array leaves, and the next run's
+    # samples then take new memory: +9.6 MB peak RSS on `cli_sync_box_n48`
+    # at some checkout paths.
+    series, reduced = np.split(np.empty((len(names), len(times), 9)), [3], axis=2)
+    samples = np.empty((len(times),) + state.shape, state.dtype)
+    step_norms = norms(BandStack(grid, state))
+    ref_l2 = np.where(step_norms[:, 0] > 0, step_norms[:, 0], max(step_norms[:, 0].max(), 1.0))
     # Norms <= limit pass in one comparison; NaN and +inf fail it (the cap
     # keeps +inf failing where the limit overflows), and only then is a row blown.
     limit = np.minimum(_BLOWUP_FACTOR * ref_l2, np.finfo(np.float64).max)
-    samples = np.empty((len(times),) + state.shape, state.dtype)
-    samples[0] = state
-    taken = 1
-    drift_max = 0.0
-    peak_cfl = (0.0, 0.0)
+    # The per-state reductions: per row the sups of |u|^2, ||u||^2, |Au|^2
+    # and |g|^2 (all nonnegative, so a sup restarts from 0) and the
+    # trapezoids of |Au|^2 and |g|^2, kept at each sample; per run the peak
+    # CFL estimate and the largest projection drift.
+    running = np.zeros((len(names), 6))
+    prev, half_dt, peak_cfl, drift_max, drift = None, 0.5 * dt, (0.0, 0.0), 0.0, 0.0
+
+    def fold(k, state_k, norms_k, source_l2, speed, drift) -> None:
+        """Fold state k, with its rows' norms and sources |g|, peak speed and drift, in.
+
+        A sample time also keeps the state, its norms and the reductions so far.
+        """
+        nonlocal prev, peak_cfl, drift_max
+        q = np.concatenate((norms_k, source_l2[:, None]), axis=1) ** 2
+        np.maximum(running[:, :4], q, out=running[:, :4])
+        if prev is not None:
+            running[:, 4:] += half_dt * (prev[:, 2:] + q[:, 2:])
+        if k % cfg.sample_every == 0:
+            i = k // cfg.sample_every
+            series[:, i], samples[i], reduced[:, i] = norms_k, state_k, running
+            running[:, :3], running[:, 3] = 0.0, q[:, 3]  # |g|'s sup restarts at the sample
+        cfl, t = cfl_per_speed * speed, k * dt
+        if cfl > _CFL_LIMIT >= peak_cfl[0]:  # the run's first excursion
+            warnings.warn(f"advective CFL estimate {cfl:.3g} exceeds {_CFL_LIMIT} at t = {t:.6g}",
+                          CFLWarning)
+        prev, peak_cfl = q, (cfl, t) if cfl > peak_cfl[0] else peak_cfl
+        drift_max = max(drift_max, drift)
 
     n_prev = None
     for step in range(cfg.n_steps):
         t = step * dt
         pp, nu_lam, damp, denom = before if step < switch_step else after
-        n_curr, speed = system.explicit_rhs(BandStack(grid, state), pp, t)
-        peak_cfl = _cfl_guard(cfl_per_speed * speed, t, peak_cfl)
+        n_curr, speed, source_l2 = system.explicit_rhs(BandStack(grid, state), pp, t)
+        fold(step, state, step_norms, source_l2, speed, drift)
 
         # Whole-stack updates, in place on one fresh buffer to bound peak
         # memory.  Each keeps the per-field operation order up to swapped
@@ -342,7 +383,7 @@ def integrate(
             # Heun bootstrap: one explicit second-order step.
             f0 = n_curr - nu_lam * state
             mid = state + dt * f0
-            new, _ = system.explicit_rhs(BandStack(grid, mid), pp, t + dt)
+            new, _, _ = system.explicit_rhs(BandStack(grid, mid), pp, t + dt)
             new -= nu_lam * mid
             new += f0
             new *= 0.5 * dt
@@ -356,24 +397,23 @@ def integrate(
         n_prev = n_curr
 
         state = project_coeffs(new, *projector)
-        drift_max = max(drift_max, float(np.abs(state - new).max()))
+        drift = float(np.abs(state - new).max())
 
         t_next = (step + 1) * dt
         step_norms = norms(BandStack(grid, state))
         l2 = step_norms[:, 0]
         if not (l2 <= limit).all() and (blown := ~np.isfinite(l2) | (l2 > limit)).any():
-            i = int(np.argmax(blown))
+            i, taken = int(np.argmax(blown)), step // cfg.sample_every + 1
             history = {"times": times[:taken], "l2": dict(zip(names, series[:, :taken, 0]))}
             raise BlowupError(names[i], t_next, float(l2[i]), history)
 
-        if (step + 1) % cfg.sample_every == 0:
-            series[:, taken] = step_norms
-            samples[taken] = state
-            taken += 1
-
+    # The final state, which no round sees: its speed, and its sources (its
+    # nudging terms land in a scratch array).
     final = BandStack(grid, state[system.wiring.advecting])
     speeds = [f.max_speed() for f in final.fields()]
-    peak_cfl = _cfl_guard(cfl_per_speed * max(speeds, default=0.0), t_next, peak_cfl)
+    source_l2 = system._observe(
+        BandStack(grid, state), pp, forcing_band(pp, grid, t_next), np.zeros_like(state))
+    fold(cfg.n_steps, state, step_norms, source_l2, max(speeds, default=0.0), drift)
     samples.setflags(write=False)
     return Trajectory(
         system=system,
@@ -385,6 +425,7 @@ def integrate(
         nu2_switch=nu2_switch,
         max_projection_drift=drift_max,
         peak_cfl=peak_cfl,
+        reductions=dict(zip(names, reduced)),
     )
 
 

@@ -194,9 +194,14 @@ def test_08_apriori_validators_and_corruption(
         PhysicsParams(nu1=NU, nu2=NU),
         cfg,
     )
-    series = {k: v.copy() for k, v in traj.series.items()}
-    series["u"][series["u"].shape[0] // 2 :, :] *= 4.0
-    corrupted = dataclasses.replace(traj, series=series)
+    # The validators read the run's per-step reductions: norms four times
+    # larger from the middle on are squared sups and a dissipation integral
+    # 16 times larger there.
+    reductions = {k: v.copy() for k, v in traj.reductions.items()}
+    half = reductions["u"][reductions["u"].shape[0] // 2 :]
+    half[:, :3] *= 16.0
+    half[:, 4] *= 16.0
+    corrupted = dataclasses.replace(traj, reductions=reductions)
     assert any(not c.passed for c in check_apriori(corrupted))
 
 

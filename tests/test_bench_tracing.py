@@ -11,7 +11,6 @@ outputs fails here.  They only read bench/.
 """
 
 import importlib.util
-import math
 import platform
 import sys
 from pathlib import Path
@@ -20,7 +19,6 @@ import numpy as np
 import pytest
 
 from ns2dsens import experiments, timestepper
-from ns2dsens.diagnostics import SAMPLE_BLOCK
 from ns2dsens.dynamics import PhysicsParams, SystemKind, SystemSpec
 from ns2dsens.experiments import DQSweepSpec
 from ns2dsens.interpolants import BoxAverage, SpectralProjection
@@ -149,15 +147,16 @@ def test_box_nudged_round_and_checks_counts(bench):
         experiments.check_apriori(traj)
 
     row = traced_op(tracing, op)
-    # Each round (every step plus the Heun midpoint) nudges v toward u with
-    # one `interpolate` call on the band half of their difference, which
-    # runs no transform.  The a-priori checks form the assimilated source
-    # |f + mu P I_h(u)| from one call per block of SAMPLE_BLOCK samples.
+    # Each round (every step plus the Heun midpoint) makes one `interpolate`
+    # call on the band halves of the difference u - v, which nudges v, and
+    # of u, which gives v's source |f + mu P I_h(u)|; it runs no transform.
+    # The final state, which no round sees, gets its source from one more
+    # such call.  The a-priori checks read the run's reductions and make
+    # none: rounds + 1 calls, whatever the sample count.
     rounds = steps + 1
-    samples = steps + 1
     m, K = grid.product_n, grid.cutoff
     assert row["spectral.bilinear"]["calls"] == rounds
-    assert row["interpolants.interpolate"]["calls"] == rounds + math.ceil(samples / SAMPLE_BLOCK)
+    assert row["interpolants.interpolate"]["calls"] == rounds + 1
     # The rounds read the CFL estimate off B(u, u) and B(v, v); the final
     # state alone is checked by expanding both advecting rows, u and v, once
     # each.  Nothing else, interpolation included, reaches `physical`.
@@ -203,13 +202,12 @@ def test_da_sweep_runs_two_integrations(bench, n):
     planes = ((18 + 24 * levels) * rounds + 32 * half_rounds) * (m + K + 1)
     assert row["counts"]["spectral.fft.planes"] == planes + 4 * (levels + 1) + 8
     assert row["spectral.physical"]["calls"] == 2 * (levels + 1) + 4
-    # Both runs nudge once per round; the a-priori checks of the batched run
-    # form the source of each of its L + 1 assimilated rows (v1, v2_j) once
-    # per block of SAMPLE_BLOCK samples.  The half-step run is not checked.
-    samples = steps // cfg.sample_every + 1
-    assert row["interpolants.interpolate"]["calls"] == (
-        rounds + half_rounds + (levels + 1) * math.ceil(samples / SAMPLE_BLOCK)
-    )
+    # Each run makes one `interpolate` call per round, which nudges its
+    # nudged rows and observes its assimilated rows' references for their
+    # sources, and one more for its final state's sources: (N + 1) + 1 for
+    # the batched run and (2N + 1) + 1 for the half-step run.  The a-priori
+    # checks of the batched run read its reductions and make none.
+    assert row["interpolants.interpolate"]["calls"] == (rounds + 1) + (half_rounds + 1)
 
 
 # da_sweep_n32 is left out: its `integrations()` still describes the L + 2

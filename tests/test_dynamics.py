@@ -573,7 +573,7 @@ def test_explicit_rhs_bits_match_per_row_assembly(n, forcing, nudging):
     specs.append(SystemSpec(SystemKind.DA_DQ_DIRECT, nu2s=("nu1", 0.007)))
     for spec in specs:
         state = BandStack.of([random_field(grid, seed=51 + i) for i in range(len(spec.fields))])
-        got, _ = spec.explicit_rhs(state, p, 0.5)
+        got, _, _ = spec.explicit_rhs(state, p, 0.5)
         want = assembled_rows(spec, state, p, 0.5)
         assert len(got) == len(want)
         for name, row, expected in zip(spec.fields, got, want):

@@ -558,8 +558,9 @@ class TestNoFieldPerSample:
         assert counts[0] == counts[1] > 0
 
     def test_callable_forcing_adds_only_its_own_field_per_evaluation(self, monkeypatch):
-        # The stepper and the certificates read the forcing as band halves, so
-        # each evaluation builds one field: the one the callable returns.
+        # The stepper reads the forcing as band halves, so each evaluation
+        # builds one field: the one the callable returns.  The certificates
+        # read the run's reductions: no evaluation and no field at all.
         f = forcing_for_grashof(GRID, NU, 200.0, seed=5)
         evaluations = []
 
@@ -569,20 +570,19 @@ class TestNoFieldPerSample:
 
         p, nse = PhysicsParams(NU, NU, forcing=forcing), SystemSpec(SystemKind.NSE)
 
-        def made_beyond_evaluations(run) -> int:
+        def made_beyond_evaluations(run) -> tuple[int, int]:
             evaluations.clear()
             made = self._fields_made(monkeypatch, run)
-            assert evaluations
-            return made - len(evaluations)
+            return made - len(evaluations), len(evaluations)
 
         runs = [SolverConfig(dt=2e-3, t_end=steps * 2e-3) for steps in (10, 20)]
         stepper = [made_beyond_evaluations(lambda: integrate(nse, {"u": self.U0}, p, cfg))
                    for cfg in runs]
-        assert stepper[0] == stepper[1]
+        assert stepper[0][0] == stepper[1][0] and stepper[0][1] and stepper[1][1]
         trajs = [integrate(nse, {"u": self.U0}, p, dataclasses.replace(runs[1], sample_every=every))
                  for every in (1, 5)]  # 21 and 5 samples
         checks = [made_beyond_evaluations(lambda: check_apriori(traj)) for traj in trajs]
-        assert checks == [0, 0]
+        assert checks == [(0, 0), (0, 0)]
 
 
 class TestReynoldsSwitch:

@@ -458,7 +458,7 @@ class TestRoundPeakSpeed:
             for i, name in enumerate(system.fields)
         }
         state = BandStack.of([init[name] for name in system.fields])
-        _, speed = system.explicit_rhs(state, PhysicsParams(nu1=0.01, nu2=0.008), 0.0)
+        _, speed, _ = system.explicit_rhs(state, PhysicsParams(nu1=0.01, nu2=0.008), 0.0)
         advecting = [init[name] for name in system.advecting_fields]
         if n % 3:
             # The product grid is the n-grid: the values `physical` gives.
@@ -470,7 +470,7 @@ class TestRoundPeakSpeed:
 
     def test_linear_only_round_reads_no_speed(self):
         state = BandStack.of([taylor_green(GRID)])
-        _, speed = SystemSpec(SystemKind.NSE, linear_only=True).explicit_rhs(
+        _, speed, _ = SystemSpec(SystemKind.NSE, linear_only=True).explicit_rhs(
             state, PhysicsParams(nu1=0.01, nu2=0.01), 0.0
         )
         assert speed == 0.0
